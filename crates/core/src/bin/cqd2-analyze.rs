@@ -313,10 +313,8 @@ fn run_eval(args: &[String]) {
                 }
                 if let Some(bags) = &resp.provenance.bags {
                     println!(
-                        "      bag execution: {} ({}/{} bags rewritten)",
-                        bags.mode.name(),
-                        bags.bags_rewritten,
-                        bags.bags_total,
+                        "      bag overlay: {}/{} bags rewritten",
+                        bags.rewritten, bags.total,
                     );
                 }
             }

@@ -44,7 +44,6 @@ use cqd2_decomp::ghd::GhdError;
 use cqd2_decomp::widths::ghw_decomposition;
 use cqd2_decomp::Ghd;
 use cqd2_hypergraph::VertexId;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------
@@ -280,7 +279,9 @@ const PARALLEL_PASS_THRESHOLD: usize = 1 << 15;
 /// Sparsity of one overlay tree pass: how many bag nodes the pass
 /// actually rewrote, out of the tree's total. Warm prepared runs on
 /// join-consistent data rewrite **zero** nodes (every semijoin keeps
-/// every row), which is what makes copy-free re-execution pay.
+/// every row), which is what makes copy-free re-execution pay. The
+/// engine carries this verbatim in its plan provenance, for warm and
+/// one-shot runs alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassStats {
     /// Nodes the pass rewrote (copied + filtered).
@@ -369,7 +370,7 @@ impl<'a> BagOverlay<'a> {
 /// setup, the bottom-up semijoin pass and the counting DP fan out per
 /// tree level over the scoped-thread pool (nodes at one depth never
 /// read each other). The one-shot [`bcq_via_ghd`] / [`count_via_ghd`] /
-/// [`enumerate_via_ghd`] wrappers build and consume in place instead.
+/// [`enumerate_via_ghd`] wrappers are `build` followed by one such pass.
 ///
 /// ```
 /// use cqd2_cq::eval::MaterializedBags;
@@ -398,7 +399,6 @@ pub struct MaterializedBags {
     children: Vec<Vec<usize>>,
     /// Parent of each node (`usize::MAX` at the root).
     parents: Vec<usize>,
-    post_order: Vec<usize>,
     /// Nodes grouped by depth (`levels[0]` = `[root]`). Nodes within a
     /// level are pairwise non-adjacent in the tree, so per-level pass
     /// tasks touch disjoint state.
@@ -455,10 +455,7 @@ struct BagRecipe {
 impl BagRecipe {
     /// Every atom index this bag's materialization reads.
     fn atoms(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cover_atoms
-            .iter()
-            .chain(&self.assigned_atoms)
-            .copied()
+        self.cover_atoms.iter().chain(&self.assigned_atoms).copied()
     }
 }
 
@@ -495,7 +492,131 @@ impl MaterializedBags {
         db: &Database,
         ghd: &Ghd,
     ) -> Result<MaterializedBags, EvalError> {
-        build_bag_tree(q, db, ghd)
+        let h = q.hypergraph();
+        ghd.validate(&h).map_err(EvalError::InvalidGhd)?;
+        let bound: Vec<FlatRelation> = q.atoms.iter().map(|a| FlatRelation::bind(a, db)).collect();
+        // Representative atom for each hypergraph edge (same variable set),
+        // via the shared sorted-varset map on the query (one hash probe per
+        // edge instead of re-sorting every atom's variable list per edge).
+        let edge_rep: Vec<usize> = q
+            .edge_representatives(&h)
+            .into_iter()
+            .enumerate()
+            .map(|(i, rep)| rep.ok_or(EvalError::EdgeWithoutAtom { edge: i }))
+            .collect::<Result<_, EvalError>>()?;
+        // Assign every atom to one node whose bag contains its variables.
+        let bag_contains = |u: usize, vars: &[Var]| {
+            vars.iter()
+                .all(|v| ghd.td.bags[u].binary_search(&VertexId(v.0)).is_ok())
+        };
+        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); ghd.td.bags.len()];
+        for (ai, atom) in q.atoms.iter().enumerate() {
+            let vars = atom.vars();
+            let u = (0..ghd.td.bags.len())
+                .find(|&u| bag_contains(u, &vars))
+                .ok_or(EvalError::AtomFitsNoBag { atom: ai })?;
+            assigned[u].push(ai);
+        }
+        // Materialize each bag: join cover representatives, project to bag,
+        // then join all assigned atoms. Bags depend only on the shared
+        // `bound` relations, never on each other, so on databases big enough
+        // to amortize thread setup the bags materialize concurrently. The
+        // recipe (which atoms, joined in which order, projected to which
+        // variables) is retained on the handle so `refresh` can re-run it
+        // per dirty bag after a delta.
+        let n = ghd.td.bags.len();
+        let recipes: Vec<BagRecipe> = (0..n)
+            .map(|u| BagRecipe {
+                cover_atoms: ghd.covers[u].iter().map(|e| edge_rep[e.idx()]).collect(),
+                bag_vars: ghd.td.bags[u].iter().map(|v| Var(v.0)).collect(),
+                assigned_atoms: assigned[u].clone(),
+            })
+            .collect();
+        let materialize = |u: usize| materialize_bag(&recipes[u], |ai| &bound[ai]);
+        // Gate parallelism on the tuples the *query* actually touches (the
+        // bound atom relations), not the whole database — a big unrelated
+        // relation must not trigger thread spawns for a microsecond join.
+        let bound_tuples: usize = bound.iter().map(FlatRelation::len).sum();
+        let parallel = n > 1
+            && bound_tuples >= PARALLEL_BAG_THRESHOLD
+            && !SEQUENTIAL_BAGS.with(std::cell::Cell::get);
+        let workers = if parallel {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        } else {
+            1
+        };
+        let relations: Vec<FlatRelation> = crate::par::scoped_map(n, workers, materialize);
+        // Root the tree at node 0: iterative DFS computing children and
+        // parents.
+        let adj = ghd.td.adjacency();
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut parents: Vec<usize> = vec![usize::MAX; n];
+        let mut visited = vec![false; n];
+        let root = 0usize;
+        let mut stack = vec![(root, usize::MAX)];
+        while let Some((u, parent)) = stack.pop() {
+            if visited[u] {
+                continue;
+            }
+            visited[u] = true;
+            parents[u] = parent;
+            for &w in &adj[u] {
+                if w != parent && !visited[w] {
+                    children[u].push(w);
+                    stack.push((w, u));
+                }
+            }
+        }
+        // Depth levels (root = level 0) for the per-level parallel passes:
+        // nodes within one level are pairwise non-adjacent in the tree.
+        let mut levels: Vec<Vec<usize>> = vec![vec![root]];
+        loop {
+            let next: Vec<usize> = levels
+                .last()
+                // cqd2-lint: allow(panic-in-hot-path, reason = "levels is seeded with vec![root] before the loop")
+                .expect("at least the root level")
+                .iter()
+                .flat_map(|&u| children[u].iter().copied())
+                .collect();
+            if next.is_empty() {
+                break;
+            }
+            levels.push(next);
+        }
+        // Semijoin key columns along every tree edge, resolved once: the
+        // variables a child's relation shares with its parent's relation
+        // (in the child's column order), as positions on both sides. Pass
+        // rewrites preserve column layouts, so these stay valid for the
+        // lifetime of the handle.
+        let mut up_key: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut parent_key: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for u in 0..n {
+            let p = parents[u];
+            if p == usize::MAX {
+                continue;
+            }
+            let (child_rel, parent_rel) = (&relations[u], &relations[p]);
+            for (c, v) in child_rel.vars().iter().enumerate() {
+                if let Some(pc) = parent_rel.vars().iter().position(|w| w == v) {
+                    up_key[u].push(c);
+                    parent_key[u].push(pc);
+                }
+            }
+        }
+        Ok(MaterializedBags {
+            relations: relations.into_iter().map(Arc::new).collect(),
+            children,
+            parents,
+            levels,
+            up_key,
+            parent_key,
+            base_tables: (0..n).map(|_| OnceLock::new()).collect(),
+            leaf_aggs: (0..n).map(|_| OnceLock::new()).collect(),
+            down_tables: (0..n).map(|_| OnceLock::new()).collect(),
+            recipes,
+            root,
+            num_vars: q.num_vars(),
+        })
     }
 
     /// Total rows across all materialized bag relations (the memory the
@@ -507,33 +628,6 @@ impl MaterializedBags {
     /// Number of bag nodes in the tree.
     pub fn num_bags(&self) -> usize {
         self.relations.len()
-    }
-
-    /// A detached deep copy: fresh relation buffers, empty probe-table
-    /// caches. This is the **clone-based execution baseline** — exactly
-    /// the per-run cost the overlay passes eliminate — kept public so
-    /// benches and differential tests can measure and compare against
-    /// it (`bags.deep_clone().into_bcq()` etc.).
-    pub fn deep_clone(&self) -> MaterializedBags {
-        MaterializedBags {
-            relations: self
-                .relations
-                .iter()
-                .map(|r| Arc::new(FlatRelation::clone(r)))
-                .collect(),
-            children: self.children.clone(),
-            parents: self.parents.clone(),
-            post_order: self.post_order.clone(),
-            levels: self.levels.clone(),
-            up_key: self.up_key.clone(),
-            parent_key: self.parent_key.clone(),
-            base_tables: (0..self.relations.len()).map(|_| OnceLock::new()).collect(),
-            leaf_aggs: (0..self.relations.len()).map(|_| OnceLock::new()).collect(),
-            down_tables: (0..self.relations.len()).map(|_| OnceLock::new()).collect(),
-            recipes: self.recipes.clone(),
-            root: self.root,
-            num_vars: self.num_vars,
-        }
     }
 
     /// **Warm maintenance** after a delta: rebuild only the bags whose
@@ -591,17 +685,15 @@ impl MaterializedBags {
         } else {
             1
         };
-        let remat: Vec<FlatRelation> =
-            crate::par::scoped_map(dirty_nodes.len(), workers, |i| {
-                materialize_bag(&self.recipes[dirty_nodes[i]], |ai| {
-                    bound[ai]
-                        .as_ref()
-                        // cqd2-lint: allow(panic-in-hot-path, reason = "every atom a dirty bag reads was bound in the loop above")
-                        .expect("dirty bag atom bound")
-                })
-            });
-        let mut relations: Vec<Arc<FlatRelation>> =
-            self.relations.iter().map(Arc::clone).collect();
+        let remat: Vec<FlatRelation> = crate::par::scoped_map(dirty_nodes.len(), workers, |i| {
+            materialize_bag(&self.recipes[dirty_nodes[i]], |ai| {
+                bound[ai]
+                    .as_ref()
+                    // cqd2-lint: allow(panic-in-hot-path, reason = "every atom a dirty bag reads was bound in the loop above")
+                    .expect("dirty bag atom bound")
+            })
+        });
+        let mut relations: Vec<Arc<FlatRelation>> = self.relations.iter().map(Arc::clone).collect();
         for (i, rel) in remat.into_iter().enumerate() {
             let u = dirty_nodes[i];
             debug_assert_eq!(
@@ -650,7 +742,6 @@ impl MaterializedBags {
                 relations,
                 children: self.children.clone(),
                 parents: self.parents.clone(),
-                post_order: self.post_order.clone(),
                 levels: self.levels.clone(),
                 up_key: self.up_key.clone(),
                 parent_key: self.parent_key.clone(),
@@ -769,20 +860,7 @@ impl MaterializedBags {
                 }
             }
         }
-        let stats = ov.stats();
-        let rels: Vec<Arc<FlatRelation>> = (0..self.relations.len())
-            .map(|u| ov.rel_shared(u))
-            .collect();
-        (
-            build_enumerator(
-                rels,
-                &self.children,
-                &self.parents,
-                self.root,
-                self.num_vars,
-            ),
-            stats,
-        )
+        (self.build_enumerator(&ov), ov.stats())
     }
 
     /// Worker count for per-level tree passes: parallel only when some
@@ -899,8 +977,9 @@ impl MaterializedBags {
             let fresh;
             let agg: &AggTable = if self.children[c].is_empty() {
                 debug_assert!(!ov.is_rewritten(c) && counts[c].is_none());
-                self.leaf_aggs[c]
-                    .get_or_init(|| Arc::new(AggTable::build(&self.relations[c], &self.up_key[c], None)))
+                self.leaf_aggs[c].get_or_init(|| {
+                    Arc::new(AggTable::build(&self.relations[c], &self.up_key[c], None))
+                })
             } else {
                 fresh = AggTable::build(ov.rel(c), &self.up_key[c], counts[c].as_deref());
                 &fresh
@@ -932,178 +1011,10 @@ impl MaterializedBags {
     }
 }
 
-fn build_bag_tree(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ghd: &Ghd,
-) -> Result<MaterializedBags, EvalError> {
-    let h = q.hypergraph();
-    ghd.validate(&h).map_err(EvalError::InvalidGhd)?;
-    let bound: Vec<FlatRelation> = q.atoms.iter().map(|a| FlatRelation::bind(a, db)).collect();
-    // Representative atom for each hypergraph edge (same variable set),
-    // via the shared sorted-varset map on the query (one hash probe per
-    // edge instead of re-sorting every atom's variable list per edge).
-    let edge_rep: Vec<usize> = q
-        .edge_representatives(&h)
-        .into_iter()
-        .enumerate()
-        .map(|(i, rep)| rep.ok_or(EvalError::EdgeWithoutAtom { edge: i }))
-        .collect::<Result<_, EvalError>>()?;
-    // Assign every atom to one node whose bag contains its variables.
-    let bag_contains = |u: usize, vars: &[Var]| {
-        vars.iter()
-            .all(|v| ghd.td.bags[u].binary_search(&VertexId(v.0)).is_ok())
-    };
-    let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); ghd.td.bags.len()];
-    for (ai, atom) in q.atoms.iter().enumerate() {
-        let vars = atom.vars();
-        let u = (0..ghd.td.bags.len())
-            .find(|&u| bag_contains(u, &vars))
-            .ok_or(EvalError::AtomFitsNoBag { atom: ai })?;
-        assigned[u].push(ai);
-    }
-    // Materialize each bag: join cover representatives, project to bag,
-    // then join all assigned atoms. Bags depend only on the shared
-    // `bound` relations, never on each other, so on databases big enough
-    // to amortize thread setup the bags materialize concurrently. The
-    // recipe (which atoms, joined in which order, projected to which
-    // variables) is retained on the handle so `refresh` can re-run it
-    // per dirty bag after a delta.
-    let n = ghd.td.bags.len();
-    let recipes: Vec<BagRecipe> = (0..n)
-        .map(|u| BagRecipe {
-            cover_atoms: ghd.covers[u].iter().map(|e| edge_rep[e.idx()]).collect(),
-            bag_vars: ghd.td.bags[u].iter().map(|v| Var(v.0)).collect(),
-            assigned_atoms: assigned[u].clone(),
-        })
-        .collect();
-    let materialize = |u: usize| materialize_bag(&recipes[u], |ai| &bound[ai]);
-    // Gate parallelism on the tuples the *query* actually touches (the
-    // bound atom relations), not the whole database — a big unrelated
-    // relation must not trigger thread spawns for a microsecond join.
-    let bound_tuples: usize = bound.iter().map(FlatRelation::len).sum();
-    let parallel = n > 1
-        && bound_tuples >= PARALLEL_BAG_THRESHOLD
-        && !SEQUENTIAL_BAGS.with(std::cell::Cell::get);
-    let workers = if parallel {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        1
-    };
-    let relations: Vec<FlatRelation> = crate::par::scoped_map(n, workers, materialize);
-    // Root the tree at node 0 and compute a post-order.
-    let adj = ghd.td.adjacency();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut parents: Vec<usize> = vec![usize::MAX; n];
-    let mut post_order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    // Iterative DFS computing children, parents, and post-order.
-    let root = 0usize;
-    let mut stack = vec![(root, usize::MAX, false)];
-    while let Some((u, parent, processed)) = stack.pop() {
-        if processed {
-            post_order.push(u);
-            continue;
-        }
-        if visited[u] {
-            continue;
-        }
-        visited[u] = true;
-        parents[u] = parent;
-        stack.push((u, parent, true));
-        for &w in &adj[u] {
-            if w != parent && !visited[w] {
-                children[u].push(w);
-                stack.push((w, u, false));
-            }
-        }
-    }
-    // Depth levels (root = level 0) for the per-level parallel passes:
-    // nodes within one level are pairwise non-adjacent in the tree.
-    let mut levels: Vec<Vec<usize>> = vec![vec![root]];
-    loop {
-        let next: Vec<usize> = levels
-            .last()
-            // cqd2-lint: allow(panic-in-hot-path, reason = "levels is seeded with vec![root] before the loop")
-            .expect("at least the root level")
-            .iter()
-            .flat_map(|&u| children[u].iter().copied())
-            .collect();
-        if next.is_empty() {
-            break;
-        }
-        levels.push(next);
-    }
-    // Semijoin key columns along every tree edge, resolved once: the
-    // variables a child's relation shares with its parent's relation
-    // (in the child's column order), as positions on both sides. Pass
-    // rewrites preserve column layouts, so these stay valid for the
-    // lifetime of the handle.
-    let mut up_key: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut parent_key: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for u in 0..n {
-        let p = parents[u];
-        if p == usize::MAX {
-            continue;
-        }
-        let (child_rel, parent_rel) = (&relations[u], &relations[p]);
-        for (c, v) in child_rel.vars().iter().enumerate() {
-            if let Some(pc) = parent_rel.vars().iter().position(|w| w == v) {
-                up_key[u].push(c);
-                parent_key[u].push(pc);
-            }
-        }
-    }
-    Ok(MaterializedBags {
-        relations: relations.into_iter().map(Arc::new).collect(),
-        children,
-        parents,
-        post_order,
-        levels,
-        up_key,
-        parent_key,
-        base_tables: (0..n).map(|_| OnceLock::new()).collect(),
-        leaf_aggs: (0..n).map(|_| OnceLock::new()).collect(),
-        down_tables: (0..n).map(|_| OnceLock::new()).collect(),
-        recipes,
-        root,
-        num_vars: q.num_vars(),
-    })
-}
-
 /// Decide `q(D) ≠ ∅` using a GHD of the query's hypergraph
 /// (Prop. 2.2: polynomial for bounded-width GHDs).
 pub fn bcq_via_ghd(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Result<bool, EvalError> {
-    Ok(build_bag_tree(q, db, ghd)?.into_bcq())
-}
-
-impl MaterializedBags {
-    /// Consuming Boolean pass (bottom-up semijoins, early-out on
-    /// empty): like [`MaterializedBags::bcq`] but rewrites the tree in
-    /// place, sequentially — the one-shot and differential-baseline
-    /// path. Disjoint field borrows keep the hot loop allocation-free.
-    pub fn into_bcq(mut self) -> bool {
-        let MaterializedBags {
-            relations,
-            children,
-            post_order,
-            root,
-            ..
-        } = &mut self;
-        for &u in post_order.iter() {
-            if relations[u].is_empty() {
-                return false;
-            }
-            for &c in &children[u] {
-                let filtered = relations[u].semijoin(&relations[c]);
-                relations[u] = Arc::new(filtered);
-                if relations[u].is_empty() {
-                    return false;
-                }
-            }
-        }
-        !relations[*root].is_empty()
-    }
+    Ok(MaterializedBags::build(q, db, ghd)?.bcq())
 }
 
 /// Count `|q(D)|` for a full CQ using the junction-tree DP over a GHD
@@ -1114,99 +1025,7 @@ impl MaterializedBags {
 /// shared-variable key and rewrites the parent in one pass (rows with no
 /// child match drop out, exactly the Yannakakis filter).
 pub fn count_via_ghd(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Result<u128, EvalError> {
-    Ok(build_bag_tree(q, db, ghd)?.into_count())
-}
-
-impl MaterializedBags {
-    /// Consuming counting DP: like [`MaterializedBags::count`] but
-    /// rewrites the tree in place, sequentially — the one-shot and
-    /// differential-baseline path.
-    pub fn into_count(mut self) -> u128 {
-        let MaterializedBags {
-            relations,
-            children,
-            post_order,
-            root,
-            ..
-        } = &mut self;
-        let mut counts: Vec<Vec<u128>> = relations.iter().map(|r| vec![1u128; r.len()]).collect();
-        for &u in post_order.iter() {
-            for &c in &children[u] {
-                let (new_rel, new_counts) = {
-                    let parent = &relations[u];
-                    let child = &relations[c];
-                    // Shared variables between bags u and c, with key
-                    // positions resolved once.
-                    let shared: Vec<Var> = parent
-                        .vars()
-                        .iter()
-                        .copied()
-                        .filter(|v| child.vars().contains(v))
-                        .collect();
-                    let c_pos: Vec<usize> = shared
-                        .iter()
-                        // cqd2-lint: allow(panic-in-hot-path, reason = "shared was filtered to variables present in child.vars()")
-                        .map(|v| child.vars().iter().position(|w| w == v).expect("shared"))
-                        .collect();
-                    let u_pos: Vec<usize> = shared
-                        .iter()
-                        // cqd2-lint: allow(panic-in-hot-path, reason = "shared is drawn from parent.vars(), so position always finds it")
-                        .map(|v| parent.vars().iter().position(|w| w == v).expect("shared"))
-                        .collect();
-                    let arity = parent.arity();
-                    let mut data: Vec<u64> = Vec::with_capacity(parent.len() * arity);
-                    let mut kept: Vec<u128> = Vec::with_capacity(parent.len());
-                    if shared.len() == 1 {
-                        // Single-column fast path: aggregate and probe on the
-                        // raw value.
-                        let (cp, up) = (c_pos[0], u_pos[0]);
-                        let mut agg: HashMap<u64, u128> = HashMap::with_capacity(child.len());
-                        for (i, t) in child.iter().enumerate() {
-                            *agg.entry(t[cp]).or_insert(0) += counts[c][i];
-                        }
-                        for (i, t) in parent.iter().enumerate() {
-                            if let Some(&s) = agg.get(&t[up]) {
-                                data.extend_from_slice(t);
-                                kept.push(counts[u][i] * s);
-                            }
-                        }
-                    } else {
-                        // General path: packed multi-column keys (also covers
-                        // vacuous sharing, where every key is empty).
-                        let mut agg: HashMap<Box<[u64]>, u128> =
-                            HashMap::with_capacity(child.len());
-                        let mut scratch: Vec<u64> = Vec::with_capacity(shared.len());
-                        for (i, t) in child.iter().enumerate() {
-                            scratch.clear();
-                            scratch.extend(c_pos.iter().map(|&p| t[p]));
-                            match agg.get_mut(scratch.as_slice()) {
-                                Some(sum) => *sum += counts[c][i],
-                                None => {
-                                    agg.insert(scratch.as_slice().into(), counts[c][i]);
-                                }
-                            }
-                        }
-                        for (i, t) in parent.iter().enumerate() {
-                            scratch.clear();
-                            scratch.extend(u_pos.iter().map(|&p| t[p]));
-                            if let Some(&s) = agg.get(scratch.as_slice()) {
-                                data.extend_from_slice(t);
-                                kept.push(counts[u][i] * s);
-                            }
-                        }
-                    }
-                    let rows = kept.len();
-                    (
-                        FlatRelation::from_parts(parent.vars().to_vec(), rows, data),
-                        kept,
-                    )
-                };
-                relations[u] = Arc::new(new_rel);
-                counts[u] = new_counts;
-            }
-        }
-        counts[*root].iter().sum()
-    }
+    Ok(MaterializedBags::build(q, db, ghd)?.count())
 }
 
 // ---------------------------------------------------------------------
@@ -1227,8 +1046,10 @@ struct EnumLevel {
     /// the probe key. Empty at the root (and for parent-disjoint bags),
     /// where the index holds every row under the empty key.
     key_slots: Vec<usize>,
-    /// Row ids grouped by packed parent-key value.
-    index: HashMap<Box<[u64]>, Vec<u32>>,
+    /// Row ids chained by parent-key value: the same probe table the
+    /// reduction passes use (the node's cached base-side table when the
+    /// reduction left the bag untouched, a fresh one otherwise).
+    index: Arc<KeyTable>,
 }
 
 /// A streaming answer enumerator over a semijoin-reduced GHD bag tree
@@ -1250,8 +1071,8 @@ pub struct GhdEnumerator {
     levels: Vec<EnumLevel>,
     /// Current answer under construction, indexed by `Var` id.
     assignment: Vec<u64>,
-    /// Current match-list position per level.
-    choice: Vec<usize>,
+    /// Current row id per level.
+    choice: Vec<u32>,
     /// Scratch buffer for packed probe keys.
     scratch: Vec<u64>,
     started: bool,
@@ -1271,38 +1092,47 @@ impl GhdEnumerator {
         }
     }
 
-    /// Move level `d` to match-list position `i`, binding the chosen row
-    /// into the assignment, then settle all deeper levels on their first
-    /// matches. Backtracks on exhaustion; `false` means the walk is done.
-    fn search(&mut self, mut d: usize, mut i: usize) -> bool {
+    /// Settle level `d` on a row — the next match after its current one
+    /// if `advance`, else the first match of the parent-bound key — bind
+    /// it into the assignment, then settle all deeper levels on their
+    /// first matches. Backtracks on exhaustion; `false` means the walk is
+    /// done.
+    fn search(&mut self, mut d: usize, mut advance: bool) -> bool {
         loop {
-            self.scratch.clear();
-            for &slot in &self.levels[d].key_slots {
-                self.scratch.push(self.assignment[slot]);
-            }
-            let list: &[u32] = self.levels[d]
-                .index
-                .get(self.scratch.as_slice())
-                .map_or(&[], Vec::as_slice);
-            if i < list.len() {
-                let row = self.levels[d].rel.row(list[i] as usize);
-                for (c, &slot) in self.levels[d].write.iter().enumerate() {
-                    self.assignment[slot] = row[c];
-                }
-                self.choice[d] = i;
-                if d + 1 == self.levels.len() {
-                    return true;
-                }
-                d += 1;
-                i = 0;
+            let level = &self.levels[d];
+            let found = if advance {
+                // Shallower levels have not moved, so the probe key is
+                // still the current row's own key.
+                level.index.next_match(self.choice[d])
             } else {
-                // Exhausted at `d` (on a reduced tree this only happens
-                // when the whole list is consumed, never on first entry).
-                if d == 0 {
-                    return false;
+                self.scratch.clear();
+                for &slot in &level.key_slots {
+                    self.scratch.push(self.assignment[slot]);
                 }
-                d -= 1;
-                i = self.choice[d] + 1;
+                level.index.matches(&self.scratch).next()
+            };
+            match found {
+                Some(r) => {
+                    let row = level.rel.row(r as usize);
+                    for (c, &slot) in level.write.iter().enumerate() {
+                        self.assignment[slot] = row[c];
+                    }
+                    self.choice[d] = r;
+                    if d + 1 == self.levels.len() {
+                        return true;
+                    }
+                    d += 1;
+                    advance = false;
+                }
+                // Exhausted at `d` (on a reduced tree this only happens
+                // when the whole chain is consumed, never on first entry).
+                None => {
+                    if d == 0 {
+                        return false;
+                    }
+                    d -= 1;
+                    advance = true;
+                }
             }
         }
     }
@@ -1316,12 +1146,10 @@ impl Iterator for GhdEnumerator {
             return None;
         }
         let found = if self.started {
-            let last = self.levels.len() - 1;
-            let i = self.choice[last] + 1;
-            self.search(last, i)
+            self.search(self.levels.len() - 1, true)
         } else {
             self.started = true;
-            self.search(0, 0)
+            self.search(0, false)
         };
         if !found {
             self.done = true;
@@ -1345,141 +1173,69 @@ pub fn enumerate_via_ghd(
     db: &Database,
     ghd: &Ghd,
 ) -> Result<GhdEnumerator, EvalError> {
-    Ok(build_bag_tree(q, db, ghd)?.into_enumerator())
+    Ok(MaterializedBags::build(q, db, ghd)?.enumerator())
 }
 
 impl MaterializedBags {
-    /// Consuming enumeration preprocessing (reduce the tree both ways,
-    /// then wire up the per-bag probe indexes): like
-    /// [`MaterializedBags::enumerator`] but rewrites the tree in place,
-    /// sequentially — the one-shot and differential-baseline path.
-    pub fn into_enumerator(mut self) -> GhdEnumerator {
-        let MaterializedBags {
-            relations,
-            children,
-            parents,
-            post_order,
-            root,
-            num_vars,
-            ..
-        } = &mut self;
-        if relations.is_empty() {
+    /// Wire up a [`GhdEnumerator`] over the fully semijoin-reduced tree
+    /// in `ov`: covered-variable check, pre-order, per-bag parent-key
+    /// probe tables. Untouched bags are shared with the prepared
+    /// materialization by `Arc` — relation and cached probe table both.
+    fn build_enumerator(&self, ov: &BagOverlay<'_>) -> GhdEnumerator {
+        // Every variable must be carried by some bag; a variable outside
+        // all bags (possible only for degenerate hand-built inputs)
+        // cannot be assigned, so — like the naive enumerator — there are
+        // no answers.
+        let mut covered = vec![false; self.num_vars];
+        for rel in &self.relations {
+            for v in rel.vars() {
+                covered[v.idx()] = true;
+            }
+        }
+        if covered.iter().any(|c| !c) {
             return GhdEnumerator::empty();
         }
-        // Bottom-up semijoin pass (children filter parents).
-        for &u in post_order.iter() {
-            if relations[u].is_empty() {
-                return GhdEnumerator::empty();
-            }
-            for &c in &children[u] {
-                let filtered = relations[u].semijoin(&relations[c]);
-                relations[u] = Arc::new(filtered);
-                if relations[u].is_empty() {
-                    return GhdEnumerator::empty();
+        // Pre-order over the rooted tree, parents first.
+        let mut pre_order = Vec::with_capacity(self.relations.len());
+        let mut stack = vec![self.root];
+        while let Some(u) = stack.pop() {
+            pre_order.push(u);
+            stack.extend(self.children[u].iter().copied());
+        }
+        // Each bag relation's columns are exactly its bag's variables, and
+        // by the running-intersection property every variable of bag `u`
+        // already assigned by an earlier (pre-order) bag also lives in
+        // `u`'s parent bag — so chaining each bag's rows by its
+        // parent-shared columns (`up_key`, empty at the root: one chain of
+        // every row) is enough to keep the walk consistent.
+        let levels: Vec<EnumLevel> = pre_order
+            .iter()
+            .map(|&u| {
+                let rel = ov.rel_shared(u);
+                let slot = |c: usize| rel.vars()[c].idx();
+                let index = if ov.is_rewritten(u) {
+                    Arc::new(KeyTable::build(&rel, &self.up_key[u]))
+                } else {
+                    Arc::clone(self.base_tables[u].get_or_init(|| {
+                        Arc::new(KeyTable::build(&self.relations[u], &self.up_key[u]))
+                    }))
+                };
+                EnumLevel {
+                    write: (0..rel.arity()).map(slot).collect(),
+                    key_slots: self.up_key[u].iter().map(|&c| slot(c)).collect(),
+                    index,
+                    rel,
                 }
-            }
+            })
+            .collect();
+        GhdEnumerator {
+            choice: vec![0; levels.len()],
+            levels,
+            assignment: vec![0; self.num_vars],
+            scratch: Vec::new(),
+            started: false,
+            done: false,
         }
-        // Top-down pass (parents filter children): afterwards the tree is
-        // globally consistent — every surviving row extends to a full answer.
-        for &u in post_order.iter().rev() {
-            for &c in &children[u] {
-                let filtered = relations[c].semijoin(&relations[u]);
-                relations[c] = Arc::new(filtered);
-            }
-        }
-        build_enumerator(
-            std::mem::take(relations),
-            children,
-            parents,
-            *root,
-            *num_vars,
-        )
-    }
-}
-
-/// Wire up a [`GhdEnumerator`] over an already fully semijoin-reduced
-/// bag tree: covered-variable check, pre-order, per-bag parent-key
-/// probe indexes. Shared by the overlay path
-/// ([`MaterializedBags::enumerator`]) and the consuming path
-/// ([`MaterializedBags::into_enumerator`]); `relations` holds the
-/// reduced relation of every node (untouched nodes as shared `Arc`s).
-fn build_enumerator(
-    relations: Vec<Arc<FlatRelation>>,
-    children: &[Vec<usize>],
-    parents: &[usize],
-    root: usize,
-    num_vars: usize,
-) -> GhdEnumerator {
-    // Every variable must be carried by some bag; a variable outside all
-    // bags (possible only for degenerate hand-built inputs) cannot be
-    // assigned, so — like the naive enumerator — there are no answers.
-    let mut covered = vec![false; num_vars];
-    for rel in &relations {
-        for v in rel.vars() {
-            covered[v.idx()] = true;
-        }
-    }
-    if covered.iter().any(|c| !c) {
-        return GhdEnumerator::empty();
-    }
-    // Pre-order over the rooted tree, parents first.
-    let mut pre_order = Vec::with_capacity(relations.len());
-    let mut stack = vec![root];
-    while let Some(u) = stack.pop() {
-        pre_order.push(u);
-        stack.extend(children[u].iter().copied());
-    }
-    // Each bag relation's columns are exactly its bag's variables,
-    // so parent-shared variables can be read off the relations.
-    let bag_slots: Vec<Vec<usize>> = relations
-        .iter()
-        .map(|r| r.vars().iter().map(|v| v.idx()).collect())
-        .collect();
-    // By the running-intersection property, every variable of bag `u`
-    // already assigned by an earlier (pre-order) bag also lives in `u`'s
-    // parent bag, so indexing each bag by its parent-shared columns is
-    // enough to keep the walk consistent.
-    let levels: Vec<EnumLevel> = pre_order
-        .iter()
-        .map(|&u| {
-            let rel = Arc::clone(&relations[u]);
-            let write: Vec<usize> = rel.vars().iter().map(|v| v.idx()).collect();
-            let parent_slots: &[usize] = if parents[u] == usize::MAX {
-                &[]
-            } else {
-                &bag_slots[parents[u]]
-            };
-            let key_cols: Vec<usize> = (0..rel.arity())
-                .filter(|&c| parent_slots.contains(&rel.vars()[c].idx()))
-                .collect();
-            let key_slots: Vec<usize> = key_cols.iter().map(|&c| rel.vars()[c].idx()).collect();
-            let mut index: HashMap<Box<[u64]>, Vec<u32>> = HashMap::with_capacity(rel.len());
-            let mut scratch: Vec<u64> = Vec::with_capacity(key_cols.len());
-            for (i, t) in rel.iter().enumerate() {
-                scratch.clear();
-                scratch.extend(key_cols.iter().map(|&c| t[c]));
-                match index.get_mut(scratch.as_slice()) {
-                    Some(bucket) => bucket.push(i as u32),
-                    None => {
-                        index.insert(scratch.as_slice().into(), vec![i as u32]);
-                    }
-                }
-            }
-            EnumLevel {
-                rel,
-                write,
-                key_slots,
-                index,
-            }
-        })
-        .collect();
-    GhdEnumerator {
-        choice: vec![0; levels.len()],
-        levels,
-        assignment: vec![0; num_vars],
-        scratch: Vec::new(),
-        started: false,
-        done: false,
     }
 }
 

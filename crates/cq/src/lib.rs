@@ -17,11 +17,12 @@
 //! - [`stats`]: per-relation cardinality / per-column distinct-count
 //!   statistics ([`Database::stats`]) and the selectivity-based join
 //!   cardinality estimator the `cqd2-engine` cost model consumes.
-//! - [`eval`]: **BCQ** evaluation three ways — naive backtracking join
-//!   (exponential, the baseline), Yannakakis semijoin passes over a join
-//!   tree, and GHD-guided evaluation (Prop. 2.2: polynomial for bounded
-//!   ghw) — plus **#CQ** counting for full CQs by the junction-tree DP
-//!   (Prop. 4.14). Bag materialization parallelizes over the
+//! - [`eval`]: the naive backtracking evaluators (exponential; the
+//!   oracle every differential suite targets) and GHD-guided evaluation
+//!   on a [`MaterializedBags`] tree, one overlay pass per problem:
+//!   bottom-up semijoins for **BCQ** (Prop. 2.2), the junction-tree DP
+//!   for **#CQ** (Prop. 4.14), two-way reduction then constant-delay
+//!   enumeration. Bag materialization parallelizes over the
 //!   decomposition's bags on large databases.
 //! - [`hom`]: homomorphisms between queries, cores, Boolean equivalence,
 //!   and semantic generalized hypertree width (`ghw` of the core,

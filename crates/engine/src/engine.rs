@@ -12,15 +12,16 @@
 //! statistics once, `Session::prepare` resolves a query's plan once, and
 //! `PreparedQuery::run` re-executes at zero planning cost.
 //! [`Engine::serve`] / [`Engine::serve_with_stats`] /
-//! [`Engine::execute_batch`] are thin compatibility shims over those
-//! handles (one session + one prepared query per call).
+//! [`Engine::execute_batch`] are thin one-shot shims over the same
+//! machinery (build the prepared state against the borrowed database,
+//! run it once).
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use cqd2_cq::eval::with_sequential_bags;
 use cqd2_cq::stats::DatabaseStats;
-use cqd2_cq::{ConjunctiveQuery, Database};
+use cqd2_cq::{ConjunctiveQuery, Database, PassStats};
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::error::EngineError;
@@ -163,42 +164,6 @@ impl Answer {
     }
 }
 
-/// How a run executed against its materialized bag tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BagMode {
-    /// Copy-free overlay passes over the shared, reusable
-    /// materialization: only rewritten nodes were copied
-    /// ([`crate::PreparedQuery::run`] and cursors).
-    Overlay,
-    /// Consuming in-place passes over a tree this run owned (one-shot
-    /// paths like [`Engine::serve`]): every node is the run's own copy.
-    Cloned,
-}
-
-impl BagMode {
-    /// Stable lowercase name, used in `--explain` output and stats.
-    pub fn name(self) -> &'static str {
-        match self {
-            BagMode::Overlay => "overlay",
-            BagMode::Cloned => "cloned",
-        }
-    }
-}
-
-/// How a run touched the materialized bag tree: execution mode plus the
-/// rewrite sparsity of its tree passes. Absent for naive-join plans,
-/// which have no bag tree. `bags_rewritten = 0` under [`BagMode::Overlay`]
-/// is the ideal warm case — the run was pure probing, no copies at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BagExecution {
-    /// Overlay (copy-free) or cloned (consuming) execution.
-    pub mode: BagMode,
-    /// Bag nodes the run's tree passes rewrote (copied + filtered).
-    pub bags_rewritten: usize,
-    /// Bag nodes in the materialized tree.
-    pub bags_total: usize,
-}
-
 /// Where a response's plan came from and what it cost.
 #[derive(Debug, Clone)]
 pub struct PlanProvenance {
@@ -210,9 +175,11 @@ pub struct PlanProvenance {
     pub planning: Duration,
     /// Time spent executing the plan against the database.
     pub execution: Duration,
-    /// Bag-tree execution mode and rewrite sparsity (`None` on naive
-    /// plans).
-    pub bags: Option<BagExecution>,
+    /// Rewrite sparsity of the run's tree pass over the materialized
+    /// bag tree (`None` on naive plans, which have none). `rewritten = 0`
+    /// is the ideal warm case: pure probing, no copies. One-shot calls
+    /// measure it too — same pass, over a tree they just built.
+    pub bags: Option<PassStats>,
     /// How this handle crossed the most recent delta epoch, if it was
     /// maintained rather than freshly prepared: `warm-overlay` when the
     /// bag tree was refreshed in place ([`crate::PreparedQuery::rebase`]),
@@ -368,7 +335,7 @@ impl Engine {
         (planned, cache_hit, start.elapsed())
     }
 
-    /// Serve one request: a compatibility shim that prepares the query
+    /// Serve one request: a one-shot shim that prepares the query
     /// against query-scoped statistics (only the relations the query's
     /// atoms name are scanned, so the per-request cost is proportional
     /// to the data this query can touch) and runs it once, borrowing
@@ -381,7 +348,7 @@ impl Engine {
         let scan_start = Instant::now();
         let stats = DatabaseStats::collect_for_query(req.db, req.query);
         let scan = scan_start.elapsed();
-        let mut resp = self.serve_on(req, &stats);
+        let mut resp = self.serve_with_stats(req, &stats);
         // The statistics scan is planning-side work this call paid.
         resp.provenance.planning += scan;
         resp
@@ -393,27 +360,15 @@ impl Engine {
     /// callers with an unchanging database get the same amortization by
     /// calling `db.stats()` once and passing it here (or by holding a
     /// [`crate::Session`], which pins a full snapshot).
+    ///
+    /// The same `build → overlay pass` route as [`crate::Session::run`],
+    /// borrowing the database directly (no snapshot cloned or pinned);
+    /// provenance reports the planning and — inside `execution` — the
+    /// preprocessing this call paid.
     pub fn serve_with_stats(&self, req: &Request<'_>, stats: &DatabaseStats) -> Response {
-        self.serve_on(req, stats)
-    }
-
-    /// One-shot serve: build the prepared core, consume it (no bag-tree
-    /// copy), and fold the planning and preprocessing cost this call
-    /// actually paid back into the provenance (prepared handles report
-    /// zero planning on their runs; preprocessing lands in `execution`,
-    /// where the old monolithic serve counted it). This borrows the
-    /// database directly — no snapshot is cloned or pinned — which is
-    /// what keeps the one-shot shims copy-free.
-    fn serve_on(&self, req: &Request<'_>, stats: &DatabaseStats) -> Response {
-        let core = PreparedCore::build(self, req.query, req.db, stats, None)
+        PreparedCore::one_shot(self, req.query, req.db, stats, None, req.workload)
             // cqd2-lint: allow(panic-in-hot-path, reason = "infallible shim API: prepare on a query's own plan only fails on an engine bug; Session::prepare is the fallible surface")
-            .expect("prepared plan is valid for its own query");
-        let planning = core.planning;
-        let preprocessing = core.preprocessing;
-        let mut resp = core.run_once(req.db, req.workload);
-        resp.provenance.planning = planning;
-        resp.provenance.execution += preprocessing;
-        resp
+            .expect("prepared plan is valid for its own query")
     }
 
     /// Decide `q(D) ≠ ∅` through the engine (planned, cached).

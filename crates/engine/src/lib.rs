@@ -40,7 +40,8 @@
 //! - [`engine`]: [`Engine::execute_batch`] evaluates batches of
 //!   `(query, db)` requests over shared databases with scoped worker
 //!   threads, returning per-request answers plus plan provenance.
-//!   `Engine::serve` and friends are compatibility shims over sessions.
+//!   `Engine::serve` and friends are one-shot shims over the same
+//!   `build → overlay pass` route prepared handles run.
 //! - [`server`] *(requires the `serde` feature)*: the **socket serving
 //!   front-end** — a thread-pool TCP server (`cqd2-serve`) framing the
 //!   workload text format over a shared [`Catalog`], with per-batch
@@ -108,11 +109,9 @@ pub mod verify;
 
 pub use cache::{CacheStats, CachedPlan, PlanCache};
 pub use catalog::{Catalog, DatabaseSnapshot};
+pub use cqd2_cq::PassStats;
 pub use delta::{apply_delta_text, DeltaOutcome, MaintenanceClass};
-pub use engine::{
-    Answer, BagExecution, BagMode, Engine, EngineConfig, PlanProvenance, Request, Response,
-    Workload,
-};
+pub use engine::{Answer, Engine, EngineConfig, PlanProvenance, Request, Response, Workload};
 pub use error::EngineError;
 pub use metrics::{Counter, Gauge, Histogram, Phase, QueryTrace, Snapshot, Span};
 pub use plan::{CostEstimate, DataEstimate, PlannedQuery, QueryPlan};

@@ -234,59 +234,23 @@ impl From<PollError> for ServerError {
 // Stats and the metrics registry.
 // ---------------------------------------------------------------------
 
-/// Server-wide monotonic counters, built on the lock-free
-/// [`crate::metrics`] primitives (one shared instance per server).
+/// Server-wide monotonic counters with no per-database home, built on
+/// the lock-free [`crate::metrics`] primitives (one shared instance per
+/// server). Everything that *is* counted per database lives in
+/// [`DbMetrics`] only; [`ServerMetrics::snapshot`] sums it.
 #[derive(Debug, Default)]
 struct StatsInner {
     connections: Counter,
     frames: Counter,
-    batches: Counter,
     queries: Counter,
-    answered: Counter,
     rejected_overload: Counter,
     parse_errors: Counter,
     protocol_errors: Counter,
     internal_errors: Counter,
-    prepared_hits: Counter,
-    prepared_misses: Counter,
     reloads: Counter,
     rejected_unauthorized: Counter,
     store_errors: Counter,
-    bags_rewritten: Counter,
-    bags_total: Counter,
-    delta_batches: Counter,
-    facts_inserted: Counter,
-    facts_deleted: Counter,
-    bags_remat: Counter,
     delta_errors: Counter,
-}
-
-impl StatsInner {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections: self.connections.get(),
-            frames: self.frames.get(),
-            batches: self.batches.get(),
-            queries: self.queries.get(),
-            answered: self.answered.get(),
-            rejected_overload: self.rejected_overload.get(),
-            parse_errors: self.parse_errors.get(),
-            protocol_errors: self.protocol_errors.get(),
-            internal_errors: self.internal_errors.get(),
-            prepared_hits: self.prepared_hits.get(),
-            prepared_misses: self.prepared_misses.get(),
-            reloads: self.reloads.get(),
-            rejected_unauthorized: self.rejected_unauthorized.get(),
-            store_errors: self.store_errors.get(),
-            bags_rewritten: self.bags_rewritten.get(),
-            bags_total: self.bags_total.get(),
-            delta_batches: self.delta_batches.get(),
-            facts_inserted: self.facts_inserted.get(),
-            facts_deleted: self.facts_deleted.get(),
-            bags_remat: self.bags_remat.get(),
-            delta_errors: self.delta_errors.get(),
-        }
-    }
 }
 
 /// One served database's slice of the metrics registry: request/error
@@ -343,6 +307,36 @@ impl ServerMetrics {
         }
     }
 
+    /// The server-wide counters: the connection-level totals plus the
+    /// per-database counters summed over every served name.
+    fn snapshot(&self) -> ServerStats {
+        let t = &self.totals;
+        let sum = |f: fn(&DbMetrics) -> &Counter| self.per_db.iter().map(|db| f(db).get()).sum();
+        ServerStats {
+            connections: t.connections.get(),
+            frames: t.frames.get(),
+            batches: sum(|db| &db.batches),
+            queries: t.queries.get(),
+            answered: sum(|db| &db.queries),
+            rejected_overload: t.rejected_overload.get(),
+            parse_errors: t.parse_errors.get(),
+            protocol_errors: t.protocol_errors.get(),
+            internal_errors: t.internal_errors.get(),
+            prepared_hits: sum(|db| &db.prepared_hits),
+            prepared_misses: sum(|db| &db.prepared_misses),
+            reloads: t.reloads.get(),
+            rejected_unauthorized: t.rejected_unauthorized.get(),
+            store_errors: t.store_errors.get(),
+            bags_rewritten: sum(|db| &db.bags_rewritten),
+            bags_total: sum(|db| &db.bags_total),
+            delta_batches: sum(|db| &db.delta_batches),
+            facts_inserted: sum(|db| &db.facts_inserted),
+            facts_deleted: sum(|db| &db.facts_deleted),
+            bags_remat: sum(|db| &db.bags_remat),
+            delta_errors: t.delta_errors.get(),
+        }
+    }
+
     /// The server-wide latency distribution: every database's histogram
     /// merged into one [`Snapshot`].
     fn merged_latency(&self) -> Snapshot {
@@ -355,7 +349,7 @@ impl ServerMetrics {
 
     /// The one-line summary `cqd2-serve --stats-interval` prints.
     fn one_line(&self) -> String {
-        let t = self.totals.snapshot();
+        let t = self.snapshot();
         let lat = self.merged_latency();
         format!(
             "stats — uptime {}s, conns {} ({} active), batches {}, answered {}, \
@@ -750,7 +744,7 @@ impl ServerHandle {
     /// A live snapshot of the server's lifetime counters, or `None`
     /// before [`Server::run`] has started serving.
     pub fn stats(&self) -> Option<ServerStats> {
-        self.metrics.get().map(|m| m.totals.snapshot())
+        self.metrics.get().map(|m| m.snapshot())
     }
 
     /// The one-line stats summary `cqd2-serve --stats-interval` prints
@@ -862,7 +856,7 @@ impl Server {
             // accepted. Connection threads observe the flag themselves.
             queue.close();
         });
-        Ok(metrics.totals.snapshot())
+        Ok(metrics.snapshot())
     }
 }
 
@@ -935,10 +929,8 @@ fn execute_job(job: Job<'_>, metrics: &ServerMetrics, sequential_bags: bool) {
             }
         };
         if prepared_hit {
-            metrics.totals.prepared_hits.inc();
             db_metrics.prepared_hits.inc();
         } else {
-            metrics.totals.prepared_misses.inc();
             db_metrics.prepared_misses.inc();
         }
         // Assemble the trace (batch-level phases first) only when the
@@ -974,14 +966,9 @@ fn execute_job(job: Job<'_>, metrics: &ServerMetrics, sequential_bags: bool) {
         };
         // Overlay-sparsity accounting: how much of the prepared bag
         // tree this run had to copy (0 rewritten = fully copy-free).
-        if let Some(bags) = &resp.provenance.bags {
-            metrics
-                .totals
-                .bags_rewritten
-                .add(bags.bags_rewritten as u64);
-            metrics.totals.bags_total.add(bags.bags_total as u64);
-            db_metrics.bags_rewritten.add(bags.bags_rewritten as u64);
-            db_metrics.bags_total.add(bags.bags_total as u64);
+        if let Some(pass) = &resp.provenance.bags {
+            db_metrics.bags_rewritten.add(pass.rewritten as u64);
+            db_metrics.bags_total.add(pass.total as u64);
         }
         let mut wire = WireResult::from_response(job.request, index as u64, prepared_hit, &resp);
         let payload = match trace {
@@ -1014,7 +1001,6 @@ fn execute_job(job: Job<'_>, metrics: &ServerMetrics, sequential_bags: bool) {
             return;
         }
         results += 1;
-        metrics.totals.answered.inc();
         db_metrics.queries.inc();
     }
     let _ = job.writer.send_json(
@@ -1260,7 +1246,6 @@ fn handle_query(
     };
     match ctx.queue.try_push(job) {
         Ok(()) => {
-            ctx.metrics.totals.batches.inc();
             ctx.metrics.totals.queries.add(n_queries);
             db_metrics.batches.inc();
             true
@@ -1300,7 +1285,99 @@ fn handle_query(
     }
 }
 
-/// Answer a `Reload` admin frame: authorize, parse (first payload line
+/// The preamble `Reload` and `Delta` share: authorize on
+/// `allow_reload` (both mutate served data), decode the payload, split
+/// off its first line as the database name, and resolve the name
+/// against the served set. Returns `(name, rest of payload, db index)`;
+/// `None` means the typed error frame was already sent. `what` names
+/// the refused operation in the `Unauthorized` message.
+fn admin_target<'f>(
+    ctx: ConnCtx<'_>,
+    writer: &ConnWriter,
+    seq: u64,
+    f: &'f frame::Frame,
+    what: &str,
+) -> Option<(&'f str, &'f str, usize)> {
+    if !ctx.config.allow_reload {
+        ctx.metrics.totals.rejected_unauthorized.inc();
+        let _ = writer.send_error(
+            Some(seq),
+            ErrorCode::Unauthorized,
+            format!("this server does not accept {what} (start it with --allow-reload)"),
+            None,
+        );
+        return None;
+    }
+    let text = match f.text() {
+        Ok(t) => t,
+        Err(e) => {
+            ctx.metrics.totals.protocol_errors.inc();
+            let _ = writer.send_error(Some(seq), ErrorCode::BadFrame, e.to_string(), None);
+            return None;
+        }
+    };
+    let (name, rest) = match text.split_once('\n') {
+        Some((first, rest)) => (first.trim(), rest),
+        None => (text.trim(), ""),
+    };
+    // An unknown name is not a parse failure: answer the typed frame
+    // without touching any counter, exactly like `handle_bind`.
+    let Some(db_index) = ctx.name_index(name) else {
+        let _ = writer.send_error(
+            Some(seq),
+            ErrorCode::UnknownDb,
+            format!("no database `{name}` (serving: {})", ctx.names.join(", ")),
+            None,
+        );
+        return None;
+    };
+    Some((name, rest, db_index))
+}
+
+/// Answer a failed `Reload` / `Delta` against a served name: one typed
+/// error frame, its server-wide counter, and the database's `errors`.
+/// Every arm leaves the previously published epoch serving unmoved.
+fn send_admin_error(
+    ctx: ConnCtx<'_>,
+    writer: &ConnWriter,
+    seq: u64,
+    db_index: usize,
+    err: &EngineError,
+) {
+    let totals = &ctx.metrics.totals;
+    let (code, counter, message, line) = match err {
+        EngineError::Parse(e) => (
+            ErrorCode::Parse,
+            &totals.parse_errors,
+            e.message.clone(),
+            // The facts / delta script start on payload line 2 (after
+            // the name line); report payload-relative lines.
+            e.line.map(|l| l as u64 + 1),
+        ),
+        // A bad snapshot file is the operator's problem, not the
+        // server's.
+        EngineError::Store(e) => (ErrorCode::Store, &totals.store_errors, e.to_string(), None),
+        // The delta kernel validated the whole batch and refused it
+        // (unknown relation / arity mismatch) before merging anything.
+        EngineError::Delta(e) => (
+            ErrorCode::Delta,
+            &totals.delta_errors,
+            format!("delta rejected: {e}"),
+            None,
+        ),
+        e => (
+            ErrorCode::Internal,
+            &totals.internal_errors,
+            e.to_string(),
+            None,
+        ),
+    };
+    counter.inc();
+    ctx.metrics.per_db[db_index].errors.inc();
+    let _ = writer.send_error(Some(seq), code, message, line);
+}
+
+/// Answer a `Reload` admin frame: [`admin_target`] (first payload line
 /// = database name, rest = facts), swap the catalog, purge the name's
 /// stale prepared handles, answer `Reloaded`. Handled inline on the
 /// connection thread — reloads are rare control-plane work and must
@@ -1314,37 +1391,7 @@ fn handle_reload(
     f: &frame::Frame,
     received_at: Instant,
 ) {
-    if !ctx.config.allow_reload {
-        ctx.metrics.totals.rejected_unauthorized.inc();
-        let _ = writer.send_error(
-            Some(seq),
-            ErrorCode::Unauthorized,
-            "this server does not accept reloads (start it with --allow-reload)",
-            None,
-        );
-        return;
-    }
-    let text = match f.text() {
-        Ok(t) => t,
-        Err(e) => {
-            ctx.metrics.totals.protocol_errors.inc();
-            let _ = writer.send_error(Some(seq), ErrorCode::BadFrame, e.to_string(), None);
-            return;
-        }
-    };
-    let (name, facts) = match text.split_once('\n') {
-        Some((first, rest)) => (first.trim(), rest),
-        None => (text.trim(), ""),
-    };
-    // An unknown name is not a parse failure: answer the typed frame
-    // without touching any counter, exactly like `handle_bind`.
-    let Some(db_index) = ctx.name_index(name) else {
-        let _ = writer.send_error(
-            Some(seq),
-            ErrorCode::UnknownDb,
-            format!("no database `{name}` (serving: {})", ctx.names.join(", ")),
-            None,
-        );
+    let Some((name, facts, db_index)) = admin_target(ctx, writer, seq, f, "reloads") else {
         return;
     };
     // Payload form 2: `@snapshot <path>` names a server-local `.cqds`
@@ -1371,30 +1418,7 @@ fn handle_reload(
     };
     let snapshot = match swapped {
         Ok(s) => s,
-        Err(EngineError::Store(e)) => {
-            // A bad file is the operator's problem, not the server's:
-            // typed code, old epoch untouched and still serving.
-            ctx.metrics.totals.store_errors.inc();
-            let _ = writer.send_error(Some(seq), ErrorCode::Store, e.to_string(), None);
-            return;
-        }
-        Err(EngineError::Parse(e)) => {
-            ctx.metrics.totals.parse_errors.inc();
-            let _ = writer.send_error(
-                Some(seq),
-                ErrorCode::Parse,
-                e.message.clone(),
-                // The facts start on payload line 2 (after the name
-                // line); report payload-relative lines.
-                e.line.map(|l| l as u64 + 1),
-            );
-            return;
-        }
-        Err(e) => {
-            ctx.metrics.totals.internal_errors.inc();
-            let _ = writer.send_error(Some(seq), ErrorCode::Internal, e.to_string(), None);
-            return;
-        }
+        Err(e) => return send_admin_error(ctx, writer, seq, db_index, &e),
     };
     // Eagerly release the old epoch's pinned bag trees; lookups would
     // drop them lazily anyway, but cold entries could linger.
@@ -1413,16 +1437,16 @@ fn handle_reload(
     );
 }
 
-/// Answer a `Delta` admin frame: authorize (deltas mutate served data,
-/// so they ride the same `--allow-reload` gate), parse (first payload
-/// line = database name, rest = an `@insert` / `@delete` delta script),
-/// merge incrementally via [`Catalog::apply_delta`] — untouched
-/// relations are `Arc`-shared into the new epoch — then migrate the
-/// name's warm prepared handles across the epoch instead of purging
-/// them ([`PreparedCache::refresh_after_delta`]), and answer
-/// `DeltaApplied`. Every rejection (unknown name, parse failure, delta
-/// kernel refusal) leaves the previously published epoch serving
-/// unmoved: the whole batch validates before any merge.
+/// Answer a `Delta` admin frame: [`admin_target`] (deltas ride the
+/// same `--allow-reload` gate; first payload line = database name, rest
+/// = an `@insert` / `@delete` delta script), merge incrementally via
+/// [`Catalog::apply_delta`] — untouched relations are `Arc`-shared into
+/// the new epoch — then migrate the name's warm prepared handles across
+/// the epoch instead of purging them
+/// ([`PreparedCache::refresh_after_delta`]), and answer `DeltaApplied`.
+/// Every rejection (unknown name, parse failure, delta kernel refusal)
+/// leaves the previously published epoch serving unmoved: the whole
+/// batch validates before any merge.
 fn handle_delta(
     ctx: ConnCtx<'_>,
     writer: &ConnWriter,
@@ -1430,73 +1454,12 @@ fn handle_delta(
     f: &frame::Frame,
     received_at: Instant,
 ) {
-    if !ctx.config.allow_reload {
-        ctx.metrics.totals.rejected_unauthorized.inc();
-        let _ = writer.send_error(
-            Some(seq),
-            ErrorCode::Unauthorized,
-            "this server does not accept deltas (start it with --allow-reload)",
-            None,
-        );
-        return;
-    }
-    let text = match f.text() {
-        Ok(t) => t,
-        Err(e) => {
-            ctx.metrics.totals.protocol_errors.inc();
-            let _ = writer.send_error(Some(seq), ErrorCode::BadFrame, e.to_string(), None);
-            return;
-        }
-    };
-    let (name, script) = match text.split_once('\n') {
-        Some((first, rest)) => (first.trim(), rest),
-        None => (text.trim(), ""),
-    };
-    let Some(db_index) = ctx.name_index(name) else {
-        let _ = writer.send_error(
-            Some(seq),
-            ErrorCode::UnknownDb,
-            format!("no database `{name}` (serving: {})", ctx.names.join(", ")),
-            None,
-        );
+    let Some((name, script, db_index)) = admin_target(ctx, writer, seq, f, "deltas") else {
         return;
     };
-    let db_metrics = &ctx.metrics.per_db[db_index];
     let outcome = match crate::delta::apply_delta_text(ctx.catalog, name, script) {
         Ok(o) => o,
-        Err(EngineError::Parse(e)) => {
-            ctx.metrics.totals.parse_errors.inc();
-            db_metrics.errors.inc();
-            let _ = writer.send_error(
-                Some(seq),
-                ErrorCode::Parse,
-                e.message.clone(),
-                // The delta script starts on payload line 2 (after the
-                // name line); report payload-relative lines.
-                e.line.map(|l| l as u64 + 1),
-            );
-            return;
-        }
-        Err(EngineError::Delta(e)) => {
-            // The delta kernel validated the whole batch and refused it
-            // (unknown relation / arity mismatch) before merging
-            // anything: typed code, old epoch untouched and serving.
-            ctx.metrics.totals.delta_errors.inc();
-            db_metrics.errors.inc();
-            let _ = writer.send_error(
-                Some(seq),
-                ErrorCode::Delta,
-                format!("delta rejected: {e}"),
-                None,
-            );
-            return;
-        }
-        Err(e) => {
-            ctx.metrics.totals.internal_errors.inc();
-            db_metrics.errors.inc();
-            let _ = writer.send_error(Some(seq), ErrorCode::Internal, e.to_string(), None);
-            return;
-        }
+        Err(e) => return send_admin_error(ctx, writer, seq, db_index, &e),
     };
     // Migrate the warm handles instead of purging them: only bags whose
     // relations the delta touched are re-materialized; naive-plan
@@ -1511,10 +1474,7 @@ fn handle_delta(
                 .and_then(|s| s.prepare(q).ok())
         })
     };
-    ctx.metrics.totals.delta_batches.inc();
-    ctx.metrics.totals.facts_inserted.add(outcome.inserted as u64);
-    ctx.metrics.totals.facts_deleted.add(outcome.deleted as u64);
-    ctx.metrics.totals.bags_remat.add(refresh.bags_remat);
+    let db_metrics = &ctx.metrics.per_db[db_index];
     db_metrics.delta_batches.inc();
     db_metrics.facts_inserted.add(outcome.inserted as u64);
     db_metrics.facts_deleted.add(outcome.deleted as u64);
@@ -1568,7 +1528,7 @@ fn handle_catalog_info(ctx: ConnCtx<'_>, writer: &ConnWriter, seq: u64, received
 /// inline on the connection thread — reading atomics is cheap and must
 /// stay responsive even when every worker is busy.
 fn handle_stats(ctx: ConnCtx<'_>, writer: &ConnWriter, seq: u64, received_at: Instant) {
-    let totals = ctx.metrics.totals.snapshot();
+    let totals = ctx.metrics.snapshot();
     let databases = ctx
         .names
         .iter()

@@ -30,8 +30,8 @@
 //! crucially — keep answering consistently against their pinned epoch
 //! while a [`crate::Catalog::swap`] hot-reloads the database for new
 //! sessions underneath them. `Engine::serve` / `serve_with_stats` /
-//! `execute_batch` survive as thin, borrow-only compatibility shims
-//! over the same machinery.
+//! `execute_batch` and [`Session::run`] are thin one-shot shims over the
+//! same machinery: build the prepared state, run it once.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,10 +40,10 @@ use cqd2_cq::eval::{
     bcq_naive, count_naive, enumerate_naive_limit, GhdEnumerator, MaterializedBags,
 };
 use cqd2_cq::stats::DatabaseStats;
-use cqd2_cq::{ConjunctiveQuery, Database};
+use cqd2_cq::{ConjunctiveQuery, Database, PassStats};
 
 use crate::catalog::{Catalog, DatabaseSnapshot};
-use crate::engine::{Answer, BagExecution, BagMode, Engine, PlanProvenance, Response, Workload};
+use crate::engine::{Answer, Engine, PlanProvenance, Response, Workload};
 use crate::error::EngineError;
 use crate::metrics::{Phase, QueryTrace};
 use crate::plan::{DataEstimate, PlannedQuery, QueryPlan};
@@ -204,18 +204,19 @@ impl Session {
     }
 
     /// Prepare-and-run in one call (one-shot convenience; serving loops
-    /// should hold the [`PreparedQuery`] instead). The planning and
-    /// preprocessing this call pays are folded back into the response's
-    /// provenance.
+    /// should hold the [`PreparedQuery`] instead): the same
+    /// `build → overlay pass` route as [`Session::prepare`] +
+    /// [`PreparedQuery::run`], with the planning and preprocessing this
+    /// call pays folded back into the response's provenance.
     pub fn run(&self, q: &ConjunctiveQuery, workload: Workload) -> Result<Response, EngineError> {
-        let core = PreparedCore::build(&self.engine, q, self.db(), self.stats(), self.db_name())?;
-        let planning = core.planning;
-        let preprocessing = core.preprocessing;
-        let mut resp = core.run_once(self.db(), workload);
-        // One-shot semantics: this call *did* plan and materialize.
-        resp.provenance.planning = planning;
-        resp.provenance.execution += preprocessing;
-        Ok(resp)
+        PreparedCore::one_shot(
+            &self.engine,
+            q,
+            self.db(),
+            self.stats(),
+            self.db_name(),
+            workload,
+        )
     }
 }
 
@@ -223,8 +224,8 @@ impl Session {
 /// workload and (on GHD plans) the materialized bag tree. This is the
 /// shared machinery under both the owned [`PreparedQuery`] handle
 /// (which pairs it with a snapshot pin) and the one-shot
-/// `Engine::serve` shims (which run it against a borrowed database —
-/// no snapshot, no copy).
+/// `Engine::serve` / [`Session::run`] entry points (which build it
+/// against a borrowed database and run it once — no snapshot, no copy).
 pub(crate) struct PreparedCore {
     query: ConjunctiveQuery,
     bool_plan: PlannedQuery,
@@ -235,14 +236,14 @@ pub(crate) struct PreparedCore {
     /// How the core crossed the most recent delta epoch (`None` =
     /// freshly prepared); surfaced in every response's provenance.
     maintenance: Option<crate::delta::MaintenanceClass>,
-    pub(crate) planning: Duration,
-    pub(crate) preprocessing: Duration,
+    planning: Duration,
+    preprocessing: Duration,
 }
 
 impl PreparedCore {
     /// Plan `q` against `db` (with `stats` driving the naive-vs-GHD
     /// choice) and materialize the execution GHD's bag tree.
-    pub(crate) fn build(
+    fn build(
         engine: &Engine,
         q: &ConjunctiveQuery,
         db: &Database,
@@ -300,17 +301,31 @@ impl PreparedCore {
         })
     }
 
+    /// The one one-shot route: [`PreparedCore::build`] then one
+    /// [`PreparedCore::run`]. Unlike a prepared handle's run, this call
+    /// *did* plan and materialize, and its provenance says so.
+    pub(crate) fn one_shot(
+        engine: &Engine,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        stats: &DatabaseStats,
+        db_name: Option<&str>,
+        workload: Workload,
+    ) -> Result<Response, EngineError> {
+        let core = PreparedCore::build(engine, q, db, stats, db_name)?;
+        let mut resp = core.run(db, workload);
+        resp.provenance.planning = core.planning;
+        resp.provenance.execution += core.preprocessing;
+        Ok(resp)
+    }
+
     /// Warm-maintain this core across a delta: refresh the bag tree
     /// against the post-delta `db`, re-materializing only the bags that
     /// read a relation in `touched` and sharing everything else (bag
     /// relations *and* filled probe-table caches) with `self` by `Arc`.
     /// `None` when there is no bag tree to refresh (naive-join plans) —
     /// the caller should fall back to a full prepare.
-    pub(crate) fn rebase_warm(
-        &self,
-        db: &Database,
-        touched: &[String],
-    ) -> Option<(PreparedCore, cqd2_cq::PassStats)> {
+    fn rebase_warm(&self, db: &Database, touched: &[String]) -> Option<(PreparedCore, PassStats)> {
         let bags = self.bags.as_ref()?;
         let refresh_start = Instant::now();
         let (refreshed, pass) = bags.refresh(&self.query, db, touched);
@@ -364,55 +379,18 @@ impl PreparedCore {
                 (Answer::Tuples(cursor.collect()), pass)
             }
         };
-        let bags = pass.map(|s| BagExecution {
-            mode: BagMode::Overlay,
-            bags_rewritten: s.rewritten,
-            bags_total: s.total,
-        });
-        self.response(workload, answer, exec_start, bags)
-    }
-
-    /// Execute once, consuming the core: the materialized bag tree is
-    /// passed over in place instead of shared (provenance reports the
-    /// `cloned` mode — the run owned every node).
-    pub(crate) fn run_once(mut self, db: &Database, workload: Workload) -> Response {
-        let exec_start = Instant::now();
-        let bags = self.bags.take();
-        let bag_exec = bags.as_ref().map(|b| BagExecution {
-            mode: BagMode::Cloned,
-            bags_rewritten: b.num_bags(),
-            bags_total: b.num_bags(),
-        });
-        let answer = match workload {
-            Workload::Boolean => Answer::Bool(match bags {
-                Some(bags) => bags.into_bcq(),
-                None => bcq_naive(&self.query, db),
-            }),
-            Workload::Count => Answer::Count(match bags {
-                Some(bags) => bags.into_count(),
-                None => count_naive(&self.query, db),
-            }),
-            Workload::Enumerate { limit } => {
-                let cursor = match bags {
-                    Some(bags) => AnswerCursor {
-                        inner: CursorInner::Streaming(bags.into_enumerator()),
-                        remaining: limit,
-                    },
-                    None => AnswerCursor {
-                        inner: CursorInner::Buffered(
-                            enumerate_naive_limit(&self.query, db, limit).into_iter(),
-                        ),
-                        remaining: limit,
-                    },
-                };
-                Answer::Tuples(cursor.collect())
-            }
-        };
-        self.response(workload, answer, exec_start, bag_exec)
-    }
-
-    fn cursor(&self, db: &Database, limit: Option<usize>) -> AnswerCursor {
-        self.cursor_with_stats(db, limit).0
+        Response {
+            answer,
+            provenance: PlanProvenance {
+                planned: self.plan(workload).clone(),
+                cache_hit: self.cache_hit,
+                // Paid at build time; `one_shot` restores it.
+                planning: Duration::ZERO,
+                execution: exec_start.elapsed(),
+                bags: pass,
+                maintenance: self.maintenance,
+            },
+        }
     }
 
     /// Open a cursor plus — on the GHD route — the overlay reduction's
@@ -421,7 +399,7 @@ impl PreparedCore {
         &self,
         db: &Database,
         limit: Option<usize>,
-    ) -> (AnswerCursor, Option<cqd2_cq::PassStats>) {
+    ) -> (AnswerCursor, Option<PassStats>) {
         let (inner, pass) = match &self.bags {
             Some(bags) => {
                 let (e, s) = bags.enumerator_with_stats();
@@ -439,27 +417,6 @@ impl PreparedCore {
             },
             pass,
         )
-    }
-
-    /// Assemble the zero-planning per-run provenance.
-    fn response(
-        &self,
-        workload: Workload,
-        answer: Answer,
-        exec_start: Instant,
-        bags: Option<BagExecution>,
-    ) -> Response {
-        Response {
-            answer,
-            provenance: PlanProvenance {
-                planned: self.plan(workload).clone(),
-                cache_hit: self.cache_hit,
-                planning: Duration::ZERO,
-                execution: exec_start.elapsed(),
-                bags,
-                maintenance: self.maintenance,
-            },
-        }
     }
 }
 
@@ -557,14 +514,6 @@ impl PreparedQuery {
         resp
     }
 
-    /// Execute once and consume the handle: the materialized bag tree
-    /// is passed over in place instead of copied. Serving loops keep
-    /// the handle and call [`PreparedQuery::run`].
-    pub fn run_once(self, workload: Workload) -> Response {
-        let PreparedQuery { snapshot, core } = self;
-        core.run_once(snapshot.db(), workload)
-    }
-
     /// Open a streaming [`AnswerCursor`] over `q(D)`, yielding at most
     /// `limit` answers (`None` = all).
     ///
@@ -600,7 +549,7 @@ impl PreparedQuery {
     /// # Ok::<(), cqd2_engine::EngineError>(())
     /// ```
     pub fn cursor(&self, limit: Option<usize>) -> AnswerCursor {
-        self.core.cursor(self.snapshot.db(), limit)
+        self.core.cursor_with_stats(self.snapshot.db(), limit).0
     }
 
     /// **Warm migration across a delta epoch**: produce a handle pinned
@@ -613,8 +562,7 @@ impl PreparedQuery {
     /// (the structure did not move; only the data did).
     ///
     /// Returns the migrated handle plus the maintenance sparsity (how
-    /// many bags were rewritten out of the total — surfaced as
-    /// `BagExecution` would be, and recorded as
+    /// many bags were rewritten out of the total, and recorded as
     /// [`crate::MaintenanceClass::WarmOverlay`] in every subsequent
     /// response's provenance). `None` when this handle has no bag tree
     /// (naive-join plans): prepare a fresh handle on the new snapshot
@@ -626,7 +574,7 @@ impl PreparedQuery {
         &self,
         snapshot: &Arc<DatabaseSnapshot>,
         touched: &[String],
-    ) -> Option<(PreparedQuery, cqd2_cq::PassStats)> {
+    ) -> Option<(PreparedQuery, PassStats)> {
         let (core, pass) = self.core.rebase_warm(snapshot.db(), touched)?;
         Some((
             PreparedQuery {

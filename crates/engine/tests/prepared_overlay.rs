@@ -1,12 +1,15 @@
 //! Engine-level differential tests for copy-free prepared re-execution:
-//! warm [`PreparedQuery`] runs (overlay passes over the shared bag tree)
-//! must answer exactly like the one-shot [`Engine::serve`] path (cloned
-//! consuming passes), report their execution mode in provenance, and
-//! support concurrent cursors streaming from ONE shared materialization.
+//! every entry point — one-shot [`Engine::serve`] and `Session::run`,
+//! warm `PreparedQuery::run` — runs the same `build → overlay pass`
+//! route, so they must agree with each other and with the naive oracle,
+//! report the same bag tree in provenance, and support concurrent
+//! cursors streaming from ONE shared materialization.
+
+use std::time::Duration;
 
 use cqd2_cq::generate::planted_database;
-use cqd2_cq::ConjunctiveQuery;
-use cqd2_engine::{BagMode, Engine, Request, Workload};
+use cqd2_cq::{bcq_naive, count_naive, enumerate_naive, ConjunctiveQuery};
+use cqd2_engine::{Answer, Engine, Request, Workload};
 
 /// A 7-atom acyclic degree-2 query with enough data that the planner's
 /// data estimate keeps the GHD plan (so runs actually exercise the bag
@@ -28,6 +31,18 @@ fn fixture() -> (ConjunctiveQuery, cqd2_cq::Database) {
     (q, db)
 }
 
+/// `answer` with its tuples (if any) sorted: enumeration order is
+/// unspecified, so answers compare as sets.
+fn canonical(answer: Answer) -> Answer {
+    match answer {
+        Answer::Tuples(mut t) => {
+            t.sort_unstable();
+            Answer::Tuples(t)
+        }
+        other => other,
+    }
+}
+
 #[test]
 fn prepared_overlay_matches_one_shot_serve() {
     let (q, db) = fixture();
@@ -35,49 +50,119 @@ fn prepared_overlay_matches_one_shot_serve() {
     let session = engine.session(&db);
     let prepared = session.prepare(&q).expect("planning cannot fail");
 
-    for workload in [Workload::Boolean, Workload::Count] {
+    for workload in [
+        Workload::Boolean,
+        Workload::Count,
+        Workload::Enumerate { limit: None },
+    ] {
+        let oracle = match workload {
+            Workload::Boolean => Answer::Bool(bcq_naive(&q, &db)),
+            Workload::Count => Answer::Count(count_naive(&q, &db)),
+            Workload::Enumerate { .. } => Answer::Tuples(enumerate_naive(&q, &db)),
+        };
         let served = engine.serve(&Request {
             query: &q,
             db: &db,
             workload,
         });
-        let served_exec = served.provenance.bags.expect("GHD plan expected");
+        let session_run = session.run(&q, workload).expect("planning cannot fail");
+        let tree = prepared.run(workload).provenance.bags.expect("GHD plan");
+
+        // One-shot calls did plan and materialize, and say so.
+        for one_shot in [&served, &session_run] {
+            let p = &one_shot.provenance;
+            assert!(p.planning > Duration::ZERO, "{workload:?}: planning");
+            assert!(p.execution > Duration::ZERO, "{workload:?}: execution");
+            let bags = p.bags.expect("GHD plan expected");
+            assert!(bags.rewritten <= bags.total);
+            assert_eq!(bags.total, tree.total, "{workload:?}: same tree");
+        }
+        assert_eq!(canonical(served.answer), oracle, "serve, {workload:?}");
         assert_eq!(
-            served_exec.mode,
-            BagMode::Cloned,
-            "one-shot runs consume a clone"
+            canonical(session_run.answer),
+            oracle,
+            "Session::run, {workload:?}"
         );
-        // Repeated warm runs: same answer every time, overlay mode, and
-        // rewrite sparsity within the tree.
+
+        // Repeated warm runs: same answer every time, zero planning,
+        // and rewrite sparsity within the same tree.
         for _ in 0..3 {
             let run = prepared.run(workload);
-            assert_eq!(run.answer, served.answer, "{workload:?} diverged");
-            let exec = run.provenance.bags.expect("GHD plan expected");
-            assert_eq!(exec.mode, BagMode::Overlay, "prepared runs use overlays");
+            assert_eq!(run.provenance.planning, Duration::ZERO);
+            let bags = run.provenance.bags.expect("GHD plan expected");
             assert!(
-                exec.bags_rewritten <= exec.bags_total,
+                bags.rewritten <= bags.total,
                 "sparsity out of range: {}/{}",
-                exec.bags_rewritten,
-                exec.bags_total
+                bags.rewritten,
+                bags.total
             );
-            assert_eq!(exec.bags_total, served_exec.bags_total, "same tree");
+            assert_eq!(bags.total, tree.total, "same tree");
+            assert_eq!(canonical(run.answer), oracle, "prepared, {workload:?}");
         }
     }
 
-    // Enumerate: the prepared cursor streams exactly the one-shot
-    // answer set (order is unspecified — compare as sorted sets).
-    let served = engine.serve(&Request {
-        query: &q,
-        db: &db,
-        workload: Workload::Enumerate { limit: None },
-    });
-    let mut reference = served.answer.as_tuples().expect("tuples").to_vec();
-    reference.sort_unstable();
+    // The streaming cursor delivers the same answer set as the oracle.
+    let reference = enumerate_naive(&q, &db);
     for _ in 0..2 {
         let mut streamed: Vec<Vec<u64>> = prepared.cursor(None).collect();
         streamed.sort_unstable();
         assert_eq!(streamed, reference, "cursor stream diverged");
     }
+}
+
+#[test]
+fn one_shot_execution_includes_preprocessing() {
+    // A one-shot call folds the bag materialization it paid into
+    // `execution`; a warm run reports the tree pass alone. Build + cold
+    // pass is several times the work of a warm pass, and only a stall
+    // in *every* warm run could invert the order, so the cheapest of
+    // five warm runs is a noise-proof lower bar.
+    let (q, db) = fixture();
+    let engine = Engine::default();
+    let session = engine.session(&db);
+    let one_shot = session
+        .run(&q, Workload::Boolean)
+        .expect("planning cannot fail");
+    let warm = session.prepare(&q).expect("planning cannot fail");
+    let warm_pass = (0..5)
+        .map(|_| warm.run(Workload::Boolean).provenance.execution)
+        .min()
+        .expect("five runs");
+    assert!(
+        one_shot.provenance.execution > warm_pass,
+        "one-shot execution ({:?}) must cover build + pass, not just the pass ({warm_pass:?})",
+        one_shot.provenance.execution,
+    );
+}
+
+#[test]
+fn warm_run_on_join_consistent_data_rewrites_no_bag() {
+    // Diagonal relations (row `i` = `(i, i, …)`): every join column
+    // covers the same values on both sides of every tree edge of
+    // whatever GHD the planner picks, so no semijoin drops a row and a
+    // warm prepared run is pure probing.
+    let (q, _) = fixture();
+    let mut db = cqd2_cq::Database::new();
+    for atom in &q.atoms {
+        let rows: Vec<Vec<u64>> = (0..300).map(|i| vec![i; atom.terms.len()]).collect();
+        db.insert_all(&atom.relation, &rows);
+    }
+    let engine = Engine::default();
+    let prepared = engine
+        .session(&db)
+        .prepare(&q)
+        .expect("planning cannot fail");
+    for _ in 0..2 {
+        let run = prepared.run(Workload::Boolean);
+        assert_eq!(run.answer, Answer::Bool(true));
+        let bags = run.provenance.bags.expect("data keeps the GHD plan");
+        assert_eq!(bags.rewritten, 0, "warm run copied {bags:?}");
+        assert!(bags.total > 1, "fixture must exercise a real tree");
+    }
+    assert_eq!(
+        prepared.run(Workload::Count).answer,
+        Answer::Count(count_naive(&q, &db))
+    );
 }
 
 #[test]

@@ -561,6 +561,7 @@ fn delta_roundtrip_merges_incrementally_and_rejections_leave_epoch_unmoved() {
         let main = report.databases.iter().find(|d| d.name == "main").unwrap();
         assert_eq!(main.delta_batches, 1);
         assert_eq!((main.facts_inserted, main.facts_deleted), (2, 1));
+        assert_eq!(main.errors, 3, "parse + two kernel refusals");
     });
     assert_eq!(stats.delta_batches, 1);
     assert_eq!(stats.delta_errors, 2);
@@ -1012,6 +1013,11 @@ fn snapshot_reload_under_load_pins_inflight_batches_and_rejects_bad_paths() {
         assert_eq!(hot.epoch, 1, "failed snapshot reloads must not publish");
         let again = admin_query_count(&mut admin, &q);
         assert_eq!(again, Some(new_count));
+        // A failed reload against a served name is that database's
+        // error, exactly like a failed delta.
+        let report = admin.stats().expect("stats");
+        let hot = report.databases.iter().find(|d| d.name == "hot").unwrap();
+        assert_eq!(hot.errors, 2, "both Store failures hit `hot`");
     });
     assert_eq!(stats.reloads, 1, "only the successful swap counts");
     assert_eq!(
