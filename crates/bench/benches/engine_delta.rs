@@ -69,7 +69,10 @@ fn fixture() -> Database {
 /// drift-free rounds.
 fn delta_and_inverse(db: &Database) -> (DatabaseDelta, DatabaseDelta) {
     let last = format!("R{}", RELATIONS - 1);
-    let existing = &db.relation(&last).expect("fixture has the last relation").tuples;
+    let existing = &db
+        .relation(&last)
+        .expect("fixture has the last relation")
+        .tuples;
     let mut delta = DatabaseDelta::new();
     let mut inverse = DatabaseDelta::new();
     for i in 0..8u64 {
@@ -96,7 +99,9 @@ fn bench(c: &mut Criterion) {
 
     // -------- E8a: small-delta publish vs text full reload ----------
     let catalog = Catalog::new();
-    catalog.publish("live", db.clone()).expect("publish fixture");
+    catalog
+        .publish("live", db.clone())
+        .expect("publish fixture");
 
     // Correctness first: the delta'd snapshot must equal the database
     // the text route rebuilds from scratch, statistics included, with
@@ -105,7 +110,11 @@ fn bench(c: &mut Criterion) {
     assert_eq!(out.touched, vec![format!("R{}", RELATIONS - 1)]);
     let text_after = render_database(out.snapshot.db());
     let reparsed = parse_database(&text_after).expect("render round-trips");
-    assert_eq!(out.snapshot.db(), &reparsed, "routes must agree on the data");
+    assert_eq!(
+        out.snapshot.db(),
+        &reparsed,
+        "routes must agree on the data"
+    );
     assert_eq!(
         out.snapshot.stats(),
         &reparsed.stats(),
@@ -121,7 +130,9 @@ fn bench(c: &mut Criterion) {
             "untouched {name} must be Arc-shared across the delta"
         );
     }
-    catalog.apply_delta("live", &inverse).expect("restore fixture");
+    catalog
+        .apply_delta("live", &inverse)
+        .expect("restore fixture");
     println!(
         "  fixture: {total_rows} rows in {RELATIONS} relations, delta = 8 inserts + 4 deletes \
          ({} text bytes to reload)",

@@ -575,7 +575,10 @@ fn run_client_delta(args: &[String]) {
     );
     println!(
         "  prepared handles: {} migrated warm, {} re-prepared, {} bag(s) re-materialized in {}µs",
-        applied.prepared_warm, applied.prepared_reprepared, applied.bags_remat, applied.server_micros,
+        applied.prepared_warm,
+        applied.prepared_reprepared,
+        applied.bags_remat,
+        applied.server_micros,
     );
 }
 

@@ -196,8 +196,10 @@ impl Database {
                 });
             }
         }
-        self.relations
-            .insert(relation.to_string(), Arc::new(StoredRelation { arity, tuples }));
+        self.relations.insert(
+            relation.to_string(),
+            Arc::new(StoredRelation { arity, tuples }),
+        );
         Ok(())
     }
 

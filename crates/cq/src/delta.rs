@@ -372,7 +372,10 @@ mod tests {
         delta.delete("S", vec![10]);
         let out = db.apply_delta(&delta).unwrap();
         assert_eq!((out.inserted, out.deleted), (1, 1));
-        assert_eq!(out.db.relation("S").unwrap().tuples, vec![vec![20], vec![30]]);
+        assert_eq!(
+            out.db.relation("S").unwrap().tuples,
+            vec![vec![20], vec![30]]
+        );
         assert_eq!(delta.fact_counts(), (2, 2));
     }
 
@@ -400,7 +403,11 @@ mod tests {
         delta.delete("T", vec![7]);
         assert!(matches!(
             db.apply_delta(&delta),
-            Err(DeltaError::ArityMismatch { expected: 3, got: 1, .. })
+            Err(DeltaError::ArityMismatch {
+                expected: 3,
+                got: 1,
+                ..
+            })
         ));
     }
 

@@ -107,9 +107,7 @@ impl DatabaseStats {
     pub fn updated_for(&self, db: &Database, touched: &[String]) -> DatabaseStats {
         let mut relations = BTreeMap::new();
         for (name, rel) in db.relations() {
-            let is_touched = touched
-                .binary_search_by(|t| t.as_str().cmp(name))
-                .is_ok();
+            let is_touched = touched.binary_search_by(|t| t.as_str().cmp(name)).is_ok();
             let stats = match self.relation(name) {
                 Some(existing) if !is_touched => existing.clone(),
                 _ => RelationStats::collect(rel),

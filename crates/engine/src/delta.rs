@@ -264,7 +264,13 @@ mod tests {
 
         // Graft a fresh U edge onto an existing S endpoint so the count
         // genuinely changes.
-        let z = catalog.snapshot("main").unwrap().db().relation("S").unwrap().tuples[0][1];
+        let z = catalog
+            .snapshot("main")
+            .unwrap()
+            .db()
+            .relation("S")
+            .unwrap()
+            .tuples[0][1];
         let outcome =
             apply_delta_text(&catalog, "main", &format!("@insert\nU({z}, 999999)\n")).unwrap();
         let (warm, pass) = prepared

@@ -563,7 +563,10 @@ mod tests {
         };
         let json = serde::json::to_string(&delta_err);
         assert!(json.contains("Delta"), "{json}");
-        assert_eq!(serde::json::from_str::<WireError>(&json).unwrap(), delta_err);
+        assert_eq!(
+            serde::json::from_str::<WireError>(&json).unwrap(),
+            delta_err
+        );
 
         let catalog = WireCatalog {
             request: 9,

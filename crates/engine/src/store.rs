@@ -766,9 +766,10 @@ mod plans {
                 all_epochs_match
             } else {
                 rec.dbs.iter().all(|name| {
-                    spill.epochs.get(name).is_some_and(|stamped| {
-                        current.get(name) == Some(stamped)
-                    })
+                    spill
+                        .epochs
+                        .get(name)
+                        .is_some_and(|stamped| current.get(name) == Some(stamped))
                 })
             };
             if !fresh {
@@ -980,7 +981,13 @@ mod tests {
 
         let fresh = crate::engine::Engine::default();
         let load = load_plans(&path, &fresh, &catalog).unwrap();
-        assert_eq!(load, PlanLoad { loaded: 1, stale: 1 });
+        assert_eq!(
+            load,
+            PlanLoad {
+                loaded: 1,
+                stale: 1
+            }
+        );
         // The survivor is b's entry, attribution intact — so a second
         // spill → load round-trip still invalidates per name.
         let kept = fresh.export_plans_attributed();
@@ -1012,7 +1019,10 @@ mod tests {
         let fresh = crate::engine::Engine::default();
         assert_eq!(
             load_plans(&path, &fresh, &catalog).unwrap(),
-            PlanLoad { loaded: 1, stale: 0 }
+            PlanLoad {
+                loaded: 1,
+                stale: 0
+            }
         );
 
         // Any epoch drift stales an unattributed record (it could have
@@ -1021,7 +1031,10 @@ mod tests {
         let fresh2 = crate::engine::Engine::default();
         assert_eq!(
             load_plans(&path, &fresh2, &catalog).unwrap(),
-            PlanLoad { loaded: 0, stale: 1 }
+            PlanLoad {
+                loaded: 0,
+                stale: 1
+            }
         );
         let _ = std::fs::remove_file(&path);
     }

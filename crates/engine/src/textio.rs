@@ -263,7 +263,10 @@ pub fn parse_delta(input: &str) -> Result<cqd2_cq::DatabaseDelta, ParseError> {
                     ));
                 }
                 None => {
-                    return Err(ParseError::at(lineno + 1, "empty directive (`@` with no name)"));
+                    return Err(ParseError::at(
+                        lineno + 1,
+                        "empty directive (`@` with no name)",
+                    ));
                 }
             };
             if let Some(junk) = parts.next() {

@@ -500,7 +500,10 @@ fn delta_roundtrip_merges_incrementally_and_rejections_leave_epoch_unmoved() {
         let applied = client
             .delta("main", "@insert\nS(2, 9)\nS(2, 10)\n@delete\nS(3, 5)\n")
             .expect("delta");
-        assert_eq!((applied.epoch, applied.inserted, applied.deleted), (1, 2, 1));
+        assert_eq!(
+            (applied.epoch, applied.inserted, applied.deleted),
+            (1, 2, 1)
+        );
         assert_eq!(applied.relations_touched, vec!["S".to_string()]);
         assert_eq!(applied.facts, 6);
         // This fixture is tiny, so its plans are naive joins with no
