@@ -313,7 +313,7 @@ fn run_eval(args: &[String]) {
                 }
                 if let Some(bags) = &resp.provenance.bags {
                     println!(
-                        "      bag overlay: {}/{} bags rewritten",
+                        "      tree pass: {}/{} bags rewritten",
                         bags.rewritten, bags.total,
                     );
                 }
@@ -675,7 +675,7 @@ fn run_client_stats(args: &[String]) {
         stats.prepared_hits, stats.prepared_misses
     );
     println!(
-        "bag overlay: {} / {} bags rewritten",
+        "tree passes: {} / {} bags rewritten",
         stats.bags_rewritten, stats.bags_total
     );
     println!("reloads {}", stats.reloads);
@@ -705,7 +705,7 @@ fn run_client_stats(args: &[String]) {
             d.prepared_misses
         );
         println!(
-            "db {}: bag overlay {} / {} bags rewritten",
+            "db {}: tree passes {} / {} bags rewritten",
             d.name, d.bags_rewritten, d.bags_total
         );
         if d.delta_batches > 0 {

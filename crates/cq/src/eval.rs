@@ -276,79 +276,29 @@ pub fn with_sequential_bags<R>(f: impl FnOnce() -> R) -> R {
 /// it would parallelize.
 const PARALLEL_PASS_THRESHOLD: usize = 1 << 15;
 
-/// Sparsity of one overlay tree pass: how many bag nodes the pass
-/// actually rewrote, out of the tree's total. Warm prepared runs on
-/// join-consistent data rewrite **zero** nodes (every semijoin keeps
-/// every row), which is what makes copy-free re-execution pay. The
-/// engine carries this verbatim in its plan provenance, for warm and
-/// one-shot runs alike.
+/// Worker count for a fan-out that is `worthwhile` on its inputs: the
+/// machine's parallelism, or 1 when the work is too small or the caller
+/// opted out via [`with_sequential_bags`].
+fn workers_if(worthwhile: bool) -> usize {
+    if worthwhile && !SEQUENTIAL_BAGS.with(std::cell::Cell::get) {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        1
+    }
+}
+
+/// Sparsity of one tree pass: how many bag nodes the pass rewrote
+/// (copied + filtered), out of the tree's total. Boolean and enumerate
+/// passes on join-consistent data rewrite **zero** nodes (every semijoin
+/// keeps every row), and **a count pass never rewrites** — its DP carries
+/// per-row counts beside the shared relations. The engine carries this
+/// verbatim in its plan provenance, for warm and one-shot runs alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassStats {
-    /// Nodes the pass rewrote (copied + filtered).
+    /// Nodes the pass rewrote (copied + filtered); always 0 for counts.
     pub rewritten: usize,
     /// Nodes in the bag tree.
     pub total: usize,
-}
-
-/// A copy-on-rewrite view over a shared [`MaterializedBags`] tree: reads
-/// fall through to the base materialization; a pass that filters a node
-/// writes the filtered relation into a sparse local layer and leaves the
-/// base untouched. Tree passes built on this copy only the nodes they
-/// actually rewrite — the Boolean pass touches non-leaf parents at most
-/// (none at all when nothing drops), the counting DP touches merge
-/// targets — instead of cloning the whole tree per run.
-#[derive(Debug)]
-pub struct BagOverlay<'a> {
-    base: &'a MaterializedBags,
-    /// Sparse rewrite layer, indexed by node.
-    local: Vec<Option<Arc<FlatRelation>>>,
-}
-
-impl<'a> BagOverlay<'a> {
-    /// An overlay with an empty rewrite layer: every read sees `base`.
-    pub fn new(base: &'a MaterializedBags) -> BagOverlay<'a> {
-        BagOverlay {
-            base,
-            local: vec![None; base.relations.len()],
-        }
-    }
-
-    /// The current relation of node `u` (rewritten if the pass touched
-    /// it, the shared base otherwise).
-    pub fn rel(&self, u: usize) -> &FlatRelation {
-        match &self.local[u] {
-            Some(r) => r,
-            None => &self.base.relations[u],
-        }
-    }
-
-    /// Shared handle on node `u`'s current relation: an `Arc` bump, never
-    /// a buffer copy (enumerators keep untouched bags alive this way).
-    pub fn rel_shared(&self, u: usize) -> Arc<FlatRelation> {
-        match &self.local[u] {
-            Some(r) => Arc::clone(r),
-            None => Arc::clone(&self.base.relations[u]),
-        }
-    }
-
-    /// Has the running pass rewritten node `u`? (Cached base-side probe
-    /// tables are only valid while this is `false`.)
-    pub fn is_rewritten(&self, u: usize) -> bool {
-        self.local[u].is_some()
-    }
-
-    /// Install `rel` as node `u`'s rewritten relation.
-    pub fn set(&mut self, u: usize, rel: FlatRelation) {
-        self.local[u] = Some(Arc::new(rel));
-    }
-
-    /// Rewrite sparsity so far.
-    pub fn stats(&self) -> PassStats {
-        PassStats {
-            rewritten: self.local.iter().filter(|l| l.is_some()).count(),
-            total: self.local.len(),
-        }
-    }
 }
 
 /// The materialized bag tree of a `(query, database, GHD)` triple: one
@@ -356,20 +306,23 @@ impl<'a> BagOverlay<'a> {
 /// atoms), rooted and ordered for tree passes.
 ///
 /// This is the **shared preprocessing** of every GHD-guided evaluator —
-/// the `O(‖D‖^width)` part. Build it once with
-/// [`MaterializedBags::build`] and run as many passes as needed:
-/// [`MaterializedBags::bcq`], [`MaterializedBags::count`], and
-/// [`MaterializedBags::enumerator`] run through a [`BagOverlay`] — reads
-/// fall through to the shared, immutable materialization and only the
-/// nodes a pass actually rewrites are copied, so warm re-execution (and
-/// any number of concurrent cursors) shares one bag tree with **zero
-/// per-run cloning**. Each node also lazily caches a probe table over
-/// its base relation (valid while a pass leaves the node unrewritten),
-/// so a warm run on join-consistent data is pure probing: no hash-table
-/// builds, no copies. On trees wide and large enough to pay for thread
-/// setup, the bottom-up semijoin pass and the counting DP fan out per
-/// tree level over the scoped-thread pool (nodes at one depth never
-/// read each other). The one-shot [`bcq_via_ghd`] / [`count_via_ghd`] /
+/// the `O(‖D‖^width)` part — in three parts: the data-independent
+/// **shape** (tree order, resolved semijoin keys, per-bag build recipes;
+/// one `Arc`, shared across [`MaterializedBags::refresh`]), the immutable
+/// **bag relations**, and one **cache record** per node (lazily built
+/// probe tables over the base relations).
+///
+/// Build it once with [`MaterializedBags::build`] and run as many passes
+/// as needed. No pass mutates the tree: [`MaterializedBags::bcq`] and
+/// [`MaterializedBags::enumerator`] write only the nodes their semijoins
+/// actually shrink, into a private copy-on-rewrite layer, and
+/// [`MaterializedBags::count`] carries per-row counts beside the
+/// relations and copies nothing — so warm re-execution (and any number
+/// of concurrent cursors) shares one bag tree, and a warm run on
+/// join-consistent data is pure probing: no hash-table builds, no
+/// copies. All bottom-up passes are one level walk that fans out per
+/// level over scoped threads on trees wide and large enough to pay for
+/// them. The one-shot [`bcq_via_ghd`] / [`count_via_ghd`] /
 /// [`enumerate_via_ghd`] wrappers are `build` followed by one such pass.
 ///
 /// ```
@@ -393,56 +346,104 @@ impl<'a> BagOverlay<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MaterializedBags {
-    /// Per-bag relations, `Arc`-shared so overlays and enumerators can
-    /// hold untouched bags without copying buffers.
+    shape: Arc<TreeShape>,
+    /// Per-bag relations, `Arc`-shared so refreshed trees and
+    /// enumerators hold untouched bags without copying buffers.
     relations: Vec<Arc<FlatRelation>>,
+    caches: Vec<NodeCache>,
+}
+
+/// The data-independent part of a bag tree. Re-running a bag's recipe
+/// against any database reproduces the bag's column layout, so the
+/// resolved key columns stay valid across [`MaterializedBags::refresh`]
+/// and one `TreeShape` serves every epoch of a prepared query.
+#[derive(Debug)]
+struct TreeShape {
     children: Vec<Vec<usize>>,
     /// Parent of each node (`usize::MAX` at the root).
     parents: Vec<usize>,
-    /// Nodes grouped by depth (`levels[0]` = `[root]`). Nodes within a
-    /// level are pairwise non-adjacent in the tree, so per-level pass
-    /// tasks touch disjoint state.
+    /// The non-leaf nodes grouped by depth, root level first — the nodes
+    /// tree passes visit. Nodes within a level are pairwise non-adjacent
+    /// in the tree, so per-level pass tasks touch disjoint state.
     levels: Vec<Vec<usize>>,
-    /// For each non-root node `u`: the columns of `relations[u]` whose
+    /// For each non-root node `u`: the columns of `u`'s relation whose
     /// variables also occur in the parent bag — the semijoin key, child
-    /// side. Resolved once at build; every pass rewrite preserves column
-    /// layout, so the positions stay valid all tree passes long.
+    /// side. Pass rewrites preserve column layout, so the positions stay
+    /// valid all tree passes long.
     up_key: Vec<Vec<usize>>,
     /// The matching key columns in the parent's relation (same variable
     /// order as `up_key`). Empty at the root.
     parent_key: Vec<Vec<usize>>,
-    /// Lazily-built probe table per node, over the **base** relation,
-    /// keyed on `up_key` (what the parent's bottom-up semijoin probes).
-    /// Sound to reuse across runs because overlays never mutate the
-    /// base; passes consult it only while the node is unrewritten.
-    /// `Arc`'d so [`MaterializedBags::refresh`] can share a clean node's
-    /// filled table with the refreshed tree instead of rebuilding it.
-    base_tables: Vec<OnceLock<Arc<KeyTable>>>,
-    /// Lazily-built per-key multiplicity table per **leaf** node (the
-    /// counting DP's child aggregation with all-ones counts — leaves are
-    /// never rewritten by the DP, so this too survives across runs).
-    leaf_aggs: Vec<OnceLock<Arc<AggTable>>>,
-    /// Lazily-built probe table per non-root node, over the **parent's**
-    /// base relation, keyed on `parent_key` (what the enumerator's
-    /// top-down semijoin probes when the parent is unrewritten).
-    down_tables: Vec<OnceLock<Arc<KeyTable>>>,
-    /// Per-bag materialization recipe, retained so
-    /// [`MaterializedBags::refresh`] can re-run exactly the build-time
-    /// join/project sequence for a dirty bag against a new database.
+    /// Per-bag materialization recipe, re-run by `refresh` for dirty
+    /// bags.
     recipes: Vec<BagRecipe>,
     root: usize,
     /// `q.num_vars()` at build time (answer tuple width).
     num_vars: usize,
 }
 
+impl TreeShape {
+    /// Root `ghd`'s tree at node 0, group it into depth levels, and
+    /// resolve the semijoin key columns along every tree edge against
+    /// the freshly materialized `relations`.
+    fn new(
+        ghd: &Ghd,
+        recipes: Vec<BagRecipe>,
+        relations: &[FlatRelation],
+        num_vars: usize,
+    ) -> TreeShape {
+        let n = relations.len();
+        let adj = ghd.td.adjacency();
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut parents: Vec<usize> = vec![usize::MAX; n];
+        // `ghd` validated as a tree, so walking it level by level from
+        // the root reaches every node exactly once, through its parent.
+        let root = 0usize;
+        let mut levels: Vec<Vec<usize>> = Vec::new();
+        let mut level = vec![root];
+        while !level.is_empty() {
+            let mut next = Vec::new();
+            for &u in &level {
+                let up = parents[u];
+                for &w in adj[u].iter().filter(|&&w| w != up) {
+                    parents[w] = u;
+                    children[u].push(w);
+                    next.push(w);
+                }
+            }
+            level.retain(|&u| !children[u].is_empty());
+            levels.push(std::mem::replace(&mut level, next));
+        }
+        // The variables a child's relation shares with its parent's (in
+        // the child's column order), as positions on both sides.
+        let mut up_key: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut parent_key: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for u in (0..n).filter(|&u| parents[u] != usize::MAX) {
+            let parent_vars = relations[parents[u]].vars();
+            for (c, v) in relations[u].vars().iter().enumerate() {
+                if let Some(pc) = parent_vars.iter().position(|w| w == v) {
+                    up_key[u].push(c);
+                    parent_key[u].push(pc);
+                }
+            }
+        }
+        TreeShape {
+            children,
+            parents,
+            levels,
+            up_key,
+            parent_key,
+            recipes,
+            root,
+            num_vars,
+        }
+    }
+}
+
 /// What it takes to re-materialize one bag: the atom indices joined as
 /// the `λ` cover, the bag's variables (the projection between cover and
-/// assigned joins), and the atoms assigned to the bag. All three are
-/// data-independent — re-running the recipe against any database yields
-/// a relation with the **same column layout**, which is what keeps the
-/// tree's resolved semijoin keys (`up_key` / `parent_key`) valid across
-/// a refresh.
-#[derive(Debug, Clone)]
+/// assigned joins), and the atoms assigned to the bag.
+#[derive(Debug)]
 struct BagRecipe {
     /// Atom indices of the cover's edge representatives, in cover order.
     cover_atoms: Vec<usize>,
@@ -457,31 +458,127 @@ impl BagRecipe {
     fn atoms(&self) -> impl Iterator<Item = usize> + '_ {
         self.cover_atoms.iter().chain(&self.assigned_atoms).copied()
     }
+
+    /// Join the cover representatives, project to the bag's variables,
+    /// then join the assigned atoms. `bound` resolves an atom index to
+    /// its bound relation.
+    fn run<'a>(&self, bound: impl Fn(usize) -> &'a FlatRelation) -> FlatRelation {
+        let mut rel = FlatRelation::unit();
+        for &ai in &self.cover_atoms {
+            rel = rel.join(bound(ai));
+        }
+        // Project to bag variables (cover may reach outside the bag).
+        let covered = |v: &Var| rel.vars().contains(v);
+        let keep: Vec<Var> = self.bag_vars.iter().copied().filter(covered).collect();
+        rel = rel.project(&keep);
+        for &ai in &self.assigned_atoms {
+            rel = rel.join(bound(ai));
+        }
+        rel
+    }
 }
 
-/// Run one bag's recipe: join the cover representatives, project to the
-/// bag's variables, then join the assigned atoms. `bound` resolves an
-/// atom index to its bound relation.
-fn materialize_bag<'a>(
-    recipe: &BagRecipe,
-    bound: impl Fn(usize) -> &'a FlatRelation,
-) -> FlatRelation {
-    let mut rel = FlatRelation::unit();
-    for &ai in &recipe.cover_atoms {
-        rel = rel.join(bound(ai));
+/// Materialize the bags `nodes` (indices into `recipes`) of `q` against
+/// `db`, in `nodes` order: bind exactly the atoms those bags read, then
+/// run each recipe. Bags depend only on the bound relations, never on
+/// each other, so they materialize concurrently once the *bound* tuples
+/// (not the whole database — a big unrelated relation must not trigger
+/// thread spawns for a microsecond join) amortize thread setup.
+fn materialize(
+    recipes: &[BagRecipe],
+    nodes: &[usize],
+    q: &ConjunctiveQuery,
+    db: &Database,
+) -> Vec<FlatRelation> {
+    let mut bound: Vec<Option<FlatRelation>> = q.atoms.iter().map(|_| None).collect();
+    for ai in nodes.iter().flat_map(|&u| recipes[u].atoms()) {
+        if bound[ai].is_none() {
+            bound[ai] = Some(FlatRelation::bind(&q.atoms[ai], db));
+        }
     }
-    // Project to bag variables (cover may reach outside the bag).
-    let keep: Vec<Var> = recipe
-        .bag_vars
-        .iter()
-        .copied()
-        .filter(|v| rel.vars().contains(v))
-        .collect();
-    rel = rel.project(&keep);
-    for &ai in &recipe.assigned_atoms {
-        rel = rel.join(bound(ai));
+    let bound_tuples: usize = bound.iter().flatten().map(FlatRelation::len).sum();
+    let workers = workers_if(nodes.len() > 1 && bound_tuples >= PARALLEL_BAG_THRESHOLD);
+    crate::par::scoped_map(nodes.len(), workers, |i| {
+        recipes[nodes[i]].run(|ai| {
+            bound[ai]
+                .as_ref()
+                // cqd2-lint: allow(panic-in-hot-path, reason = "every atom these bags read was bound in the loop above")
+                .expect("bag atom bound")
+        })
+    })
+}
+
+/// One node's lazily built probe tables, each over a **base** relation
+/// (passes never mutate those, so a filled table is reusable across
+/// runs) and each consulted only while the pass at hand has left that
+/// relation unrewritten. `Arc`'d so `refresh` can hand a still-valid
+/// table to the refreshed tree instead of rebuilding it.
+#[derive(Debug, Clone, Default)]
+struct NodeCache {
+    /// Over the node's own relation, keyed on `up_key`: what the
+    /// parent's bottom-up semijoin probes and the enumerator walks.
+    up: OnceLock<Arc<KeyTable>>,
+    /// Over the **parent's** relation, keyed on `parent_key`: what the
+    /// node's top-down semijoin probes.
+    down: OnceLock<Arc<KeyTable>>,
+    /// Per-key row multiplicities of a **leaf** node's relation (the
+    /// counting DP's child aggregation with all-ones counts).
+    leaf_agg: OnceLock<Arc<AggTable>>,
+}
+
+impl NodeCache {
+    /// The record a refreshed tree starts from: each filled table moves
+    /// over iff the relation it was built from did — `up` and `leaf_agg`
+    /// with the node itself, `down` with the node's parent.
+    fn carried(&self, self_clean: bool, parent_clean: bool) -> NodeCache {
+        fn keep<T>(src: &OnceLock<Arc<T>>, valid: bool) -> OnceLock<Arc<T>> {
+            match src.get() {
+                Some(t) if valid => OnceLock::from(Arc::clone(t)),
+                _ => OnceLock::new(),
+            }
+        }
+        NodeCache {
+            up: keep(&self.up, self_clean),
+            down: keep(&self.down, parent_clean),
+            leaf_agg: keep(&self.leaf_agg, self_clean),
+        }
     }
-    rel
+}
+
+/// The copy-on-rewrite layer of one Boolean or enumerate reduction over
+/// a shared tree: reads fall through to the base materialization; a
+/// semijoin that drops rows writes the filtered relation here and
+/// leaves the base untouched.
+struct BagOverlay<'a> {
+    base: &'a MaterializedBags,
+    /// Sparse rewrite layer, indexed by node.
+    local: Vec<Option<Arc<FlatRelation>>>,
+}
+
+impl<'a> BagOverlay<'a> {
+    fn new(base: &'a MaterializedBags) -> BagOverlay<'a> {
+        BagOverlay {
+            base,
+            local: vec![None; base.relations.len()],
+        }
+    }
+
+    /// The current relation of node `u`: rewritten if the pass touched
+    /// it, the shared base otherwise.
+    fn rel(&self, u: usize) -> &Arc<FlatRelation> {
+        self.local[u].as_ref().unwrap_or(&self.base.relations[u])
+    }
+
+    fn set(&mut self, u: usize, rel: FlatRelation) {
+        self.local[u] = Some(Arc::new(rel));
+    }
+
+    fn stats(&self) -> PassStats {
+        PassStats {
+            rewritten: self.local.iter().flatten().count(),
+            total: self.local.len(),
+        }
+    }
 }
 
 impl MaterializedBags {
@@ -494,10 +591,7 @@ impl MaterializedBags {
     ) -> Result<MaterializedBags, EvalError> {
         let h = q.hypergraph();
         ghd.validate(&h).map_err(EvalError::InvalidGhd)?;
-        let bound: Vec<FlatRelation> = q.atoms.iter().map(|a| FlatRelation::bind(a, db)).collect();
-        // Representative atom for each hypergraph edge (same variable set),
-        // via the shared sorted-varset map on the query (one hash probe per
-        // edge instead of re-sorting every atom's variable list per edge).
+        // Representative atom for each hypergraph edge (same variable set).
         let edge_rep: Vec<usize> = q
             .edge_representatives(&h)
             .into_iter()
@@ -505,117 +599,35 @@ impl MaterializedBags {
             .map(|(i, rep)| rep.ok_or(EvalError::EdgeWithoutAtom { edge: i }))
             .collect::<Result<_, EvalError>>()?;
         // Assign every atom to one node whose bag contains its variables.
+        let n = ghd.td.bags.len();
         let bag_contains = |u: usize, vars: &[Var]| {
             vars.iter()
                 .all(|v| ghd.td.bags[u].binary_search(&VertexId(v.0)).is_ok())
         };
-        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); ghd.td.bags.len()];
+        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (ai, atom) in q.atoms.iter().enumerate() {
             let vars = atom.vars();
-            let u = (0..ghd.td.bags.len())
+            let u = (0..n)
                 .find(|&u| bag_contains(u, &vars))
                 .ok_or(EvalError::AtomFitsNoBag { atom: ai })?;
             assigned[u].push(ai);
         }
-        // Materialize each bag: join cover representatives, project to bag,
-        // then join all assigned atoms. Bags depend only on the shared
-        // `bound` relations, never on each other, so on databases big enough
-        // to amortize thread setup the bags materialize concurrently. The
-        // recipe (which atoms, joined in which order, projected to which
-        // variables) is retained on the handle so `refresh` can re-run it
-        // per dirty bag after a delta.
-        let n = ghd.td.bags.len();
-        let recipes: Vec<BagRecipe> = (0..n)
-            .map(|u| BagRecipe {
+        let recipes: Vec<BagRecipe> = assigned
+            .into_iter()
+            .enumerate()
+            .map(|(u, assigned_atoms)| BagRecipe {
                 cover_atoms: ghd.covers[u].iter().map(|e| edge_rep[e.idx()]).collect(),
                 bag_vars: ghd.td.bags[u].iter().map(|v| Var(v.0)).collect(),
-                assigned_atoms: assigned[u].clone(),
+                assigned_atoms,
             })
             .collect();
-        let materialize = |u: usize| materialize_bag(&recipes[u], |ai| &bound[ai]);
-        // Gate parallelism on the tuples the *query* actually touches (the
-        // bound atom relations), not the whole database — a big unrelated
-        // relation must not trigger thread spawns for a microsecond join.
-        let bound_tuples: usize = bound.iter().map(FlatRelation::len).sum();
-        let parallel = n > 1
-            && bound_tuples >= PARALLEL_BAG_THRESHOLD
-            && !SEQUENTIAL_BAGS.with(std::cell::Cell::get);
-        let workers = if parallel {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            1
-        };
-        let relations: Vec<FlatRelation> = crate::par::scoped_map(n, workers, materialize);
-        // Root the tree at node 0: iterative DFS computing children and
-        // parents.
-        let adj = ghd.td.adjacency();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut parents: Vec<usize> = vec![usize::MAX; n];
-        let mut visited = vec![false; n];
-        let root = 0usize;
-        let mut stack = vec![(root, usize::MAX)];
-        while let Some((u, parent)) = stack.pop() {
-            if visited[u] {
-                continue;
-            }
-            visited[u] = true;
-            parents[u] = parent;
-            for &w in &adj[u] {
-                if w != parent && !visited[w] {
-                    children[u].push(w);
-                    stack.push((w, u));
-                }
-            }
-        }
-        // Depth levels (root = level 0) for the per-level parallel passes:
-        // nodes within one level are pairwise non-adjacent in the tree.
-        let mut levels: Vec<Vec<usize>> = vec![vec![root]];
-        loop {
-            let next: Vec<usize> = levels
-                .last()
-                // cqd2-lint: allow(panic-in-hot-path, reason = "levels is seeded with vec![root] before the loop")
-                .expect("at least the root level")
-                .iter()
-                .flat_map(|&u| children[u].iter().copied())
-                .collect();
-            if next.is_empty() {
-                break;
-            }
-            levels.push(next);
-        }
-        // Semijoin key columns along every tree edge, resolved once: the
-        // variables a child's relation shares with its parent's relation
-        // (in the child's column order), as positions on both sides. Pass
-        // rewrites preserve column layouts, so these stay valid for the
-        // lifetime of the handle.
-        let mut up_key: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut parent_key: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for u in 0..n {
-            let p = parents[u];
-            if p == usize::MAX {
-                continue;
-            }
-            let (child_rel, parent_rel) = (&relations[u], &relations[p]);
-            for (c, v) in child_rel.vars().iter().enumerate() {
-                if let Some(pc) = parent_rel.vars().iter().position(|w| w == v) {
-                    up_key[u].push(c);
-                    parent_key[u].push(pc);
-                }
-            }
-        }
+        let all: Vec<usize> = (0..n).collect();
+        let relations = materialize(&recipes, &all, q, db);
+        let shape = TreeShape::new(ghd, recipes, &relations, q.num_vars());
         Ok(MaterializedBags {
+            shape: Arc::new(shape),
             relations: relations.into_iter().map(Arc::new).collect(),
-            children,
-            parents,
-            levels,
-            up_key,
-            parent_key,
-            base_tables: (0..n).map(|_| OnceLock::new()).collect(),
-            leaf_aggs: (0..n).map(|_| OnceLock::new()).collect(),
-            down_tables: (0..n).map(|_| OnceLock::new()).collect(),
-            recipes,
-            root,
-            num_vars: q.num_vars(),
+            caches: vec![NodeCache::default(); n],
         })
     }
 
@@ -631,19 +643,12 @@ impl MaterializedBags {
     }
 
     /// **Warm maintenance** after a delta: rebuild only the bags whose
-    /// materialization reads a relation in `dirty`, sharing every clean
-    /// bag's relation (an `Arc` bump, no buffer copy) *and* its filled
-    /// probe-table caches with `self`. `q` must be the query this tree
-    /// was built for and `db` the post-delta database; `dirty` holds the
-    /// names of the relations the delta touched.
-    ///
-    /// Dirty bags re-run their retained build recipe, which reproduces
-    /// the build-time column layout exactly, so the tree shape and the
-    /// resolved semijoin keys carry over unchanged. Cache carry-over
-    /// follows each table's validity domain: a node's up-probe table and
-    /// leaf aggregation move over iff the node itself is clean; a node's
-    /// down-probe table (built over its *parent's* relation) moves over
-    /// iff the parent is clean.
+    /// materialization reads a relation in `dirty`, sharing the tree
+    /// shape, every clean bag's relation (an `Arc` bump, no buffer copy)
+    /// *and* the probe tables built from clean relations with `self`.
+    /// `q` must be the query this tree was built for and `db` the
+    /// post-delta database; `dirty` holds the names of the relations the
+    /// delta touched.
     ///
     /// Returns the refreshed tree plus the maintenance sparsity: how
     /// many bags were re-materialized out of the total. `rewritten == 0`
@@ -655,105 +660,38 @@ impl MaterializedBags {
         db: &Database,
         dirty: &[String],
     ) -> (MaterializedBags, PassStats) {
-        let n = self.relations.len();
-        let is_dirty_rel = |name: &str| dirty.iter().any(|d| d == name);
-        let dirty_bag: Vec<bool> = self
+        let shape = &self.shape;
+        let dirty_bag: Vec<bool> = shape
             .recipes
             .iter()
-            .map(|r| r.atoms().any(|ai| is_dirty_rel(&q.atoms[ai].relation)))
+            .map(|r| r.atoms().any(|ai| dirty.contains(&q.atoms[ai].relation)))
             .collect();
-        // Re-bind only the atoms the dirty bags actually read; clean
-        // relations are never scanned.
-        let mut bound: Vec<Option<FlatRelation>> = (0..q.atoms.len()).map(|_| None).collect();
-        for (u, recipe) in self.recipes.iter().enumerate() {
-            if !dirty_bag[u] {
-                continue;
-            }
-            for ai in recipe.atoms() {
-                if bound[ai].is_none() {
-                    bound[ai] = Some(FlatRelation::bind(&q.atoms[ai], db));
-                }
-            }
-        }
+        let n = dirty_bag.len();
         let dirty_nodes: Vec<usize> = (0..n).filter(|&u| dirty_bag[u]).collect();
-        let bound_tuples: usize = bound.iter().flatten().map(FlatRelation::len).sum();
-        let parallel = dirty_nodes.len() > 1
-            && bound_tuples >= PARALLEL_BAG_THRESHOLD
-            && !SEQUENTIAL_BAGS.with(std::cell::Cell::get);
-        let workers = if parallel {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            1
-        };
-        let remat: Vec<FlatRelation> = crate::par::scoped_map(dirty_nodes.len(), workers, |i| {
-            materialize_bag(&self.recipes[dirty_nodes[i]], |ai| {
-                bound[ai]
-                    .as_ref()
-                    // cqd2-lint: allow(panic-in-hot-path, reason = "every atom a dirty bag reads was bound in the loop above")
-                    .expect("dirty bag atom bound")
-            })
-        });
-        let mut relations: Vec<Arc<FlatRelation>> = self.relations.iter().map(Arc::clone).collect();
-        for (i, rel) in remat.into_iter().enumerate() {
-            let u = dirty_nodes[i];
+        let mut relations = self.relations.clone();
+        let remat = materialize(&shape.recipes, &dirty_nodes, q, db);
+        for (&u, rel) in dirty_nodes.iter().zip(remat) {
             debug_assert_eq!(
                 rel.vars(),
-                self.relations[u].vars(),
+                relations[u].vars(),
                 "recipe re-run must reproduce the bag's column layout"
             );
             relations[u] = Arc::new(rel);
         }
-        // Carry over the caches whose validity domain stayed clean.
-        let seed_key = |src: &OnceLock<Arc<KeyTable>>, valid: bool| {
-            let lock = OnceLock::new();
-            if valid {
-                if let Some(t) = src.get() {
-                    let _ = lock.set(Arc::clone(t));
-                }
-            }
-            lock
+        let clean = |u: usize| u != usize::MAX && !dirty_bag[u];
+        let caches = (0..n)
+            .map(|u| self.caches[u].carried(clean(u), clean(shape.parents[u])))
+            .collect();
+        let refreshed = MaterializedBags {
+            shape: Arc::clone(shape),
+            relations,
+            caches,
         };
-        let base_tables: Vec<OnceLock<Arc<KeyTable>>> = (0..n)
-            .map(|c| seed_key(&self.base_tables[c], !dirty_bag[c]))
-            .collect();
-        let down_tables: Vec<OnceLock<Arc<KeyTable>>> = (0..n)
-            .map(|c| {
-                let p = self.parents[c];
-                seed_key(&self.down_tables[c], p != usize::MAX && !dirty_bag[p])
-            })
-            .collect();
-        let leaf_aggs: Vec<OnceLock<Arc<AggTable>>> = (0..n)
-            .map(|c| {
-                let lock = OnceLock::new();
-                if !dirty_bag[c] {
-                    if let Some(t) = self.leaf_aggs[c].get() {
-                        let _ = lock.set(Arc::clone(t));
-                    }
-                }
-                lock
-            })
-            .collect();
         let stats = PassStats {
             rewritten: dirty_nodes.len(),
             total: n,
         };
-        (
-            MaterializedBags {
-                relations,
-                children: self.children.clone(),
-                parents: self.parents.clone(),
-                levels: self.levels.clone(),
-                up_key: self.up_key.clone(),
-                parent_key: self.parent_key.clone(),
-                base_tables,
-                leaf_aggs,
-                down_tables,
-                recipes: self.recipes.clone(),
-                root: self.root,
-                num_vars: self.num_vars,
-            },
-            stats,
-        )
+        (refreshed, stats)
     }
 
     /// `Arc` identity of bag `u`'s materialized relation — the witness
@@ -763,8 +701,8 @@ impl MaterializedBags {
         &self.relations[u]
     }
 
-    /// Decide `q(D) ≠ ∅` with an overlay Boolean pass (Prop. 2.2
-    /// bottom-up semijoins; copies only rewritten nodes).
+    /// Decide `q(D) ≠ ∅` with a Boolean pass (Prop. 2.2 bottom-up
+    /// semijoins; copies only the nodes it shrinks).
     pub fn bcq(&self) -> bool {
         self.bcq_with_stats().0
     }
@@ -772,58 +710,49 @@ impl MaterializedBags {
     /// [`MaterializedBags::bcq`] plus the pass's rewrite sparsity.
     pub fn bcq_with_stats(&self) -> (bool, PassStats) {
         let mut ov = BagOverlay::new(self);
-        let ok = self.reduce_bottom_up(&mut ov);
-        (ok && !ov.rel(self.root).is_empty(), ov.stats())
+        (self.reduce_bottom_up(&mut ov), ov.stats())
     }
 
-    /// Count `|q(D)|` with an overlay counting DP (Prop. 4.14
-    /// junction-tree DP; copies only merge targets).
+    /// Count `|q(D)|` with the counting DP (Prop. 4.14 junction-tree
+    /// DP; copies no rows).
     pub fn count(&self) -> u128 {
         self.count_with_stats().0
     }
 
-    /// [`MaterializedBags::count`] plus the pass's rewrite sparsity.
+    /// [`MaterializedBags::count`] plus its [`PassStats`]: `rewritten`
+    /// is 0 by construction — the DP carries, per non-leaf node, one
+    /// extension count per **base** row and never filters a relation.
     pub fn count_with_stats(&self) -> (u128, PassStats) {
+        let shape = &*self.shape;
         let n = self.relations.len();
-        let mut ov = BagOverlay::new(self);
-        // Per-row subtree extension counts; `None` = all ones (leaves
-        // never allocate one).
-        let mut counts: Vec<Option<Vec<u128>>> = vec![None; n];
-        let workers = self.pass_workers();
-        for level in self.levels.iter().rev() {
-            let work: Vec<usize> = level
-                .iter()
-                .copied()
-                .filter(|&u| !self.children[u].is_empty())
-                .collect();
-            if workers > 1 && work.len() > 1 {
-                let results = crate::par::scoped_map(work.len(), workers, |i| {
-                    self.count_node(&ov, &counts, work[i])
-                });
-                for (&u, (rel, cnt)) in work.iter().zip(results) {
-                    ov.set(u, rel);
-                    counts[u] = Some(cnt);
-                }
-            } else {
-                for &u in &work {
-                    let (rel, cnt) = self.count_node(&ov, &counts, u);
-                    ov.set(u, rel);
-                    counts[u] = Some(cnt);
-                }
-            }
-        }
-        let total = match &counts[self.root] {
-            Some(c) => c.iter().sum(),
-            // A root with no children: every root row is one answer.
-            None => ov.rel(self.root).len() as u128,
+        // Leaves keep an empty slot: their rows all count 1, and their
+        // aggregation comes from the per-leaf cache.
+        let mut counts: Vec<Vec<u128>> = vec![Vec::new(); n];
+        self.bottom_up(
+            &mut counts,
+            |counts, u| self.count_node(counts, u),
+            |counts, u, cnt| {
+                counts[u] = cnt;
+                true
+            },
+        );
+        let total = if shape.children[shape.root].is_empty() {
+            self.relations[shape.root].len() as u128
+        } else {
+            counts[shape.root].iter().sum()
         };
-        (total, ov.stats())
+        let stats = PassStats {
+            rewritten: 0,
+            total: n,
+        };
+        (total, stats)
     }
 
-    /// Open a streaming answer enumerator through an overlay reduction
-    /// (semijoin-reduce both ways, then constant-delay enumeration).
-    /// Untouched bags are shared with the base tree by `Arc`, so any
-    /// number of concurrent cursors pin one materialization.
+    /// Open a streaming answer enumerator over a two-way reduction
+    /// (semijoin-reduce bottom-up and top-down, then constant-delay
+    /// enumeration). Untouched bags are shared with the base tree by
+    /// `Arc`, so any number of concurrent cursors pin one
+    /// materialization.
     pub fn enumerator(&self) -> GhdEnumerator {
         self.enumerator_with_stats().0
     }
@@ -831,93 +760,84 @@ impl MaterializedBags {
     /// [`MaterializedBags::enumerator`] plus the reduction's rewrite
     /// sparsity (both passes combined).
     pub fn enumerator_with_stats(&self) -> (GhdEnumerator, PassStats) {
-        if self.relations.is_empty() {
-            return (GhdEnumerator::empty(), PassStats::default());
-        }
+        let shape = &*self.shape;
         let mut ov = BagOverlay::new(self);
         if !self.reduce_bottom_up(&mut ov) {
             return (GhdEnumerator::empty(), ov.stats());
         }
-        // Top-down pass (parents filter children): afterwards the tree
-        // is globally consistent — every surviving row extends to a full
-        // answer. Unrewritten parents probe through the cached
-        // parent-side table; rewritten ones build a fresh one.
-        for level in &self.levels {
-            for &u in level {
-                for &c in &self.children[u] {
-                    let filtered = if ov.is_rewritten(u) {
-                        let table = KeyTable::build(ov.rel(u), &self.parent_key[c]);
-                        ov.rel(c).semijoin_filter_with(&table, &self.up_key[c])
-                    } else {
-                        let table = self.down_tables[c].get_or_init(|| {
-                            Arc::new(KeyTable::build(&self.relations[u], &self.parent_key[c]))
-                        });
-                        ov.rel(c).semijoin_filter_with(table, &self.up_key[c])
-                    };
-                    if let Some(f) = filtered {
-                        ov.set(c, f);
-                    }
-                }
+        // Top-down pass (parents filter children, shallowest level
+        // first): afterwards the tree is globally consistent — every
+        // surviving row extends to a full answer.
+        for &c in shape
+            .levels
+            .iter()
+            .flatten()
+            .flat_map(|&u| &shape.children[u])
+        {
+            let table = self.down_table(&ov, c);
+            if let Some(f) = ov.rel(c).semijoin_filter_with(&table, &shape.up_key[c]) {
+                ov.set(c, f);
             }
         }
         (self.build_enumerator(&ov), ov.stats())
     }
 
-    /// Worker count for per-level tree passes: parallel only when some
-    /// level has two or more nodes with children (otherwise levels are
-    /// single-task and threads pure overhead), the tree is big enough to
-    /// amortize thread setup, and the caller did not opt out via
-    /// [`with_sequential_bags`].
-    fn pass_workers(&self) -> usize {
-        let wide = self
-            .levels
-            .iter()
-            .any(|l| l.iter().filter(|&&u| !self.children[u].is_empty()).count() > 1);
-        if !wide
-            || self.total_rows() < PARALLEL_PASS_THRESHOLD
-            || SEQUENTIAL_BAGS.with(std::cell::Cell::get)
-        {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
+    /// The probe table over node `u`'s current relation, keyed on
+    /// `up_key[u]`: the cached base-side table while the running pass
+    /// has left `u` unrewritten, a fresh one otherwise.
+    fn up_table(&self, ov: &BagOverlay<'_>, u: usize) -> Arc<KeyTable> {
+        let build = |rel: &FlatRelation| Arc::new(KeyTable::build(rel, &self.shape.up_key[u]));
+        match &ov.local[u] {
+            Some(rel) => build(rel),
+            None => Arc::clone(self.caches[u].up.get_or_init(|| build(&self.relations[u]))),
         }
     }
 
-    /// Bottom-up Yannakakis pass over the overlay, per level from the
-    /// deepest up. Returns `false` as soon as any bag is (or becomes)
-    /// empty — then `q(D) = ∅`.
-    fn reduce_bottom_up(&self, ov: &mut BagOverlay<'_>) -> bool {
-        if self.relations.iter().any(|r| r.is_empty()) {
-            return false;
+    /// The probe table over the current relation of `c`'s parent, keyed
+    /// on `parent_key[c]`: cached while the parent is unrewritten, fresh
+    /// otherwise.
+    fn down_table(&self, ov: &BagOverlay<'_>, c: usize) -> Arc<KeyTable> {
+        let (p, cache) = (self.shape.parents[c], &self.caches[c].down);
+        let build = |rel: &FlatRelation| Arc::new(KeyTable::build(rel, &self.shape.parent_key[c]));
+        match &ov.local[p] {
+            Some(rel) => build(rel),
+            None => Arc::clone(cache.get_or_init(|| build(&self.relations[p]))),
         }
-        let workers = self.pass_workers();
-        for level in self.levels.iter().rev() {
-            let work: Vec<usize> = level
-                .iter()
-                .copied()
-                .filter(|&u| !self.children[u].is_empty())
-                .collect();
+    }
+
+    /// The one bottom-up level walk, deepest level first, over the
+    /// non-leaf nodes. `visit(state, u)` computes node `u`'s result
+    /// reading only the state of deeper levels; `merge(state, u, result)`
+    /// installs it and returns `false` to stop the walk (which then
+    /// returns `false`). A level's visits fan out over scoped threads
+    /// when some level has two or more non-leaf nodes (otherwise threads
+    /// are pure overhead) and the tree is big enough to amortize them.
+    fn bottom_up<S: Sync, R: Send + Sync>(
+        &self,
+        state: &mut S,
+        visit: impl Fn(&S, usize) -> R + Sync,
+        mut merge: impl FnMut(&mut S, usize, R) -> bool,
+    ) -> bool {
+        let levels = &self.shape.levels;
+        let wide = levels.iter().any(|l| l.len() > 1);
+        let workers = workers_if(wide && self.total_rows() >= PARALLEL_PASS_THRESHOLD);
+        for work in levels.iter().rev() {
             if workers > 1 && work.len() > 1 {
+                let deeper: &S = state;
                 let results =
-                    crate::par::scoped_map(work.len(), workers, |i| self.reduce_node(ov, work[i]));
-                let mut emptied = false;
+                    crate::par::scoped_map(work.len(), workers, |i| visit(deeper, work[i]));
+                let mut go = true;
                 for (&u, res) in work.iter().zip(results) {
-                    if let Some(rel) = res {
-                        emptied |= rel.is_empty();
-                        ov.set(u, rel);
-                    }
+                    go &= merge(state, u, res);
                 }
-                if emptied {
+                if !go {
                     return false;
                 }
             } else {
-                for &u in &work {
-                    if let Some(rel) = self.reduce_node(ov, u) {
-                        let emptied = rel.is_empty();
-                        ov.set(u, rel);
-                        if emptied {
-                            return false;
-                        }
+                for &u in work {
+                    let res = visit(state, u);
+                    if !merge(state, u, res) {
+                        return false;
                     }
                 }
             }
@@ -925,26 +845,32 @@ impl MaterializedBags {
         true
     }
 
+    /// Bottom-up Yannakakis pass over the overlay. Returns `false` as
+    /// soon as any bag is (or becomes) empty — then `q(D) = ∅`.
+    fn reduce_bottom_up(&self, ov: &mut BagOverlay<'_>) -> bool {
+        !self.relations.iter().any(|r| r.is_empty())
+            && self.bottom_up(
+                ov,
+                |ov, u| self.reduce_node(ov, u),
+                |ov, u, shrunk| {
+                    shrunk.is_none_or(|rel| {
+                        let alive = !rel.is_empty();
+                        ov.set(u, rel);
+                        alive
+                    })
+                },
+            )
+    }
+
     /// Semijoin node `u` against each of its children through the
     /// overlay. `None` = every row survived every child (node unchanged,
-    /// nothing written). Unrewritten children probe through the cached
-    /// base-side table; rewritten ones build a fresh one.
+    /// nothing written).
     fn reduce_node(&self, ov: &BagOverlay<'_>, u: usize) -> Option<FlatRelation> {
         let mut cur: Option<FlatRelation> = None;
-        for &c in &self.children[u] {
-            let parent = match &cur {
-                Some(r) => r,
-                None => ov.rel(u),
-            };
-            let filtered = if ov.is_rewritten(c) {
-                let table = KeyTable::build(ov.rel(c), &self.up_key[c]);
-                parent.semijoin_filter_with(&table, &self.parent_key[c])
-            } else {
-                let table = self.base_tables[c]
-                    .get_or_init(|| Arc::new(KeyTable::build(&self.relations[c], &self.up_key[c])));
-                parent.semijoin_filter_with(table, &self.parent_key[c])
-            };
-            if let Some(f) = filtered {
+        for &c in &self.shape.children[u] {
+            let parent: &FlatRelation = cur.as_ref().unwrap_or_else(|| ov.rel(u));
+            let table = self.up_table(ov, c);
+            if let Some(f) = parent.semijoin_filter_with(&table, &self.shape.parent_key[c]) {
                 let emptied = f.is_empty();
                 cur = Some(f);
                 if emptied {
@@ -955,59 +881,95 @@ impl MaterializedBags {
         cur
     }
 
-    /// One counting-DP merge: fold node `u`'s children into `(filtered
-    /// relation, per-row counts)`. Children's aggregation tables come
-    /// from the per-leaf cache when possible (leaves are never rewritten
-    /// and their counts stay all-ones).
-    fn count_node(
-        &self,
-        ov: &BagOverlay<'_>,
-        counts: &[Option<Vec<u128>>],
-        u: usize,
-    ) -> (FlatRelation, Vec<u128>) {
-        let mut rel: Option<FlatRelation> = None;
-        let mut cnt: Option<Vec<u128>> = None;
-        for &c in &self.children[u] {
-            let parent = match &rel {
-                Some(r) => r,
-                None => ov.rel(u),
-            };
-            // `u` is merged here for the first time, so its incoming
-            // counts are all-ones until `cnt` is populated.
-            let fresh;
-            let agg: &AggTable = if self.children[c].is_empty() {
-                debug_assert!(!ov.is_rewritten(c) && counts[c].is_none());
-                self.leaf_aggs[c].get_or_init(|| {
-                    Arc::new(AggTable::build(&self.relations[c], &self.up_key[c], None))
-                })
+    /// Wire up a [`GhdEnumerator`] over the fully semijoin-reduced tree
+    /// in `ov`: covered-variable check, pre-order, per-bag parent-key
+    /// probe tables. Untouched bags are shared with the prepared
+    /// materialization by `Arc` — relation and cached probe table both.
+    fn build_enumerator(&self, ov: &BagOverlay<'_>) -> GhdEnumerator {
+        let shape = &*self.shape;
+        // Every variable must be carried by some bag; a variable outside
+        // all bags (possible only for degenerate hand-built inputs)
+        // cannot be assigned, so — like the naive enumerator — there are
+        // no answers.
+        let mut covered = vec![false; shape.num_vars];
+        for rel in &self.relations {
+            for v in rel.vars() {
+                covered[v.idx()] = true;
+            }
+        }
+        if covered.iter().any(|c| !c) {
+            return GhdEnumerator::empty();
+        }
+        // Pre-order over the rooted tree, parents first.
+        let mut pre_order = Vec::with_capacity(self.relations.len());
+        let mut stack = vec![shape.root];
+        while let Some(u) = stack.pop() {
+            pre_order.push(u);
+            stack.extend(shape.children[u].iter().copied());
+        }
+        // Each bag relation's columns are exactly its bag's variables, and
+        // by the running-intersection property every variable of bag `u`
+        // already assigned by an earlier (pre-order) bag also lives in
+        // `u`'s parent bag — so chaining each bag's rows by its
+        // parent-shared columns (`up_key`, empty at the root: one chain of
+        // every row) is enough to keep the walk consistent.
+        let levels: Vec<EnumLevel> = pre_order
+            .iter()
+            .map(|&u| {
+                let rel = Arc::clone(ov.rel(u));
+                let slot = |c: usize| rel.vars()[c].idx();
+                EnumLevel {
+                    write: (0..rel.arity()).map(slot).collect(),
+                    key_slots: shape.up_key[u].iter().map(|&c| slot(c)).collect(),
+                    index: self.up_table(ov, u),
+                    rel,
+                }
+            })
+            .collect();
+        GhdEnumerator {
+            choice: vec![0; levels.len()],
+            levels,
+            assignment: vec![0; shape.num_vars],
+            scratch: Vec::new(),
+            started: false,
+            done: false,
+        }
+    }
+
+    /// One counting-DP merge: node `u`'s per-base-row extension counts,
+    /// the product over `u`'s children of the child counts summed by
+    /// shared key. A row some child cannot extend gets 0, which is what
+    /// dropping it would contribute to `u`'s own parent.
+    fn count_node(&self, counts: &[Vec<u128>], u: usize) -> Vec<u128> {
+        let shape = &*self.shape;
+        let rel = &*self.relations[u];
+        let mut cnt: Vec<u128> = Vec::new();
+        for &c in &shape.children[u] {
+            let (child, key) = (&*self.relations[c], &shape.up_key[c]);
+            let agg = if shape.children[c].is_empty() {
+                let leaf = || Arc::new(AggTable::build(child, key, None));
+                Arc::clone(self.caches[c].leaf_agg.get_or_init(leaf))
             } else {
-                fresh = AggTable::build(ov.rel(c), &self.up_key[c], counts[c].as_deref());
-                &fresh
+                Arc::new(AggTable::build(child, key, Some(&counts[c])))
             };
-            let arity = parent.arity();
-            let key_cols = &self.parent_key[c];
+            let key_cols = &shape.parent_key[c];
             let mut scratch = vec![0u64; key_cols.len()];
-            let mut data: Vec<u64> = Vec::with_capacity(parent.len() * arity);
-            let mut kept: Vec<u128> = Vec::with_capacity(parent.len());
-            for (i, t) in parent.iter().enumerate() {
+            let mut sum_for = |t: &[u64]| {
                 for (s, &p) in scratch.iter_mut().zip(key_cols) {
                     *s = t[p];
                 }
-                if let Some(sum) = agg.get(&scratch) {
-                    data.extend_from_slice(t);
-                    kept.push(cnt.as_ref().map_or(1, |v| v[i]) * sum);
+                agg.get(&scratch)
+            };
+            if cnt.is_empty() {
+                // First child: its sums are the counts so far.
+                cnt = rel.iter().map(sum_for).collect();
+            } else {
+                for (t, n) in rel.iter().zip(&mut cnt).filter(|(_, n)| **n != 0) {
+                    *n *= sum_for(t);
                 }
             }
-            let rows = kept.len();
-            rel = Some(FlatRelation::from_parts(parent.vars().to_vec(), rows, data));
-            cnt = Some(kept);
         }
-        (
-            // cqd2-lint: allow(panic-in-hot-path, reason = "the non-leaf arm iterates at least one child, which sets both slots")
-            rel.expect("count_node called with children"),
-            // cqd2-lint: allow(panic-in-hot-path, reason = "set together with rel above")
-            cnt.expect("count_node called with children"),
-        )
+        cnt
     }
 }
 
@@ -1018,12 +980,8 @@ pub fn bcq_via_ghd(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Result<boo
 }
 
 /// Count `|q(D)|` for a full CQ using the junction-tree DP over a GHD
-/// (Prop. 4.14: polynomial for bounded-width GHDs).
-///
-/// Subtree extension counts live in a dense `Vec<u128>` aligned with
-/// each bag's row order; merging a child aggregates its counts by packed
-/// shared-variable key and rewrites the parent in one pass (rows with no
-/// child match drop out, exactly the Yannakakis filter).
+/// (Prop. 4.14: polynomial for bounded-width GHDs): `build`, then
+/// [`MaterializedBags::count`].
 pub fn count_via_ghd(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Result<u128, EvalError> {
     Ok(MaterializedBags::build(q, db, ghd)?.count())
 }
@@ -1176,69 +1134,6 @@ pub fn enumerate_via_ghd(
     Ok(MaterializedBags::build(q, db, ghd)?.enumerator())
 }
 
-impl MaterializedBags {
-    /// Wire up a [`GhdEnumerator`] over the fully semijoin-reduced tree
-    /// in `ov`: covered-variable check, pre-order, per-bag parent-key
-    /// probe tables. Untouched bags are shared with the prepared
-    /// materialization by `Arc` — relation and cached probe table both.
-    fn build_enumerator(&self, ov: &BagOverlay<'_>) -> GhdEnumerator {
-        // Every variable must be carried by some bag; a variable outside
-        // all bags (possible only for degenerate hand-built inputs)
-        // cannot be assigned, so — like the naive enumerator — there are
-        // no answers.
-        let mut covered = vec![false; self.num_vars];
-        for rel in &self.relations {
-            for v in rel.vars() {
-                covered[v.idx()] = true;
-            }
-        }
-        if covered.iter().any(|c| !c) {
-            return GhdEnumerator::empty();
-        }
-        // Pre-order over the rooted tree, parents first.
-        let mut pre_order = Vec::with_capacity(self.relations.len());
-        let mut stack = vec![self.root];
-        while let Some(u) = stack.pop() {
-            pre_order.push(u);
-            stack.extend(self.children[u].iter().copied());
-        }
-        // Each bag relation's columns are exactly its bag's variables, and
-        // by the running-intersection property every variable of bag `u`
-        // already assigned by an earlier (pre-order) bag also lives in
-        // `u`'s parent bag — so chaining each bag's rows by its
-        // parent-shared columns (`up_key`, empty at the root: one chain of
-        // every row) is enough to keep the walk consistent.
-        let levels: Vec<EnumLevel> = pre_order
-            .iter()
-            .map(|&u| {
-                let rel = ov.rel_shared(u);
-                let slot = |c: usize| rel.vars()[c].idx();
-                let index = if ov.is_rewritten(u) {
-                    Arc::new(KeyTable::build(&rel, &self.up_key[u]))
-                } else {
-                    Arc::clone(self.base_tables[u].get_or_init(|| {
-                        Arc::new(KeyTable::build(&self.relations[u], &self.up_key[u]))
-                    }))
-                };
-                EnumLevel {
-                    write: (0..rel.arity()).map(slot).collect(),
-                    key_slots: self.up_key[u].iter().map(|&c| slot(c)).collect(),
-                    index,
-                    rel,
-                }
-            })
-            .collect();
-        GhdEnumerator {
-            choice: vec![0; levels.len()],
-            levels,
-            assignment: vec![0; self.num_vars],
-            scratch: Vec::new(),
-            started: false,
-            done: false,
-        }
-    }
-}
-
 /// Decide BCQ, choosing the GHD route when an exact decomposition is
 /// available (small hypergraph) and falling back to naive search.
 pub fn bcq_auto(q: &ConjunctiveQuery, db: &Database) -> bool {
@@ -1249,14 +1144,9 @@ pub fn bcq_auto(q: &ConjunctiveQuery, db: &Database) -> bool {
 /// holds a decomposition of `q.hypergraph()` (e.g. a plan cache) skips
 /// the re-decomposition entirely.
 pub fn bcq_auto_with(q: &ConjunctiveQuery, db: &Database, ghd: Option<&Ghd>) -> bool {
-    match ghd {
-        // cqd2-lint: allow(panic-in-hot-path, reason = "callers pass a GHD derived from this query; a mismatch is a caller bug strict verify catches earlier")
-        Some(g) => bcq_via_ghd(q, db, g).expect("precomputed ghd is valid for this query"),
-        None => match ghw_decomposition(&q.hypergraph()) {
-            // cqd2-lint: allow(panic-in-hot-path, reason = "the GHD was just computed from this query's hypergraph")
-            Some(g) => bcq_via_ghd(q, db, &g).expect("ghd is valid for this query"),
-            None => bcq_naive(q, db),
-        },
+    match auto_bags(q, db, ghd) {
+        Some(bags) => bags.bcq(),
+        None => bcq_naive(q, db),
     }
 }
 
@@ -1267,15 +1157,25 @@ pub fn count_auto(q: &ConjunctiveQuery, db: &Database) -> u128 {
 
 /// [`count_auto`] with an optional precomputed GHD (see [`bcq_auto_with`]).
 pub fn count_auto_with(q: &ConjunctiveQuery, db: &Database, ghd: Option<&Ghd>) -> u128 {
-    match ghd {
-        // cqd2-lint: allow(panic-in-hot-path, reason = "callers pass a GHD derived from this query; a mismatch is a caller bug strict verify catches earlier")
-        Some(g) => count_via_ghd(q, db, g).expect("precomputed ghd is valid for this query"),
-        None => match ghw_decomposition(&q.hypergraph()) {
-            // cqd2-lint: allow(panic-in-hot-path, reason = "the GHD was just computed from this query's hypergraph")
-            Some(g) => count_via_ghd(q, db, &g).expect("ghd is valid for this query"),
-            None => count_naive(q, db),
-        },
+    match auto_bags(q, db, ghd) {
+        Some(bags) => bags.count(),
+        None => count_naive(q, db),
     }
+}
+
+/// The bag tree along the supplied GHD, else along a freshly computed
+/// exact one; `None` when no decomposition is computable.
+fn auto_bags(q: &ConjunctiveQuery, db: &Database, ghd: Option<&Ghd>) -> Option<MaterializedBags> {
+    let computed;
+    let ghd = match ghd {
+        Some(g) => g,
+        None => {
+            computed = ghw_decomposition(&q.hypergraph())?;
+            &computed
+        }
+    };
+    // cqd2-lint: allow(panic-in-hot-path, reason = "the GHD was computed from this query's hypergraph, here or by the caller; a mismatch is a caller bug strict verify catches earlier")
+    Some(MaterializedBags::build(q, db, ghd).expect("ghd is valid for this query"))
 }
 
 #[cfg(test)]
@@ -1529,6 +1429,7 @@ mod tests {
         // Warm the caches with a full pass mix before refreshing.
         assert!(bags.bcq());
         assert!(bags.count() > 0);
+        assert!(bags.enumerator().count() > 0);
 
         // Delta: grow T, leave R and S untouched.
         let mut delta = DatabaseDelta::new();
@@ -1551,6 +1452,18 @@ mod tests {
             }
         }
         assert_eq!(shared, stats.total - stats.rewritten);
+        // A table built from a re-materialized relation is not carried:
+        // `up` / `leaf_agg` die with the node, `down` with its parent.
+        let dirty = |u: usize| !Arc::ptr_eq(bags.bag_arc(u), warm.bag_arc(u));
+        for u in 0..bags.num_bags() {
+            let (cache, p) = (&warm.caches[u], warm.shape.parents[u]);
+            if dirty(u) {
+                assert!(cache.up.get().is_none() && cache.leaf_agg.get().is_none());
+            }
+            if p != usize::MAX && dirty(p) {
+                assert!(cache.down.get().is_none());
+            }
+        }
 
         // The refreshed tree answers exactly like a cold rebuild.
         let fresh = MaterializedBags::build(&q, &applied.db, &ghd).unwrap();
@@ -1574,14 +1487,41 @@ mod tests {
         db.insert_all("Unrelated", &[vec![9]]);
         let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
         let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        // Fill every cache family: bcq (up), count (leaf_agg),
+        // enumerator (down).
+        assert!(bags.bcq());
+        assert_eq!(bags.count(), 1);
+        assert_eq!(bags.enumerator().count(), 1);
         let mut delta = DatabaseDelta::new();
         delta.insert("Unrelated", vec![10]);
         let applied = db.apply_delta(&delta).unwrap();
         let (warm, stats) = bags.refresh(&q, &applied.db, &applied.touched);
         assert_eq!(stats.rewritten, 0);
+        assert!(Arc::ptr_eq(&bags.shape, &warm.shape));
+        // No probe table is rebuilt: each one filled before the refresh
+        // is the same table after it.
+        fn same<T>(a: &OnceLock<Arc<T>>, b: &OnceLock<Arc<T>>) -> bool {
+            match (a.get(), b.get()) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+        }
+        let mut filled = 0;
         for u in 0..bags.num_bags() {
             assert!(Arc::ptr_eq(bags.bag_arc(u), warm.bag_arc(u)));
+            let (old, new) = (&bags.caches[u], &warm.caches[u]);
+            assert!(same(&old.up, &new.up), "bag {u}: up table rebuilt");
+            assert!(same(&old.down, &new.down), "bag {u}: down table rebuilt");
+            assert!(
+                same(&old.leaf_agg, &new.leaf_agg),
+                "bag {u}: leaf agg rebuilt"
+            );
+            filled += usize::from(old.up.get().is_some())
+                + usize::from(old.down.get().is_some())
+                + usize::from(old.leaf_agg.get().is_some());
         }
+        assert!(filled > 0, "the warm-up must have filled some cache");
         assert!(warm.bcq());
     }
 
@@ -1595,8 +1535,8 @@ mod tests {
         let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
         let mut warm = MaterializedBags::build(&q, &db, &ghd).unwrap();
         for round in 0u64..4 {
-            // Warm every cache family: bcq (base_tables), count
-            // (leaf_aggs), enumerator (down_tables).
+            // Warm every cache family: bcq (up), count (leaf_agg),
+            // enumerator (down).
             let _ = warm.bcq();
             let _ = warm.count();
             let _ = warm.enumerator().count();

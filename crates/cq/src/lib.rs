@@ -19,11 +19,14 @@
 //!   cardinality estimator the `cqd2-engine` cost model consumes.
 //! - [`eval`]: the naive backtracking evaluators (exponential; the
 //!   oracle every differential suite targets) and GHD-guided evaluation
-//!   on a [`MaterializedBags`] tree, one overlay pass per problem:
+//!   on a [`MaterializedBags`] tree — a shared data-independent shape,
+//!   the immutable bag relations and one probe-table cache record per
+//!   node — walked by one level loop, one non-mutating pass per problem:
 //!   bottom-up semijoins for **BCQ** (Prop. 2.2), the junction-tree DP
-//!   for **#CQ** (Prop. 4.14), two-way reduction then constant-delay
-//!   enumeration. Bag materialization parallelizes over the
-//!   decomposition's bags on large databases.
+//!   for **#CQ** (Prop. 4.14; it carries per-row counts, never row
+//!   copies), two-way reduction then constant-delay enumeration. Bag
+//!   materialization parallelizes over the decomposition's bags on large
+//!   databases.
 //! - [`hom`]: homomorphisms between queries, cores, Boolean equivalence,
 //!   and semantic generalized hypertree width (`ghw` of the core,
 //!   Section 4.3).

@@ -64,7 +64,7 @@ pub(crate) fn hash_key(key: &[u64]) -> u64 {
 /// Chained hash table over the key columns of a relation: the build side
 /// of semijoin/join probes. Self-contained (key columns are copied in),
 /// so a cached table stays valid as long as the relation it was built
-/// from is unchanged — the bag-tree overlay caches one per node.
+/// from is unchanged — the bag tree caches them per node.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyTable {
     /// Key width (columns per key).
@@ -213,7 +213,9 @@ pub(crate) struct AggTable {
 impl AggTable {
     /// Aggregate `rel`'s rows by `key_cols`, summing `counts` (`None` =
     /// every row counts 1 — the leaf-bag case, which is what makes the
-    /// table cacheable per leaf).
+    /// table cacheable per leaf). Rows counting 0 are skipped: absent
+    /// and 0 read the same through [`AggTable::get`], so only the rows
+    /// that still extend pay an insert.
     pub(crate) fn build(
         rel: &FlatRelation,
         key_cols: &[usize],
@@ -233,11 +235,15 @@ impl AggTable {
         let arity = rel.arity();
         let mut scratch = vec![0u64; k];
         for i in 0..n {
+            let count = counts.map_or(1, |c| c[i]);
+            if count == 0 {
+                continue;
+            }
             let row = &rel.data[i * arity..i * arity + arity];
             for (t, &c) in key_cols.iter().enumerate() {
                 scratch[t] = row[c];
             }
-            table.add(&scratch, counts.map_or(1, |c| c[i]));
+            table.add(&scratch, count);
         }
         table
     }
@@ -262,19 +268,21 @@ impl AggTable {
         }
     }
 
-    /// The aggregated sum for `key`, if any build row had it.
+    /// The aggregated sum for `key`: 0 when no build row had it — to the
+    /// counting DP an unmatched key and one whose rows all count 0 are
+    /// the same thing, a parent row with no extension.
     #[inline]
-    pub(crate) fn get(&self, key: &[u64]) -> Option<u128> {
+    pub(crate) fn get(&self, key: &[u64]) -> u128 {
         debug_assert_eq!(key.len(), self.k);
         let mut b = (hash_key(key) & self.mask) as usize;
         loop {
             let e = self.slots[b];
             if e == EMPTY {
-                return None;
+                return 0;
             }
             let o = e as usize * self.k;
             if &self.keys[o..o + self.k] == key {
-                return Some(self.sums[e as usize]);
+                return self.sums[e as usize];
             }
             b = (b + 1) & self.mask as usize;
         }
@@ -360,24 +368,27 @@ mod tests {
         let r = rel(&[0, 1], &[&[1, 10], &[1, 11], &[2, 20]]);
         // All-ones counts: multiplicity per key.
         let a = AggTable::build(&r, &[0], None);
-        assert_eq!(a.get(&[1]), Some(2));
-        assert_eq!(a.get(&[2]), Some(1));
-        assert_eq!(a.get(&[3]), None);
+        assert_eq!(a.get(&[1]), 2);
+        assert_eq!(a.get(&[2]), 1);
+        assert_eq!(a.get(&[3]), 0);
         // Explicit counts aggregate by sum.
         let b = AggTable::build(&r, &[0], Some(&[5, 7, 11]));
-        assert_eq!(b.get(&[1]), Some(12));
-        assert_eq!(b.get(&[2]), Some(11));
+        assert_eq!(b.get(&[1]), 12);
+        assert_eq!(b.get(&[2]), 11);
         // Zero-column key aggregates everything.
         let c = AggTable::build(&r, &[], Some(&[5, 7, 11]));
-        assert_eq!(c.get(&[]), Some(23));
+        assert_eq!(c.get(&[]), 23);
+        // Rows counting 0 add nothing, alone or beside live rows.
+        let d = AggTable::build(&r, &[0], Some(&[0, 7, 0]));
+        assert_eq!((d.get(&[1]), d.get(&[2])), (7, 0));
     }
 
     #[test]
     fn agg_table_empty_relation() {
         let e = FlatRelation::empty(vec![Var(0)]);
         let a = AggTable::build(&e, &[0], None);
-        assert_eq!(a.get(&[1]), None);
+        assert_eq!(a.get(&[1]), 0);
         let a0 = AggTable::build(&e, &[], None);
-        assert_eq!(a0.get(&[]), None);
+        assert_eq!(a0.get(&[]), 0);
     }
 }

@@ -1,16 +1,15 @@
-//! Differential suite for the copy-free overlay execution paths: every
-//! workload (Boolean / Count / Enumerate) run through [`BagOverlay`]
-//! reads (`bcq` / `count` / `enumerator` on a shared
-//! [`MaterializedBags`]) must agree with the naive backtracking oracle
-//! (`bcq_naive` / `count_naive` / `enumerate_naive`) across randomized,
-//! empty, and duplicate-heavy databases — and the overlay runs must not
-//! perturb the shared tree (re-running yields the same answers, and
-//! concurrent readers agree).
+//! Differential suite for the copy-free tree passes: every workload
+//! (Boolean / Count / Enumerate) run as `bcq` / `count` / `enumerator`
+//! on a shared [`MaterializedBags`] must agree with the naive
+//! backtracking oracle (`bcq_naive` / `count_naive` / `enumerate_naive`)
+//! across randomized, empty, dangling and duplicate-heavy databases —
+//! and the passes must not perturb the shared tree (re-running yields
+//! the same answers, concurrent readers agree, a count copies nothing).
 
 use cqd2_cq::generate::random_database;
 use cqd2_cq::{
     bcq_naive, count_naive, enumerate_naive, with_sequential_bags, ConjunctiveQuery, Database,
-    MaterializedBags,
+    MaterializedBags, PassStats,
 };
 use cqd2_decomp::{Ghd, TreeDecomposition};
 use cqd2_hypergraph::VertexId;
@@ -55,25 +54,33 @@ fn bushy() -> (ConjunctiveQuery, Ghd) {
     (q, ghd)
 }
 
-/// Overlay answers vs the naive oracle on ONE shared tree, twice (the
-/// second round proves overlay runs leave the base untouched: same
-/// answers, same enumeration order). Returns `(bool, count, sorted
-/// tuples)` for further checks.
+/// Pass answers vs the naive oracle on ONE shared tree, twice (the
+/// second round proves passes leave the base untouched: same answers,
+/// same enumeration order), with every count pass reporting that it
+/// copied nothing. Returns `(bool, count, sorted tuples, the Boolean
+/// pass's sparsity)` for further checks.
 fn assert_overlay_matches_naive(
     q: &ConjunctiveQuery,
     db: &Database,
     ghd: &Ghd,
-) -> (bool, u128, Vec<Vec<u64>>) {
+) -> (bool, u128, Vec<Vec<u64>>, PassStats) {
     let bags = MaterializedBags::build(q, db, ghd).expect("bag tree materializes");
     let naive_bool = bcq_naive(q, db);
     let naive_count = count_naive(q, db);
     let naive_tuples = enumerate_naive(q, db);
     let mut first_order: Option<Vec<Vec<u64>>> = None;
+    let mut bool_stats = PassStats::default();
     for round in 0..2 {
-        let (b, _) = bags.bcq_with_stats();
+        let (b, stats) = bags.bcq_with_stats();
         assert_eq!(b, naive_bool, "bcq diverged (round {round})");
-        let (n, _) = bags.count_with_stats();
+        bool_stats = stats;
+        let (n, stats) = bags.count_with_stats();
         assert_eq!(n, naive_count, "count diverged (round {round})");
+        assert_eq!(
+            (stats.rewritten, stats.total),
+            (0, bags.num_bags()),
+            "round {round}: a count pass never rewrites"
+        );
         let (e, _) = bags.enumerator_with_stats();
         let streamed: Vec<Vec<u64>> = e.collect();
         let mut sorted = streamed.clone();
@@ -84,18 +91,53 @@ fn assert_overlay_matches_naive(
             Some(first) => assert_eq!(&streamed, first, "re-run changed the stream order"),
         }
     }
-    (naive_bool, naive_count, naive_tuples)
+    (naive_bool, naive_count, naive_tuples, bool_stats)
 }
 
 #[test]
 fn randomized_databases_agree() {
     let (q, ghd) = bushy();
+    let mut rewriting = 0;
     for seed in 0..8 {
         for domain in [3, 8, 32] {
             let db = random_database(&q, domain, 40, seed);
-            assert_overlay_matches_naive(&q, &db, &ghd);
+            let (.., bool_stats) = assert_overlay_matches_naive(&q, &db, &ghd);
+            rewriting += usize::from(bool_stats.rewritten > 0);
         }
     }
+    // The count == oracle, `rewritten == 0` checks above must have run
+    // on trees whose Boolean pass *does* rewrite, not only on the
+    // all-survive fast path.
+    assert!(
+        rewriting > 0,
+        "no randomized fixture made bcq rewrite a bag"
+    );
+}
+
+#[test]
+fn dangling_inner_rows_count_zero() {
+    let (q, ghd) = bushy();
+    // Inner bag B0 carries three rows under the one root row: one that
+    // extends 3 × 2 ways below, one whose `c` has no C0 partner and one
+    // whose `d` has no C1 partner. The dangling rows count 0 and must
+    // add nothing to the root row's sum (nor may a half-matched row
+    // keep the partial product of the child it did match).
+    let mut db = Database::new();
+    db.insert_all("A", &[vec![1, 1]]);
+    db.insert_all("B0", &[vec![1, 2, 3], vec![1, 5, 3], vec![1, 2, 7]]);
+    db.insert_all("B1", &[vec![1, 4, 4], vec![1, 4, 8]]);
+    db.insert_all("C0", &[vec![2, 10], vec![2, 11], vec![2, 12]]);
+    db.insert_all("C1", &[vec![3, 20], vec![3, 21]]);
+    db.insert_all("C2", &[vec![4, 30], vec![4, 31]]);
+    db.insert_all("C3", &[vec![4, 40]]);
+    let (b, n, tuples, bool_stats) = assert_overlay_matches_naive(&q, &db, &ghd);
+    // B0: 3·2 + 0 + 0; B1: 2·1 + 2·0.
+    assert!(b);
+    assert_eq!((n, tuples.len()), (6 * 2, 12));
+    assert!(
+        bool_stats.rewritten > 0,
+        "the Boolean pass drops the danglers"
+    );
 }
 
 #[test]
@@ -106,7 +148,7 @@ fn empty_databases_agree() {
     for atom in &q.atoms {
         empty.insert_all(&atom.relation, &[]);
     }
-    let (b, n, tuples) = assert_overlay_matches_naive(&q, &empty, &ghd);
+    let (b, n, tuples, _) = assert_overlay_matches_naive(&q, &empty, &ghd);
     assert!(!b && n == 0 && tuples.is_empty());
 
     // One emptied leaf wipes everything through the semijoin passes:
@@ -119,7 +161,7 @@ fn empty_databases_agree() {
         }
     }
     db.insert_all("C3", &[]);
-    let (b, n, tuples) = assert_overlay_matches_naive(&q, &db, &ghd);
+    let (b, n, tuples, _) = assert_overlay_matches_naive(&q, &db, &ghd);
     assert!(!b && n == 0 && tuples.is_empty());
 
     // Disjoint join domains: every relation nonempty, zero answers.
@@ -135,7 +177,7 @@ fn empty_databases_agree() {
             .collect();
         disjoint.insert_all(&atom.relation, &rows);
     }
-    let (b, n, tuples) = assert_overlay_matches_naive(&q, &disjoint, &ghd);
+    let (b, n, tuples, _) = assert_overlay_matches_naive(&q, &disjoint, &ghd);
     assert!(!b && n == 0 && tuples.is_empty());
 }
 
@@ -215,7 +257,12 @@ fn parallel_passes_match_sequential() {
         bool_stats.rewritten > 0,
         "fixture must actually rewrite bags to exercise the parallel pass"
     );
-    let (par_count, _) = bags.count_with_stats();
+    let (par_count, count_stats) = bags.count_with_stats();
+    assert_eq!(
+        (count_stats.rewritten, count_stats.total),
+        (0, bags.num_bags()),
+        "the count pass copies nothing on the tree the Boolean pass rewrites"
+    );
     let par_tuples: Vec<Vec<u64>> = bags.enumerator().collect();
     let (seq_bool, seq_count, seq_tuples) = with_sequential_bags(|| {
         let b = bags.bcq();
@@ -233,7 +280,7 @@ fn join_consistent_data_rewrites_no_bag() {
     let (q, ghd) = bushy();
     // Diagonal relations: row `i` is `(i, i, …)`, so every join column
     // covers `[0, 50)` on both sides of every tree edge and no semijoin
-    // drops a row — the warm-serving shape the overlay exists for.
+    // drops a row — the warm-serving shape copy-free passes exist for.
     let mut db = Database::new();
     for atom in &q.atoms {
         let rows: Vec<Vec<u64>> = (0..50).map(|i| vec![i; atom.terms.len()]).collect();

@@ -81,12 +81,7 @@ impl DatabaseSnapshot {
     /// its full statistics once (`O(‖D‖)`).
     pub fn new(name: impl Into<String>, epoch: u64, db: Database) -> DatabaseSnapshot {
         let stats = db.stats();
-        DatabaseSnapshot {
-            name: name.into(),
-            epoch,
-            db,
-            stats,
-        }
+        DatabaseSnapshot::with_stats(name, epoch, db, stats)
     }
 
     /// Construction from *precomputed* statistics: what the snapshot
@@ -153,10 +148,61 @@ pub struct Catalog {
     entries: RwLock<BTreeMap<String, Arc<DatabaseSnapshot>>>,
 }
 
+/// Which map slot [`Catalog::install`] may write.
+enum Slot<'a> {
+    /// The name must be unpublished; the snapshot gets epoch 0.
+    New,
+    /// The name must be published; the snapshot gets the next epoch.
+    Replace,
+    /// As `Replace`, but only while the published snapshot is still
+    /// this one (compare-and-swap).
+    ReplaceIf(&'a Arc<DatabaseSnapshot>),
+}
+
 impl Catalog {
     /// An empty catalog.
     pub fn new() -> Catalog {
         Catalog::default()
+    }
+
+    /// The one publication routine — the only place that takes the
+    /// write lock and the only place that assigns an epoch. Callers
+    /// compute `stats` *before* calling, so the lock is held for the map
+    /// update alone. `Ok(None)` is a lost [`Slot::ReplaceIf`] race:
+    /// nothing was published.
+    fn install(
+        &self,
+        name: &str,
+        slot: Slot<'_>,
+        db: Database,
+        stats: DatabaseStats,
+    ) -> Result<Option<Arc<DatabaseSnapshot>>, EngineError> {
+        let mut entries = write_or_poison(&self.entries);
+        let epoch = match (entries.get(name), slot) {
+            (None, Slot::New) => 0,
+            (Some(_), Slot::New) => return Err(EngineError::DuplicateDatabase(name.to_string())),
+            (None, _) => return Err(EngineError::UnknownDatabase(name.to_string())),
+            (Some(live), Slot::ReplaceIf(expected)) if !Arc::ptr_eq(live, expected) => {
+                return Ok(None);
+            }
+            (Some(live), _) => live.epoch + 1,
+        };
+        let snapshot = Arc::new(DatabaseSnapshot::with_stats(name, epoch, db, stats));
+        entries.insert(name.to_string(), Arc::clone(&snapshot));
+        Ok(Some(snapshot))
+    }
+
+    /// [`Catalog::install`] for the slots that cannot lose a race.
+    fn install_now(
+        &self,
+        name: &str,
+        slot: Slot<'_>,
+        db: Database,
+        stats: DatabaseStats,
+    ) -> Result<Arc<DatabaseSnapshot>, EngineError> {
+        let installed = self.install(name, slot, db, stats)?;
+        // cqd2-lint: allow(panic-in-hot-path, reason = "only Slot::ReplaceIf yields Ok(None), and apply_delta, its one user, calls install directly")
+        Ok(installed.expect("Slot::New / Slot::Replace cannot lose a race"))
     }
 
     /// Publish `db` under a *new* name at epoch 0. Rejects names that
@@ -169,38 +215,20 @@ impl Catalog {
         name: impl Into<String>,
         db: Database,
     ) -> Result<Arc<DatabaseSnapshot>, EngineError> {
-        let name = name.into();
-        // Statistics are computed outside the lock; the write lock is
-        // held only for the map insert.
-        let snapshot = Arc::new(DatabaseSnapshot::new(name.clone(), 0, db));
-        let mut entries = write_or_poison(&self.entries);
-        if entries.contains_key(&name) {
-            return Err(EngineError::DuplicateDatabase(name));
-        }
-        entries.insert(name, Arc::clone(&snapshot));
-        Ok(snapshot)
+        let stats = db.stats();
+        self.publish_with_stats(name, db, stats)
     }
 
     /// Atomically publish a new snapshot for an *existing* name at the
     /// next epoch. Sessions and prepared queries pinning the previous
     /// snapshot are undisturbed — they keep answering against their
     /// epoch until dropped; new sessions (and epoch-keyed caches) see
-    /// the new snapshot immediately.
+    /// the new snapshot immediately. The statistics scan happens before
+    /// the write lock, so readers are blocked only for the pointer swap;
+    /// the epoch is read under it, so concurrent swaps serialize cleanly.
     pub fn swap(&self, name: &str, db: Database) -> Result<Arc<DatabaseSnapshot>, EngineError> {
-        // The statistics scan happens before the write lock so readers
-        // are blocked only for the pointer swap. The epoch is re-read
-        // under the lock, so concurrent swaps serialize cleanly.
-        let stats_ready = DatabaseSnapshot::new(name, 0, db);
-        let mut entries = write_or_poison(&self.entries);
-        let Some(current) = entries.get(name) else {
-            return Err(EngineError::UnknownDatabase(name.to_string()));
-        };
-        let snapshot = Arc::new(DatabaseSnapshot {
-            epoch: current.epoch + 1,
-            ..stats_ready
-        });
-        entries.insert(name.to_string(), Arc::clone(&snapshot));
-        Ok(snapshot)
+        let stats = db.stats();
+        self.swap_with_stats(name, db, stats)
     }
 
     /// [`Catalog::publish`] with precomputed statistics
@@ -212,14 +240,7 @@ impl Catalog {
         db: Database,
         stats: DatabaseStats,
     ) -> Result<Arc<DatabaseSnapshot>, EngineError> {
-        let name = name.into();
-        let snapshot = Arc::new(DatabaseSnapshot::with_stats(name.clone(), 0, db, stats));
-        let mut entries = write_or_poison(&self.entries);
-        if entries.contains_key(&name) {
-            return Err(EngineError::DuplicateDatabase(name));
-        }
-        entries.insert(name, Arc::clone(&snapshot));
-        Ok(snapshot)
+        self.install_now(&name.into(), Slot::New, db, stats)
     }
 
     /// [`Catalog::swap`] with precomputed statistics (the snapshot
@@ -231,17 +252,7 @@ impl Catalog {
         db: Database,
         stats: DatabaseStats,
     ) -> Result<Arc<DatabaseSnapshot>, EngineError> {
-        let ready = DatabaseSnapshot::with_stats(name, 0, db, stats);
-        let mut entries = write_or_poison(&self.entries);
-        let Some(current) = entries.get(name) else {
-            return Err(EngineError::UnknownDatabase(name.to_string()));
-        };
-        let snapshot = Arc::new(DatabaseSnapshot {
-            epoch: current.epoch + 1,
-            ..ready
-        });
-        entries.insert(name.to_string(), Arc::clone(&snapshot));
-        Ok(snapshot)
+        self.install_now(name, Slot::Replace, db, stats)
     }
 
     /// Apply a delta batch to the database published under `name` and
@@ -270,23 +281,14 @@ impl Catalog {
     ) -> Result<crate::delta::DeltaOutcome, EngineError> {
         loop {
             let current = self.snapshot(name)?;
-            // Merge + statistics stitch, outside any lock.
             let applied = current.db().apply_delta(delta)?;
             let stats = current.stats().updated_for(&applied.db, &applied.touched);
-            let ready = DatabaseSnapshot::with_stats(name, 0, applied.db, stats);
-            let mut entries = write_or_poison(&self.entries);
-            let Some(live) = entries.get(name) else {
-                return Err(EngineError::UnknownDatabase(name.to_string()));
-            };
-            if !Arc::ptr_eq(live, &current) {
+            let Some(snapshot) =
+                self.install(name, Slot::ReplaceIf(&current), applied.db, stats)?
+            else {
                 // A concurrent publish won; redo the merge on top of it.
                 continue;
-            }
-            let snapshot = Arc::new(DatabaseSnapshot {
-                epoch: live.epoch + 1,
-                ..ready
-            });
-            entries.insert(name.to_string(), Arc::clone(&snapshot));
+            };
             return Ok(crate::delta::DeltaOutcome {
                 snapshot,
                 previous: current,

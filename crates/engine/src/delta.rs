@@ -333,5 +333,35 @@ mod tests {
         assert_eq!(snap.epoch(), 3 * rounds);
         assert_eq!(snap.db().size() as u64, 4 + 3 * rounds);
         assert_eq!(snap.stats().total_tuples(), snap.db().size());
+
+        // Mixed writers on the same name: whole-database swaps racing
+        // compare-and-swap deltas. Every successful install — of either
+        // kind — takes exactly one epoch, and whichever lands last, the
+        // published statistics describe the published data.
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let (catalog, start) = (&catalog, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..rounds {
+                        let published = if t % 2 == 0 {
+                            let mut delta = DatabaseDelta::new();
+                            delta.insert("R", vec![5000 + t * rounds + i, 9]);
+                            catalog.apply_delta("hot", &delta).map(|o| o.snapshot)
+                        } else {
+                            let mut db = cqd2_cq::Database::new();
+                            db.insert_all("R", &[vec![t, i], vec![t, i + 1]]);
+                            catalog.swap("hot", db)
+                        };
+                        let snap = published.unwrap();
+                        assert_eq!(snap.stats().total_tuples(), snap.db().size());
+                    }
+                });
+            }
+        });
+        let last = catalog.snapshot("hot").unwrap();
+        assert_eq!(last.epoch(), snap.epoch() + 8 * rounds);
+        assert_eq!(last.stats().total_tuples(), last.db().size());
     }
 }

@@ -177,8 +177,10 @@ pub struct PlanProvenance {
     pub execution: Duration,
     /// Rewrite sparsity of the run's tree pass over the materialized
     /// bag tree (`None` on naive plans, which have none). `rewritten = 0`
-    /// is the ideal warm case: pure probing, no copies. One-shot calls
-    /// measure it too — same pass, over a tree they just built.
+    /// means pure probing, no copies: the ideal warm case for Boolean and
+    /// enumerate runs, and every count run (the counting DP never
+    /// rewrites a bag). One-shot calls measure it too — same pass, over
+    /// a tree they just built.
     pub bags: Option<PassStats>,
     /// How this handle crossed the most recent delta epoch, if it was
     /// maintained rather than freshly prepared: `warm-overlay` when the

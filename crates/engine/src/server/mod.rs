@@ -264,11 +264,11 @@ struct DbMetrics {
     overloads: Counter,
     prepared_hits: Counter,
     prepared_misses: Counter,
-    /// Bag nodes the overlay tree passes rewrote (copied + filtered),
-    /// summed over every answered GHD-plan query.
+    /// Bag nodes the tree passes rewrote (copied + filtered), summed
+    /// over every answered GHD-plan query (counts contribute 0).
     bags_rewritten: Counter,
     /// Bag nodes those passes visited in total; `rewritten / total` is
-    /// the production overlay-sparsity ratio (0 = ideal warm serving:
+    /// the production pass-sparsity ratio (0 = ideal warm serving:
     /// every run was pure probing over the shared materialization).
     bags_total: Counter,
     /// Delta batches successfully merged into this database.
@@ -414,11 +414,11 @@ pub struct ServerStats {
     /// file was missing, unreadable, corrupt, or version-skewed (the
     /// old epoch kept serving every time).
     pub store_errors: u64,
-    /// Bag nodes rewritten (copied + filtered) by overlay tree passes
-    /// across all answered GHD-plan queries.
+    /// Bag nodes rewritten (copied + filtered) by tree passes across
+    /// all answered GHD-plan queries (a count pass rewrites none).
     pub bags_rewritten: u64,
     /// Bag nodes visited by those passes in total. The ratio
-    /// `bags_rewritten / bags_total` is the serving fleet's overlay
+    /// `bags_rewritten / bags_total` is the serving fleet's pass
     /// sparsity; 0 means every warm run was copy-free.
     pub bags_total: u64,
     /// Successful `Delta` frame applications (structural-sharing epoch
@@ -818,8 +818,8 @@ impl Server {
         } else {
             config.workers
         };
-        // When several workers share the machine, nested intra-query bag
-        // parallelism would oversubscribe it.
+        // When several workers share the machine, nested intra-query
+        // parallelism under each tree pass would oversubscribe it.
         let sequential_bags = workers > 1;
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -956,16 +956,21 @@ fn execute_job(job: Job<'_>, metrics: &ServerMetrics, sequential_bags: bool) {
             t.record_with(Phase::Plan, plan, provenance);
             t.record(Phase::Materialize, materialize);
         }
-        let resp = match trace.as_mut() {
-            Some(t) if sequential_bags => {
-                with_sequential_bags(|| prepared.run_traced(item.workload, t))
-            }
+        // Only the run is pinned sequential: a prepared-cache miss above
+        // still materializes its bags in parallel, which is what keeps
+        // the first read after a delta short.
+        let mut run = || match trace.as_mut() {
             Some(t) => prepared.run_traced(item.workload, t),
-            None if sequential_bags => with_sequential_bags(|| prepared.run(item.workload)),
             None => prepared.run(item.workload),
         };
-        // Overlay-sparsity accounting: how much of the prepared bag
-        // tree this run had to copy (0 rewritten = fully copy-free).
+        let resp = if sequential_bags {
+            with_sequential_bags(run)
+        } else {
+            run()
+        };
+        // Pass-sparsity accounting: how much of the prepared bag tree
+        // this run had to copy (0 rewritten = fully copy-free, which a
+        // count always is).
         if let Some(pass) = &resp.provenance.bags {
             db_metrics.bags_rewritten.add(pass.rewritten as u64);
             db_metrics.bags_total.add(pass.total as u64);

@@ -352,11 +352,11 @@ pub struct WireDbStats {
     pub prepared_hits: u64,
     /// Prepared-query cache misses.
     pub prepared_misses: u64,
-    /// Bag nodes rewritten (copied + filtered) by overlay tree passes
-    /// over this database's prepared bag trees.
+    /// Bag nodes rewritten (copied + filtered) by tree passes over
+    /// this database's prepared bag trees (a count pass rewrites none).
     pub bags_rewritten: u64,
     /// Bag nodes those passes visited in total; `rewritten / total` is
-    /// this database's overlay sparsity (0 = fully copy-free serving).
+    /// this database's pass sparsity (0 = fully copy-free serving).
     pub bags_total: u64,
     /// Delta batches successfully applied to this database.
     pub delta_batches: u64,
@@ -412,7 +412,7 @@ pub struct WireStats {
     /// `Reload { path }` frames rejected with `Store` (bad snapshot
     /// file; the old epoch kept serving).
     pub store_errors: u64,
-    /// Bag nodes rewritten by overlay tree passes (all databases).
+    /// Bag nodes rewritten by tree passes (all databases).
     pub bags_rewritten: u64,
     /// Bag nodes visited by those passes in total (all databases).
     pub bags_total: u64,

@@ -354,9 +354,10 @@ impl PreparedCore {
     }
 
     /// Execute for `workload` against `db` (which must be the database
-    /// the core was built from) through a [`cqd2_cq::eval::BagOverlay`]:
-    /// the shared bag tree is never cloned — the pass copies only the
-    /// nodes it rewrites, and provenance reports how many that was.
+    /// the core was built from) with one tree pass: the shared bag tree
+    /// is never cloned — a Boolean or enumerate pass copies only the
+    /// nodes it rewrites, a count pass none — and provenance reports how
+    /// many that was.
     fn run(&self, db: &Database, workload: Workload) -> Response {
         let exec_start = Instant::now();
         let (answer, pass) = match workload {
@@ -485,10 +486,10 @@ impl PreparedQuery {
     /// Execute the prepared plan for `workload`. No planning happens
     /// here — provenance carries the resolved plan with a zero planning
     /// duration (see [`PreparedQuery::planning_time`] for the cost paid
-    /// at prepare time). GHD passes run **copy-free** through an overlay
-    /// over the shared materialized bag tree: only the nodes a pass
-    /// rewrites are copied (provenance's `bags` field reports how many),
-    /// and on join-consistent data warm runs copy nothing at all.
+    /// at prepare time). GHD passes run **copy-free** over the shared
+    /// materialized bag tree: only the nodes a Boolean or enumerate pass
+    /// rewrites are copied (provenance's `bags` field reports how many;
+    /// on join-consistent data that is none), and a count copies nothing.
     ///
     /// `Enumerate` materializes up to `limit` answers into
     /// [`Answer::Tuples`]; use [`PreparedQuery::cursor`] to stream

@@ -36,7 +36,6 @@
 //! on-disk layout.
 
 use std::collections::BTreeMap;
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -259,17 +258,6 @@ impl<'a> Cursor<'a> {
 // Encoding.
 // ---------------------------------------------------------------------
 
-/// Per-column distinct counts of one stored relation (the statistics
-/// the table of contents persists).
-fn distinct_counts(rel: &cqd2_cq::database::StoredRelation) -> Vec<u64> {
-    (0..rel.arity)
-        .map(|col| {
-            let values: HashSet<u64> = rel.tuples.iter().map(|t| t[col]).collect();
-            values.len() as u64
-        })
-        .collect()
-}
-
 /// Encode `db` as a version-[`FORMAT_VERSION`] snapshot. Statistics are
 /// computed here, once — the save is where the `O(‖D‖)` pass is paid so
 /// every later load can skip it.
@@ -306,8 +294,8 @@ pub fn encode_snapshot_with(db: &Database, version: u32, flags: u32) -> Vec<u8> 
         buf.extend_from_slice(&(rel.arity as u32).to_le_bytes());
         buf.extend_from_slice(&(rel.tuples.len() as u64).to_le_bytes());
         buf.extend_from_slice(&(offset as u64).to_le_bytes());
-        for d in distinct_counts(rel) {
-            buf.extend_from_slice(&d.to_le_bytes());
+        for d in RelationStats::collect(rel).distinct {
+            buf.extend_from_slice(&(d as u64).to_le_bytes());
         }
     }
     for ((_, rel), &offset) in rels.iter().zip(&offsets) {
@@ -549,11 +537,36 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotFile, StoreError> {
 // File I/O and catalog integration.
 // ---------------------------------------------------------------------
 
-/// Encode `db` and write it to `path`. Returns the file size in bytes.
+/// Replace the file at `path` with `bytes` atomically: write a
+/// temporary file beside it, `sync_all`, then `rename` over the target
+/// and sync the directory. A crash (or a full disk) at any point leaves
+/// either the old file or the new one — never a torn mix that a later
+/// load would have to reject.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    use std::io::Write;
+    static NEXT_TMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    let n = NEXT_TMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    name.push(format!(".tmp.{}.{n}", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(StoreError::io(path, &e));
+    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))
+        .and_then(|d| d.sync_all())
+        .map_err(|e| StoreError::io(path, &e))
+}
+
+/// Encode `db` and write it to `path` (atomically: a failed write leaves
+/// any previous file intact). Returns the file size in bytes.
 pub fn write_snapshot(path: impl AsRef<Path>, db: &Database) -> Result<u64, StoreError> {
-    let path = path.as_ref();
     let bytes = encode_snapshot(db);
-    std::fs::write(path, &bytes).map_err(|e| StoreError::io(path, &e))?;
+    write_atomic(path.as_ref(), &bytes)?;
     Ok(bytes.len() as u64)
 }
 
@@ -722,8 +735,7 @@ mod plans {
             epochs,
             plans,
         };
-        std::fs::write(path, serde::json::to_string(&spill))
-            .map_err(|e| StoreError::io(path, &e))?;
+        super::write_atomic(path, serde::json::to_string(&spill).as_bytes())?;
         Ok(count)
     }
 
@@ -929,6 +941,19 @@ mod tests {
         let snap2 = swap_snapshot(&catalog, "main", &path).unwrap();
         assert_eq!(snap2.epoch(), 1);
         assert_eq!(snap2.db(), &db2);
+
+        // Writes are atomic replaces: the overwrite left no temporary
+        // sibling behind, and a write that cannot land is a typed error.
+        let target = path.file_name().unwrap().to_string_lossy().into_owned();
+        let siblings = std::fs::read_dir(&dir).unwrap().flatten().filter(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with(&target) && name != target
+        });
+        assert_eq!(siblings.count(), 0);
+        match write_snapshot(dir.join("cqd2-store-test-no-such-dir/x.cqds"), &db) {
+            Err(StoreError::Io { .. }) => {}
+            other => panic!("{other:?}"),
+        }
 
         // A missing file is a typed error and leaves the epoch serving.
         let missing = dir.join("cqd2-store-test-definitely-missing.cqds");
