@@ -150,7 +150,11 @@ pub fn enumerate_naive_limit(
 
 /// Core backtracking loop. `on_solution` receives the full assignment
 /// (indexed by `Var` id) and returns `false` to stop the search.
-fn backtrack(q: &ConjunctiveQuery, db: &Database, on_solution: &mut dyn FnMut(&[u64]) -> bool) {
+pub(crate) fn backtrack(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    on_solution: &mut dyn FnMut(&[u64]) -> bool,
+) {
     let bound: Vec<FlatRelation> = q.atoms.iter().map(|a| FlatRelation::bind(a, db)).collect();
     if bound.iter().any(FlatRelation::is_empty) {
         return;

@@ -6,92 +6,87 @@
 //! both ways; the *core* is the minimal retract, and the semantic
 //! generalized hypertree width is `ghw(core(q))` (Barceló et al.,
 //! reference \[4\] of the paper).
+//!
+//! The search is not a second evaluator: by Chandra–Merlin the
+//! homomorphisms `q₁ → q₂` are exactly the answers of `q₁` over `q₂`'s
+//! *canonical database* (one fact per atom, every term frozen to a
+//! value), so the naive evaluator's backtracking join enumerates them.
 
+use crate::database::Database;
+use crate::eval::backtrack;
 use crate::query::{Atom, ConjunctiveQuery, Term, Var};
 use cqd2_decomp::widths::ghw_exact;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
+
+/// The canonical database's relation for `atom`. The arity is part of
+/// the name: a query (unlike a [`Database`]) may use one symbol at two
+/// arities, and such atoms never match each other.
+fn frozen_relation(atom: &Atom) -> String {
+    format!("{}/{}", atom.relation, atom.terms.len())
+}
+
+/// The first homomorphism `q1 → q2` (a map from `q1`'s variables to
+/// terms of `q2`) that `accept`s, searched as the answers of `q1` over
+/// `q2`'s canonical database.
+fn first_homomorphism(
+    q1: &ConjunctiveQuery,
+    q2: &ConjunctiveQuery,
+    accept: &dyn Fn(&[Term]) -> bool,
+) -> Option<Vec<Term>> {
+    // A term of `q2` freezes to its index in this list; a constant `q2`
+    // never mentions has no image, so it freezes to a value no fact holds.
+    let mut terms: Vec<Term> = q2.vars().map(Term::Var).collect();
+    for t in q2.atoms.iter().flat_map(|a| &a.terms) {
+        if !terms.contains(t) {
+            terms.push(*t);
+        }
+    }
+    let value = |t: &Term| terms.iter().position(|u| u == t).unwrap_or(usize::MAX) as u64;
+    let mut canonical = Database::new();
+    for atom in &q2.atoms {
+        let fact: Vec<u64> = atom.terms.iter().map(value).collect();
+        canonical.insert(&frozen_relation(atom), &fact);
+    }
+    // `q1` keeps its variables and freezes its constants like `q2`'s.
+    let freeze = |t: &Term| match t {
+        Term::Var(_) => *t,
+        Term::Const(_) => Term::Const(value(t)),
+    };
+    let atoms = q1.atoms.iter().map(|atom| Atom {
+        relation: frozen_relation(atom),
+        terms: atom.terms.iter().map(freeze).collect(),
+    });
+    let frozen = ConjunctiveQuery {
+        atoms: atoms.collect(),
+        var_names: q1.var_names.clone(),
+    };
+    let mut found = None;
+    backtrack(&frozen, &canonical, &mut |answer| {
+        let hom: Vec<Term> = answer.iter().map(|&v| terms[v as usize]).collect();
+        if accept(&hom) {
+            found = Some(hom);
+        }
+        found.is_none()
+    });
+    found
+}
 
 /// Find a homomorphism from `q1` to `q2`, as a map from `q1`'s variables
 /// to terms of `q2`.
 pub fn find_homomorphism(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> Option<Vec<Term>> {
-    // Candidate targets: variables and constants of q2.
-    let mut targets: Vec<Term> = q2.vars().map(Term::Var).collect();
-    let consts: BTreeSet<u64> = q2
-        .atoms
-        .iter()
-        .flat_map(|a| {
-            a.terms.iter().filter_map(|t| match t {
-                Term::Const(c) => Some(*c),
-                _ => None,
-            })
-        })
-        .collect();
-    targets.extend(consts.into_iter().map(Term::Const));
-    let atom_set: std::collections::HashSet<&Atom> = q2.atoms.iter().collect();
-    let mut mapping: Vec<Option<Term>> = vec![None; q1.num_vars()];
-    if assign(q1, &atom_set, &targets, 0, &mut mapping) {
-        Some(mapping.into_iter().map(Option::unwrap).collect())
-    } else {
-        None
-    }
+    first_homomorphism(q1, q2, &|_| true)
 }
 
-fn assign(
-    q1: &ConjunctiveQuery,
-    q2_atoms: &std::collections::HashSet<&Atom>,
-    targets: &[Term],
-    v: usize,
-    mapping: &mut Vec<Option<Term>>,
-) -> bool {
-    if v == q1.num_vars() {
-        return check_all(q1, q2_atoms, mapping);
-    }
-    for &t in targets {
-        mapping[v] = Some(t);
-        // Early check: atoms fully mapped so far must already match.
-        if atoms_consistent(q1, q2_atoms, mapping) && assign(q1, q2_atoms, targets, v + 1, mapping)
-        {
-            return true;
-        }
-    }
-    mapping[v] = None;
-    false
-}
-
-fn map_atom(atom: &Atom, mapping: &[Option<Term>]) -> Option<Atom> {
-    let terms: Option<Vec<Term>> = atom
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(Term::Const(*c)),
-            Term::Var(v) => mapping[v.idx()],
-        })
-        .collect();
-    terms.map(|terms| Atom {
+/// The image of `atom` under a total variable mapping.
+fn map_atom(atom: &Atom, mapping: &[Term]) -> Atom {
+    let image = |t: &Term| match t {
+        Term::Const(_) => *t,
+        Term::Var(v) => mapping[v.idx()],
+    };
+    Atom {
         relation: atom.relation.clone(),
-        terms,
-    })
-}
-
-fn atoms_consistent(
-    q1: &ConjunctiveQuery,
-    q2_atoms: &std::collections::HashSet<&Atom>,
-    mapping: &[Option<Term>],
-) -> bool {
-    q1.atoms.iter().all(|a| match map_atom(a, mapping) {
-        Some(img) => q2_atoms.contains(&img),
-        None => true, // not fully mapped yet
-    })
-}
-
-fn check_all(
-    q1: &ConjunctiveQuery,
-    q2_atoms: &std::collections::HashSet<&Atom>,
-    mapping: &[Option<Term>],
-) -> bool {
-    q1.atoms
-        .iter()
-        .all(|a| q2_atoms.contains(&map_atom(a, mapping).expect("fully mapped")))
+        terms: atom.terms.iter().map(image).collect(),
+    }
 }
 
 /// Are `q1` and `q2` Boolean-equivalent (homomorphically equivalent)?
@@ -103,86 +98,28 @@ pub fn equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 /// whose atom image is a strict subset) and restrict to its image.
 pub fn core_of(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     let mut cur = q.clone();
-    loop {
-        match proper_endomorphism(&cur) {
-            Some(mapping) => {
-                cur = image_query(&cur, &mapping);
-            }
-            None => return cur,
-        }
+    while let Some(mapping) = proper_endomorphism(&cur) {
+        cur = image_query(&cur, &mapping);
     }
+    cur
 }
 
 /// Search for an endomorphism of `q` whose atom image has fewer atoms.
 fn proper_endomorphism(q: &ConjunctiveQuery) -> Option<Vec<Term>> {
-    // Enumerate endomorphisms via the hom search, but require a strictly
-    // smaller atom image. We iterate over candidate "dropped" atoms: an
-    // endomorphism avoiding atom a as an image of anything... simpler:
-    // enumerate all endomorphisms via backtracking and test the image
-    // size. To keep the search tractable we try, for each atom, a
-    // targeted search that forbids the identity on some variable.
-    let atom_set: std::collections::HashSet<&Atom> = q.atoms.iter().collect();
-    let targets: Vec<Term> = q.vars().map(Term::Var).collect();
-    let mut mapping: Vec<Option<Term>> = vec![None; q.num_vars()];
-    let mut found: Option<Vec<Term>> = None;
-    enumerate_endos(q, &atom_set, &targets, 0, &mut mapping, &mut |m| {
-        let image: std::collections::HashSet<Atom> = q
-            .atoms
-            .iter()
-            .map(|a| map_atom(a, m).expect("total"))
-            .collect();
-        if image.len() < q.atoms.len() {
-            found = Some(m.iter().map(|t| t.expect("total")).collect());
-            false
-        } else {
-            true
-        }
-    });
-    found
-}
-
-fn enumerate_endos(
-    q: &ConjunctiveQuery,
-    atom_set: &std::collections::HashSet<&Atom>,
-    targets: &[Term],
-    v: usize,
-    mapping: &mut Vec<Option<Term>>,
-    on_total: &mut dyn FnMut(&[Option<Term>]) -> bool,
-) -> bool {
-    if v == q.num_vars() {
-        return on_total(mapping);
-    }
-    for &t in targets {
-        mapping[v] = Some(t);
-        if atoms_consistent(q, atom_set, mapping)
-            && !enumerate_endos(q, atom_set, targets, v + 1, mapping, on_total)
-        {
-            return false;
-        }
-    }
-    mapping[v] = None;
-    true
+    first_homomorphism(q, q, &|hom| {
+        let image: HashSet<Atom> = q.atoms.iter().map(|a| map_atom(a, hom)).collect();
+        image.len() < q.atoms.len()
+    })
 }
 
 /// The query induced by applying `mapping` to `q` and deduplicating
 /// atoms; variables not in the image are dropped and remaining variables
 /// renumbered.
 fn image_query(q: &ConjunctiveQuery, mapping: &[Term]) -> ConjunctiveQuery {
-    let mapped: Vec<Atom> = q
-        .atoms
-        .iter()
-        .map(|a| {
-            let m: Vec<Option<Term>> = mapping.iter().map(|&t| Some(t)).collect();
-            map_atom(a, &m).expect("total")
-        })
-        .collect();
-    // Dedup atoms, renumber surviving variables.
-    let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut atoms: Vec<Atom> = Vec::new();
-    for a in mapped {
-        let key = format!("{a:?}");
-        if seen.insert(key) {
-            atoms.push(a);
+    for image in q.atoms.iter().map(|a| map_atom(a, mapping)) {
+        if !atoms.contains(&image) {
+            atoms.push(image);
         }
     }
     let mut renum: HashMap<Var, Var> = HashMap::new();
@@ -242,6 +179,23 @@ mod tests {
         assert!(find_homomorphism(&q1, &q2).is_none());
         let q3 = ConjunctiveQuery::parse(&[("R", &["?a", "3"])]);
         assert!(find_homomorphism(&q1, &q3).is_some());
+    }
+
+    #[test]
+    fn variables_may_land_on_constants_and_arities_never_mix() {
+        // The canonical database freezes constants too, so `?x ↦ 3` is a
+        // homomorphism — and an endomorphism the core retracts along.
+        let q1 = ConjunctiveQuery::parse(&[("R", &["?x", "?y"])]);
+        let q2 = ConjunctiveQuery::parse(&[("R", &["3", "?a"])]);
+        let h = find_homomorphism(&q1, &q2).expect("x ↦ 3, y ↦ a");
+        assert_eq!(h, vec![Term::Const(3), Term::Var(Var(0))]);
+        let q = ConjunctiveQuery::parse(&[("R", &["?x", "4"]), ("R", &["3", "4"])]);
+        assert_eq!(core_of(&q).atoms.len(), 1);
+        // One symbol at two arities is two relations, not a panic.
+        let unary = ConjunctiveQuery::parse(&[("R", &["?x"])]);
+        let mixed = ConjunctiveQuery::parse(&[("R", &["?a", "?b"]), ("R", &["?c"])]);
+        assert!(find_homomorphism(&unary, &mixed).is_some());
+        assert!(find_homomorphism(&mixed, &unary).is_none());
     }
 
     #[test]

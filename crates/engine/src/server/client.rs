@@ -67,13 +67,7 @@ impl Client {
     /// Bind this connection to the named database. Must precede
     /// [`Client::request`]; may be repeated to switch databases.
     pub fn bind_db(&mut self, name: &str) -> Result<WireBound, ServerError> {
-        self.send(FrameType::Bind, name.as_bytes())?;
-        let frame = self.read()?;
-        match frame.frame_type {
-            FrameType::Bound => decode(&frame),
-            FrameType::Error => Err(ServerError::Rejected(decode(&frame)?)),
-            other => Err(ServerError::UnexpectedFrame(other)),
-        }
+        self.round_trip(FrameType::Bind, name.as_bytes(), FrameType::Bound)
     }
 
     /// Send a query batch (`Q:` lines + `@…` directives, the
@@ -94,30 +88,27 @@ impl Client {
     pub fn request(&mut self, text: &str) -> Result<BatchReply, ServerError> {
         self.send(FrameType::Query, text.as_bytes())?;
         let request = self.seq;
+        // A frame for another request means the caller pipelined.
+        let check = |kind: &str, got: u64| {
+            if got == request {
+                return Ok(());
+            }
+            Err(ServerError::Decode(format!(
+                "{kind} for request {got} while awaiting {request} — use send()/read() \
+                 to correlate pipelined requests"
+            )))
+        };
         let mut results: Vec<WireResult> = Vec::new();
         loop {
             let frame = self.read()?;
             match frame.frame_type {
                 FrameType::Result => {
                     let result: WireResult = decode(&frame)?;
-                    if result.request != request {
-                        return Err(ServerError::Decode(format!(
-                            "Result for request {} while awaiting {request} — use send()/read() \
-                             to correlate pipelined requests",
-                            result.request
-                        )));
-                    }
+                    check("Result", result.request)?;
                     results.push(result);
                 }
                 FrameType::Done => {
-                    let done: WireDone = decode(&frame)?;
-                    if done.request != request {
-                        return Err(ServerError::Decode(format!(
-                            "Done for request {} while awaiting {request} — use send()/read() \
-                             to correlate pipelined requests",
-                            done.request
-                        )));
-                    }
+                    check("Done", decode::<WireDone>(&frame)?.request)?;
                     return Ok(BatchReply { request, results });
                 }
                 FrameType::Error => return Err(ServerError::Rejected(decode(&frame)?)),
@@ -155,13 +146,7 @@ impl Client {
     /// data.
     pub fn reload(&mut self, name: &str, facts: &str) -> Result<WireReloaded, ServerError> {
         let payload = format!("{name}\n{facts}");
-        self.send(FrameType::Reload, payload.as_bytes())?;
-        let frame = self.read()?;
-        match frame.frame_type {
-            FrameType::Reloaded => decode(&frame),
-            FrameType::Error => Err(ServerError::Rejected(decode(&frame)?)),
-            other => Err(ServerError::UnexpectedFrame(other)),
-        }
+        self.round_trip(FrameType::Reload, payload.as_bytes(), FrameType::Reloaded)
     }
 
     /// Apply an incremental delta batch to the named database: a
@@ -180,13 +165,11 @@ impl Client {
     /// epoch keeps serving unmoved.
     pub fn delta(&mut self, name: &str, script: &str) -> Result<WireDeltaApplied, ServerError> {
         let payload = format!("{name}\n{script}");
-        self.send(FrameType::Delta, payload.as_bytes())?;
-        let frame = self.read()?;
-        match frame.frame_type {
-            FrameType::DeltaApplied => decode(&frame),
-            FrameType::Error => Err(ServerError::Rejected(decode(&frame)?)),
-            other => Err(ServerError::UnexpectedFrame(other)),
-        }
+        self.round_trip(
+            FrameType::Delta,
+            payload.as_bytes(),
+            FrameType::DeltaApplied,
+        )
     }
 
     /// Hot-reload the named database from a **server-local** snapshot
@@ -204,13 +187,7 @@ impl Client {
     /// whether reloads are enabled): a protocol-v2 `CatalogInfo` admin
     /// frame.
     pub fn catalog_info(&mut self) -> Result<WireCatalog, ServerError> {
-        self.send(FrameType::CatalogInfo, b"")?;
-        let frame = self.read()?;
-        match frame.frame_type {
-            FrameType::Catalog => decode(&frame),
-            FrameType::Error => Err(ServerError::Rejected(decode(&frame)?)),
-            other => Err(ServerError::UnexpectedFrame(other)),
-        }
+        self.round_trip(FrameType::CatalogInfo, b"", FrameType::Catalog)
     }
 
     /// Fetch the server's metrics snapshot — lifetime counters, live
@@ -218,10 +195,23 @@ impl Client {
     /// protocol-v2 `Stats` admin frame (always authorized; stats are
     /// read-only).
     pub fn stats(&mut self) -> Result<WireStats, ServerError> {
-        self.send(FrameType::Stats, b"")?;
+        self.round_trip(FrameType::Stats, b"", FrameType::StatsReport)
+    }
+
+    /// One single-frame exchange: send `payload` as a `send` frame and
+    /// decode the answer — an `expect` frame is the typed reply, an
+    /// `Error` frame a [`ServerError::Rejected`], anything else
+    /// [`ServerError::UnexpectedFrame`].
+    fn round_trip<T: serde::Deserialize>(
+        &mut self,
+        send: FrameType,
+        payload: &[u8],
+        expect: FrameType,
+    ) -> Result<T, ServerError> {
+        self.send(send, payload)?;
         let frame = self.read()?;
         match frame.frame_type {
-            FrameType::StatsReport => decode(&frame),
+            t if t == expect => decode(&frame),
             FrameType::Error => Err(ServerError::Rejected(decode(&frame)?)),
             other => Err(ServerError::UnexpectedFrame(other)),
         }

@@ -194,6 +194,22 @@ pub fn write_frame(w: &mut impl Write, frame_type: FrameType, payload: &[u8]) ->
     w.flush()
 }
 
+/// Validate a frame header — the one check both readers put between
+/// untrusted bytes and a payload allocation: the version byte, the type
+/// byte, and the declared payload length against `max`.
+fn decode_header(header: &[u8; HEADER_LEN], max: u32) -> Result<(FrameType, u32), FrameError> {
+    let [version, frame_type, len @ ..] = *header;
+    if version != PROTOCOL_VERSION {
+        return Err(FrameError::Version(version));
+    }
+    let frame_type = FrameType::from_byte(frame_type).ok_or(FrameError::UnknownType(frame_type))?;
+    let len = u32::from_be_bytes(len);
+    if len > max {
+        return Err(FrameError::Oversized { len, max });
+    }
+    Ok((frame_type, len))
+}
+
 /// What [`FrameReader::poll`] can report besides a frame.
 #[derive(Debug)]
 pub enum ReadEvent {
@@ -264,21 +280,10 @@ impl FrameReader {
 
     /// Decode one frame from the buffer if it is complete.
     fn try_decode(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() < HEADER_LEN {
+        let Some(header) = self.buf.first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        if self.buf[0] != PROTOCOL_VERSION {
-            return Err(FrameError::Version(self.buf[0]));
-        }
-        let frame_type =
-            FrameType::from_byte(self.buf[1]).ok_or(FrameError::UnknownType(self.buf[1]))?;
-        let len = u32::from_be_bytes([self.buf[2], self.buf[3], self.buf[4], self.buf[5]]);
-        if len > self.max_payload {
-            return Err(FrameError::Oversized {
-                len,
-                max: self.max_payload,
-            });
-        }
+        };
+        let (frame_type, len) = decode_header(header, self.max_payload)?;
         let total = HEADER_LEN + len as usize;
         if self.buf.len() < total {
             return Ok(None);
@@ -312,18 +317,7 @@ impl From<FrameError> for PollError {
 pub fn read_frame(r: &mut impl Read, max_payload: u32) -> Result<Frame, PollError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_or_truncated(r, &mut header)?;
-    if header[0] != PROTOCOL_VERSION {
-        return Err(FrameError::Version(header[0]).into());
-    }
-    let frame_type = FrameType::from_byte(header[1]).ok_or(FrameError::UnknownType(header[1]))?;
-    let len = u32::from_be_bytes([header[2], header[3], header[4], header[5]]);
-    if len > max_payload {
-        return Err(FrameError::Oversized {
-            len,
-            max: max_payload,
-        }
-        .into());
-    }
+    let (frame_type, len) = decode_header(&header, max_payload)?;
     let mut payload = vec![0u8; len as usize];
     read_exact_or_truncated(r, &mut payload)?;
     Ok(Frame {

@@ -7,7 +7,6 @@
 #
 #   relation_ops             columnar join ≥ 2× row store;
 #                            chunked semijoin filter ≥ 1.3× reference
-#   engine_prepared          prepared re-execution ≥ 2× per-call serve
 #   engine_metrics_overhead  per-query instrumentation within 5%
 #   engine_snapshot          .cqds cold start ≥ 2× text re-parse +
 #                            re-stats on a ≥ 1e5-row database
@@ -30,7 +29,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-GATES=(relation_ops engine_prepared engine_metrics_overhead engine_snapshot engine_delta)
+GATES=(relation_ops engine_metrics_overhead engine_snapshot engine_delta)
 if [ "$#" -gt 0 ]; then
   GATES=("$@")
 fi

@@ -10,7 +10,7 @@ use cqd2::cq::eval::{bcq_naive, count_naive, enumerate_naive};
 use cqd2::cq::generate::{canonical_query, planted_database};
 use cqd2::engine::server::client::Client;
 use cqd2::engine::server::frame::{read_frame, write_frame, FrameType, PROTOCOL_VERSION};
-use cqd2::engine::server::wire::{ErrorCode, WireError};
+use cqd2::engine::server::wire::{ErrorCode, WireDbStats, WireError};
 use cqd2::engine::server::{Server, ServerConfig, ServerHandle, ServerStats};
 use cqd2::engine::textio::{self, parse_workload};
 use cqd2::engine::{Catalog, Engine, Workload};
@@ -320,6 +320,150 @@ fn graceful_shutdown_drains_and_notifies() {
     // the counters survived the trip.
     assert_eq!(stats.connections, 1);
     assert_eq!(stats.answered, 1);
+}
+
+#[test]
+fn a_client_that_vanishes_mid_batch_does_not_hold_shutdown() {
+    // An accepted batch counts against its connection's graceful drain
+    // until it is fully answered. A client that pipelines unlimited
+    // enumerations and drops its socket without reading a byte leaves
+    // batches that can only end in a failed write — and those must
+    // release the count too, or shutdown waits out `drain_timeout`.
+    let q = canonical_query(&hyperchain(3, 2));
+    let db = planted_database(&q, 8, 400, 7);
+    let catalog = Catalog::new();
+    catalog
+        .publish_str("chain", &textio::render_database(&db))
+        .expect("publish chain");
+    let config = test_config();
+    let drain_timeout = config.drain_timeout;
+    let batch = format!("@enumerate\nQ: {}\n", q.display());
+
+    let started = std::time::Instant::now();
+    let (handle, stats) = with_server(config, &catalog, |addr, handle| {
+        let mut client = Client::connect(addr).expect("connect");
+        client.bind_db("chain").expect("bind");
+        for _ in 0..4 {
+            client
+                .send(FrameType::Query, batch.as_bytes())
+                .expect("send");
+        }
+        drop(client);
+        handle.clone()
+    });
+    assert!(
+        started.elapsed() < drain_timeout / 2,
+        "shutdown waited on a dead connection: {:?} (drain_timeout {drain_timeout:?})",
+        started.elapsed()
+    );
+    assert_eq!(stats.connections, 1);
+    let line = handle.stats_line().expect("the registry outlives run");
+    assert!(line.contains("(0 active)"), "{line}");
+}
+
+#[test]
+fn stats_frame_final_stats_and_database_sections_are_one_list() {
+    // Three views of the same counters: the `Stats` frame's server-wide
+    // fields, the `ServerStats` that `Server::run` returns, and the sums
+    // over the frame's per-database sections. Drive every kind of
+    // traffic, then read the frame as the very last request.
+    let catalog = small_catalog();
+    let config = ServerConfig {
+        allow_reload: true,
+        ..test_config()
+    };
+    let (wire, stats) = with_server(config, &catalog, |addr, _| {
+        let mut client = Client::connect(addr).expect("connect");
+        client.bind_db("main").expect("bind");
+        for _ in 0..3 {
+            client
+                .request("@count\nQ: R(?x, ?y), S(?y, ?z)\n@enumerate\nQ: R(?a, ?b)\n")
+                .expect("batch");
+        }
+        client.request("Q: R(?x\n").expect_err("parse error");
+        client.bind_db("nope").expect_err("unknown db");
+        client
+            .delta("main", "@insert\nR(7, 8)\n@delete\nS(3, 5)\n")
+            .expect("delta");
+        client
+            .delta("main", "@insert\nGhost(1)\n")
+            .expect_err("delta error");
+        client.reload("empty", "T(1)\nT(2)\n").expect("reload");
+        client
+            .reload("empty", "T(1\n")
+            .expect_err("reload parse error");
+        client
+            .reload_snapshot("empty", "/nonexistent/x.cqds")
+            .expect_err("store error");
+        client.bind_db("empty").expect("rebind");
+        client
+            .request("@count\nQ: T(?x)\n")
+            .expect("batch on empty");
+        drop(client);
+        // A protocol violation on its own connection.
+        let mut raw = TcpStream::connect(addr).expect("connect raw");
+        write_frame(&mut raw, FrameType::Done, b"{}").expect("write");
+        read_frame(&mut raw, 1 << 20).expect("error frame");
+        drop(raw);
+        Client::connect(addr)
+            .expect("connect observer")
+            .stats()
+            .expect("stats")
+    });
+
+    let from_wire = ServerStats {
+        connections: wire.connections,
+        frames: wire.frames,
+        batches: wire.batches,
+        queries: wire.queries,
+        answered: wire.answered,
+        rejected_overload: wire.rejected_overload,
+        parse_errors: wire.parse_errors,
+        protocol_errors: wire.protocol_errors,
+        internal_errors: wire.internal_errors,
+        prepared_hits: wire.prepared_hits,
+        prepared_misses: wire.prepared_misses,
+        reloads: wire.reloads,
+        rejected_unauthorized: wire.rejected_unauthorized,
+        store_errors: wire.store_errors,
+        bags_rewritten: wire.bags_rewritten,
+        bags_total: wire.bags_total,
+        delta_batches: wire.delta_batches,
+        facts_inserted: wire.facts_inserted,
+        facts_deleted: wire.facts_deleted,
+        bags_remat: wire.bags_remat,
+        delta_errors: wire.delta_errors,
+    };
+    assert_eq!(from_wire, stats, "frame and final stats diverge");
+    // The traffic above reached every counter family.
+    assert_eq!(
+        (stats.batches, stats.answered, stats.reloads),
+        (4, 7, 1),
+        "{stats:?}"
+    );
+    assert_eq!((stats.parse_errors, stats.protocol_errors), (2, 1));
+    assert_eq!((stats.store_errors, stats.delta_errors), (1, 1));
+    assert_eq!((stats.delta_batches, stats.facts_inserted), (1, 1));
+
+    let sum = |f: fn(&WireDbStats) -> u64| wire.databases.iter().map(f).sum::<u64>();
+    assert_eq!(sum(|d| d.batches), stats.batches);
+    assert_eq!(sum(|d| d.queries), stats.answered);
+    assert_eq!(sum(|d| d.prepared_hits), stats.prepared_hits);
+    assert_eq!(sum(|d| d.prepared_misses), stats.prepared_misses);
+    assert_eq!(sum(|d| d.bags_rewritten), stats.bags_rewritten);
+    assert_eq!(sum(|d| d.bags_total), stats.bags_total);
+    assert_eq!(sum(|d| d.delta_batches), stats.delta_batches);
+    assert_eq!(sum(|d| d.facts_inserted), stats.facts_inserted);
+    assert_eq!(sum(|d| d.facts_deleted), stats.facts_deleted);
+    assert_eq!(sum(|d| d.bags_remat), stats.bags_remat);
+    assert_eq!(sum(|d| d.overloads), stats.rejected_overload);
+    // Every error counted against a database has exactly one
+    // server-wide home, and vice versa.
+    assert_eq!(
+        sum(|d| d.errors),
+        stats.parse_errors + stats.internal_errors + stats.store_errors + stats.delta_errors
+    );
+    assert_eq!(sum(|d| d.latency.count), stats.answered);
 }
 
 #[test]
