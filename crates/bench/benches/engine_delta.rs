@@ -81,8 +81,8 @@ fn delta_and_inverse(db: &Database) -> (DatabaseDelta, DatabaseDelta) {
         inverse.delete(&last, fresh);
     }
     for tuple in existing.iter().take(4) {
-        delta.delete(&last, tuple.clone());
-        inverse.insert(&last, tuple.clone());
+        delta.delete(&last, tuple.to_vec());
+        inverse.insert(&last, tuple.to_vec());
     }
     (delta, inverse)
 }

@@ -45,7 +45,7 @@ fn renamed_db(q: &ConjunctiveQuery, db: &Database, tag: &str) -> Database {
     let mut out = Database::new();
     for atom in &q.atoms {
         if let Some(rel) = db.relation(&atom.relation) {
-            out.insert_all(&format!("{}_{tag}", atom.relation), &rel.tuples);
+            out.insert_all(&format!("{}_{tag}", atom.relation), &rel.tuples.to_tuples());
         }
     }
     out

@@ -2,12 +2,15 @@
 //! [`Database`] by **structural sharing**.
 //!
 //! A [`DatabaseDelta`] names tuples to add and remove per relation.
-//! [`Database::apply_delta`] merges each touched relation's sorted
-//! insert/delete lists into its sorted-distinct tuple store in one
-//! `O(n + d)` pass and produces a *new* database in which every
-//! untouched relation is the **same** [`Arc`]`<StoredRelation>` as in
-//! the base — `Arc::ptr_eq` holds — so the cost of a small delta is
-//! proportional to the relations it touches, never to the database.
+//! [`Database::apply_delta`] reduces each named relation's insert/delete
+//! lists to the changes that are real against its stored rows
+//! (`O(d log n)` binary searches), then merges them into the relation's
+//! sorted-distinct buffer in one `O(n + d)` pass that copies row slices
+//! into **one** output buffer — no row is rebuilt or cloned on its own.
+//! The result is a *new* database in which every untouched relation is
+//! the **same** [`std::sync::Arc`]`<StoredRelation>` as in the base —
+//! `Arc::ptr_eq` holds — so the cost of a small delta is proportional to
+//! the relations it touches, never to the database.
 //!
 //! Semantics, fixed and documented here:
 //! - deltas modify *existing* relations; naming an unknown relation is
@@ -21,9 +24,9 @@
 //!   base `Arc` (the delta did not "touch" it).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::database::{Database, StoredRelation};
+use crate::flat::FlatRelation;
 
 /// Pending changes to one relation: tuples to add and tuples to remove.
 /// Order and duplicates are irrelevant — both lists are sorted and
@@ -149,64 +152,53 @@ pub struct DeltaApplied {
     pub deleted: usize,
 }
 
-/// Sorted-merge of one relation's tuples with its sorted, deduplicated
-/// insert/delete lists: one forward pass, output sorted and distinct.
-/// Returns `None` when the result equals `base` (the relation is
-/// untouched and keeps its `Arc`), else the new tuple list plus the
+/// Merge one relation's rows with its pending inserts and deletes into
+/// one output buffer, sorted and distinct by construction. The lists
+/// are first reduced to the changes that are *real* against `base`
+/// (binary searches): `adds` are absent from the base and not deleted by
+/// the same batch, `dels` are present in it. Then one forward pass of
+/// three cursors over row slices copies the surviving rows — no per-row
+/// allocation. Returns `None` when nothing real remains (the relation
+/// is untouched and keeps its `Arc`), else the new relation plus the
 /// `(inserted, deleted)` counts.
 fn merge_relation(
-    base: &[Vec<u64>],
-    inserts: &[Vec<u64>],
-    deletes: &[Vec<u64>],
-) -> Option<(Vec<Vec<u64>>, usize, usize)> {
-    let mut out: Vec<Vec<u64>> = Vec::with_capacity(base.len() + inserts.len());
-    let (mut bi, mut ii, mut di) = (0, 0, 0);
-    let (mut inserted, mut deleted) = (0usize, 0usize);
-    // Emit the union of `base` and `inserts` in sorted order, skipping
-    // anything in `deletes`. All three inputs are ascending, so the
-    // delete cursor only moves forward.
-    loop {
-        let candidate_from_base = match (base.get(bi), inserts.get(ii)) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(b), Some(i)) => b <= i,
-        };
-        let candidate = if candidate_from_base {
-            &base[bi]
-        } else {
-            &inserts[ii]
-        };
-        // An insert equal to the current base tuple is a no-op: consume
-        // both cursors, emit once (attributed to the base).
-        let duplicate_insert = candidate_from_base && inserts.get(ii) == Some(candidate);
-        while di < deletes.len() && deletes[di] < *candidate {
-            di += 1;
-        }
-        let dropped = deletes.get(di) == Some(candidate);
-        if dropped {
-            // Only deleting a tuple the base had counts as a deletion;
-            // insert-then-delete within one batch never existed.
-            if candidate_from_base {
-                deleted += 1;
-            }
-        } else {
-            if !candidate_from_base {
-                inserted += 1;
-            }
-            out.push(candidate.clone());
-        }
-        if candidate_from_base {
-            bi += 1;
-        }
-        if duplicate_insert || !candidate_from_base {
-            ii += 1;
-        }
+    base: &FlatRelation,
+    delta: &RelationDelta,
+) -> Option<(FlatRelation, usize, usize)> {
+    fn sorted(list: &[Vec<u64>]) -> Vec<&[u64]> {
+        let mut rows: Vec<&[u64]> = list.iter().map(Vec::as_slice).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
     }
-    if inserted == 0 && deleted == 0 {
+    let mut dels = sorted(&delta.deletes);
+    let mut adds = sorted(&delta.inserts);
+    // Deletes win within a batch, and insert-then-delete of a tuple the
+    // base never had is no change at all.
+    adds.retain(|t| base.search(t).is_err() && dels.binary_search(t).is_err());
+    dels.retain(|t| base.search(t).is_ok());
+    if adds.is_empty() && dels.is_empty() {
         return None;
     }
-    Some((out, inserted, deleted))
+    let rows = base.len() + adds.len() - dels.len();
+    let mut out: Vec<u64> = Vec::with_capacity(rows * base.arity());
+    let (mut ai, mut di) = (0, 0);
+    for row in base.iter() {
+        while ai < adds.len() && adds[ai] < row {
+            out.extend_from_slice(adds[ai]);
+            ai += 1;
+        }
+        if dels.get(di) == Some(&row) {
+            di += 1;
+        } else {
+            out.extend_from_slice(row);
+        }
+    }
+    for add in &adds[ai..] {
+        out.extend_from_slice(add);
+    }
+    let merged = FlatRelation::from_parts(base.vars().to_vec(), rows, out);
+    Some((merged, adds.len(), dels.len()))
 }
 
 impl Database {
@@ -217,53 +209,38 @@ impl Database {
     pub fn apply_delta(&self, delta: &DatabaseDelta) -> Result<DeltaApplied, DeltaError> {
         // Validate the whole batch before building anything: a rejected
         // delta must leave no partial work behind.
+        let mut work = Vec::new();
         for (name, rel_delta) in delta.relations() {
-            let Some(rel) = self.relation(name) else {
+            let Some(base) = self.relation(name) else {
                 return Err(DeltaError::UnknownRelation(name.to_string()));
             };
             for tuple in rel_delta.inserts.iter().chain(&rel_delta.deletes) {
-                if tuple.len() != rel.arity {
+                if tuple.len() != base.arity {
                     return Err(DeltaError::ArityMismatch {
                         relation: name.to_string(),
-                        expected: rel.arity,
+                        expected: base.arity,
                         got: tuple.len(),
                     });
                 }
             }
+            work.push((name, base, rel_delta));
         }
-        let mut relations: BTreeMap<String, Arc<StoredRelation>> = BTreeMap::new();
+        // The clone bumps one `Arc` per relation; only relations a merge
+        // really changes are replaced.
+        let mut db = self.clone();
         let mut touched = Vec::new();
         let (mut inserted, mut deleted) = (0usize, 0usize);
-        for (name, arc) in self.relation_arcs() {
-            let merged = delta.relations.get(name).and_then(|rel_delta| {
-                let mut inserts = rel_delta.inserts.clone();
-                inserts.sort_unstable();
-                inserts.dedup();
-                let mut deletes = rel_delta.deletes.clone();
-                deletes.sort_unstable();
-                deletes.dedup();
-                merge_relation(&arc.tuples, &inserts, &deletes)
-            });
-            match merged {
-                Some((tuples, ins, del)) => {
-                    touched.push(name.to_string());
-                    inserted += ins;
-                    deleted += del;
-                    relations.insert(
-                        name.to_string(),
-                        Arc::new(StoredRelation {
-                            arity: arc.arity,
-                            tuples,
-                        }),
-                    );
-                }
-                None => {
-                    relations.insert(name.to_string(), Arc::clone(arc));
-                }
+        for (name, base, rel_delta) in work {
+            if let Some((tuples, ins, del)) = merge_relation(&base.tuples, rel_delta) {
+                touched.push(name.to_string());
+                inserted += ins;
+                deleted += del;
+                let arity = base.arity;
+                db.install(name, StoredRelation { arity, tuples });
             }
         }
         Ok(DeltaApplied {
-            db: Database::from_shared(relations),
+            db,
             touched,
             inserted,
             deleted,
@@ -274,6 +251,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn base() -> Database {
         let mut db = Database::new();
@@ -304,7 +282,7 @@ mod tests {
             ));
         }
         assert_eq!(
-            out.db.relation("R").unwrap().tuples,
+            out.db.relation("R").unwrap().tuples.to_tuples(),
             vec![vec![1, 2], vec![3, 4], vec![5, 6]]
         );
         // The base is untouched.
@@ -359,7 +337,10 @@ mod tests {
         delta.delete("R", vec![1, 2]);
         let out = db.apply_delta(&delta).unwrap();
         assert_eq!((out.inserted, out.deleted), (0, 1));
-        assert_eq!(out.db.relation("R").unwrap().tuples, vec![vec![3, 4]]);
+        assert_eq!(
+            out.db.relation("R").unwrap().tuples.to_tuples(),
+            vec![vec![3, 4]]
+        );
     }
 
     #[test]
@@ -373,7 +354,7 @@ mod tests {
         let out = db.apply_delta(&delta).unwrap();
         assert_eq!((out.inserted, out.deleted), (1, 1));
         assert_eq!(
-            out.db.relation("S").unwrap().tuples,
+            out.db.relation("S").unwrap().tuples.to_tuples(),
             vec![vec![20], vec![30]]
         );
         assert_eq!(delta.fact_counts(), (2, 2));
@@ -433,6 +414,9 @@ mod tests {
         let mut delta = DatabaseDelta::new();
         delta.insert("T", vec![1, 2, 3]);
         let again = out.db.apply_delta(&delta).unwrap();
-        assert_eq!(again.db.relation("T").unwrap().tuples, vec![vec![1, 2, 3]]);
+        assert_eq!(
+            again.db.relation("T").unwrap().tuples.to_tuples(),
+            vec![vec![1, 2, 3]]
+        );
     }
 }

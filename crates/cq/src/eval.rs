@@ -446,14 +446,20 @@ impl TreeShape {
 
 /// What it takes to re-materialize one bag: the atom indices joined as
 /// the `λ` cover, the bag's variables (the projection between cover and
-/// assigned joins), and the atoms assigned to the bag.
+/// assigned joins), and the atoms assigned to the bag that the cover
+/// has not already joined.
 #[derive(Debug)]
 struct BagRecipe {
     /// Atom indices of the cover's edge representatives, in cover order.
     cover_atoms: Vec<usize>,
     /// The bag's variables, in bag order.
     bag_vars: Vec<Var>,
-    /// Atom indices assigned to this bag, in assignment order.
+    /// Atom indices assigned to this bag, in assignment order, **minus
+    /// those in `cover_atoms`**: an assigned atom's variables all lie in
+    /// the bag, so the projection kept every column it constrains and
+    /// joining it a second time would return the same rows in the same
+    /// order. Atoms that merely share a variable set with a cover
+    /// representative are different relations and stay.
     assigned_atoms: Vec<usize>,
 }
 
@@ -464,8 +470,8 @@ impl BagRecipe {
     }
 
     /// Join the cover representatives, project to the bag's variables,
-    /// then join the assigned atoms. `bound` resolves an atom index to
-    /// its bound relation.
+    /// then join the remaining assigned atoms. `bound` resolves an atom
+    /// index to its bound relation.
     fn run<'a>(&self, bound: impl Fn(usize) -> &'a FlatRelation) -> FlatRelation {
         let mut rel = FlatRelation::unit();
         for &ai in &self.cover_atoms {
@@ -619,10 +625,15 @@ impl MaterializedBags {
         let recipes: Vec<BagRecipe> = assigned
             .into_iter()
             .enumerate()
-            .map(|(u, assigned_atoms)| BagRecipe {
-                cover_atoms: ghd.covers[u].iter().map(|e| edge_rep[e.idx()]).collect(),
-                bag_vars: ghd.td.bags[u].iter().map(|v| Var(v.0)).collect(),
-                assigned_atoms,
+            .map(|(u, mut assigned_atoms)| {
+                let cover_atoms: Vec<usize> =
+                    ghd.covers[u].iter().map(|e| edge_rep[e.idx()]).collect();
+                assigned_atoms.retain(|ai| !cover_atoms.contains(ai));
+                BagRecipe {
+                    cover_atoms,
+                    bag_vars: ghd.td.bags[u].iter().map(|v| Var(v.0)).collect(),
+                    assigned_atoms,
+                }
             })
             .collect();
         let all: Vec<usize> = (0..n).collect();
@@ -1422,6 +1433,56 @@ mod tests {
     }
 
     #[test]
+    fn recipes_join_each_atom_once_and_same_edge_atoms_still_filter() {
+        // Width-1 chain: every bag's variables are exactly its cover
+        // atom's, so the bag *is* that atom's binding — row for row, in
+        // order — and no recipe joins its cover atom a second time.
+        let q = chain_query();
+        let mut db = Database::new();
+        db.insert_all("R", &[vec![7, 8], vec![1, 2], vec![4, 5]]);
+        db.insert_all("S", &[vec![5, 6], vec![2, 3], vec![2, 9]]);
+        db.insert_all("T", &[vec![3, 30], vec![6, 60], vec![6, 61]]);
+        let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
+        let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        let mut whole_atom_bags = 0;
+        for (u, recipe) in bags.shape.recipes.iter().enumerate() {
+            assert!(recipe.assigned_atoms.is_empty(), "bag {u}: {recipe:?}");
+            let [ai] = recipe.cover_atoms[..] else {
+                panic!("bag {u} of a width-1 chain has one cover atom: {recipe:?}");
+            };
+            if recipe.bag_vars == q.atoms[ai].vars() {
+                assert_eq!(*bags.relations[u], FlatRelation::bind(&q.atoms[ai], &db));
+                whole_atom_bags += 1;
+            }
+        }
+        assert!(whole_atom_bags >= 2, "{:?}", bags.shape.recipes);
+        assert_eq!(bags.count(), count_naive(&q, &db));
+
+        // Two atoms over one variable set: only the edge representative
+        // is in the cover, so the other one must still filter its bag.
+        let q = ConjunctiveQuery::parse(&[
+            ("R", &["?x", "?y"]),
+            ("S", &["?x", "?y"]),
+            ("T", &["?y", "?z"]),
+        ]);
+        let mut db = Database::new();
+        db.insert_all("R", &[vec![1, 2], vec![3, 4], vec![5, 6]]);
+        db.insert_all("S", &[vec![1, 2], vec![5, 6], vec![9, 9]]);
+        db.insert_all("T", &[vec![2, 7], vec![4, 8], vec![6, 9], vec![6, 10]]);
+        let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
+        let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        let assigned: Vec<usize> = bags
+            .shape
+            .recipes
+            .iter()
+            .flat_map(|r| r.assigned_atoms.iter().copied())
+            .collect();
+        assert_eq!(assigned.len(), 1, "{:?}", bags.shape.recipes);
+        assert_eq!(bags.count(), 3);
+        assert_eq!(bags.count(), count_naive(&q, &db));
+    }
+
+    #[test]
     fn refresh_rebuilds_only_dirty_bags_and_matches_fresh_build() {
         let q = chain_query();
         let mut db = Database::new();
@@ -1547,8 +1608,8 @@ mod tests {
             let target = if round % 2 == 0 { "R" } else { "S" };
             let mut delta = DatabaseDelta::new();
             delta.insert(target, vec![1000 + round, 2000 + round]);
-            if let Some(t) = db.relation(target).and_then(|r| r.tuples.first()) {
-                delta.delete(target, t.clone());
+            if let Some(t) = db.relation(target).and_then(|r| r.tuples.iter().next()) {
+                delta.delete(target, t.to_vec());
             }
             let applied = db.apply_delta(&delta).unwrap();
             let (next, stats) = warm.refresh(&q, &applied.db, &applied.touched);

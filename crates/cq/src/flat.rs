@@ -2,9 +2,15 @@
 //!
 //! A [`FlatRelation`] stores all tuples in **one contiguous `Vec<u64>`
 //! buffer** with a fixed stride (the arity): row `i` occupies
-//! `data[i * arity .. (i + 1) * arity]`. Compared with the row-store
-//! [`crate::relation::VRelation`] (`Vec<Vec<u64>>`, kept as the reference
-//! implementation for differential tests), this layout
+//! `data[i * arity .. (i + 1) * arity]`. It is the one relation layout
+//! of the data plane: a `.cqds` section, a stored relation
+//! ([`crate::database::StoredRelation::tuples`], sorted and distinct
+//! over positional columns) and a bound relation are all this buffer,
+//! so loading adopts a section after one verification, a delta merge
+//! writes one, and [`FlatRelation::bind`] of an atom with no constant
+//! and no repeated variable is a single buffer copy. Compared with the
+//! row-store [`crate::relation::VRelation`] (`Vec<Vec<u64>>`, kept as
+//! the reference implementation for differential tests), this layout
 //!
 //! - allocates **O(1)** buffers per operator instead of one `Vec` per
 //!   tuple, per hash key, and per projection;
@@ -45,7 +51,7 @@ const FILTER_CHUNK: usize = 256;
 
 /// A columnar relation: variables as columns, tuples packed row-major
 /// into one flat buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlatRelation {
     /// Column variables (distinct).
     pub(crate) vars: Vec<Var>,
@@ -123,22 +129,57 @@ impl FlatRelation {
     /// buffer does not describe a valid relation and must not enter
     /// the kernel.
     pub fn from_flat(vars: Vec<Var>, rows: usize, data: Vec<u64>) -> Option<FlatRelation> {
-        let arity = vars.len();
-        if arity == 0 {
-            if rows > 1 || !data.is_empty() {
-                return None;
-            }
-            return Some(FlatRelation { vars, rows, data });
-        }
-        if data.len() != rows.checked_mul(arity)? {
+        if rows.checked_mul(vars.len())? != data.len() {
             return None;
         }
-        for i in 1..rows {
-            if data[(i - 1) * arity..i * arity] >= data[i * arity..(i + 1) * arity] {
-                return None;
+        let rel = FlatRelation { vars, rows, data };
+        rel.first_unsorted_row().is_none().then_some(rel)
+    }
+
+    /// Index of the first row that is not strictly greater than its
+    /// predecessor; `None` exactly when the rows are in the canonical
+    /// sorted-distinct order (a nullary relation holds the empty tuple
+    /// at most once). The one sortedness verifier: [`Self::from_flat`]
+    /// and the database's bulk loaders both ask it.
+    pub(crate) fn first_unsorted_row(&self) -> Option<usize> {
+        if self.vars.is_empty() {
+            return (self.rows > 1).then_some(1);
+        }
+        let mut rows = self.data.chunks_exact(self.vars.len());
+        let mut prev = rows.next()?;
+        for (i, row) in rows.enumerate() {
+            if prev >= row {
+                return Some(i + 1);
+            }
+            prev = row;
+        }
+        None
+    }
+
+    /// Binary search for `tuple` among rows held in the canonical
+    /// sorted-distinct order (a stored relation's): `Ok(row)` when
+    /// present, else `Err(row)` with the row index that keeps the order
+    /// — `slice::binary_search`'s contract, over row slices.
+    pub(crate) fn search(&self, tuple: &[u64]) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.rows);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.row(mid).cmp(tuple) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Ok(mid),
             }
         }
-        Some(FlatRelation { vars, rows, data })
+        Err(lo)
+    }
+
+    /// Insert `tuple` (of this relation's arity) as row `at`: one
+    /// in-place splice of the buffer.
+    pub(crate) fn insert_row(&mut self, at: usize, tuple: &[u64]) {
+        debug_assert_eq!(tuple.len(), self.vars.len());
+        let start = at * tuple.len();
+        self.data.splice(start..start, tuple.iter().copied());
+        self.rows += 1;
     }
 
     /// Number of columns.
@@ -190,73 +231,58 @@ impl FlatRelation {
     /// Bind `atom` against `db`: select tuples matching the atom's
     /// constants and repeated variables and project to one column per
     /// distinct variable. The per-position checks are resolved **once**
-    /// here; the tuple loop is branch-light. A missing relation (or an
-    /// arity mismatch) yields the empty result.
+    /// here; the tuple loop is branch-light. An atom with no check to
+    /// run — every position a distinct variable, which is every atom of
+    /// a chain or canonical query — binds to the stored buffer itself
+    /// under the atom's column names: **one buffer copy**, no row loop.
+    /// A missing relation (or an arity mismatch) yields the empty
+    /// result.
     pub fn bind(atom: &Atom, db: &Database) -> FlatRelation {
-        let vars = atom.vars();
-        let Some(stored) = db.relation(&atom.relation) else {
-            return FlatRelation::empty(vars);
-        };
-        if stored.arity != atom.terms.len() {
-            return FlatRelation::empty(vars);
-        }
-        // First-occurrence position of each distinct variable: the
-        // projection map.
-        let first_pos: Vec<usize> = vars
-            .iter()
-            .map(|v| {
-                atom.terms
-                    .iter()
-                    .position(|t| matches!(t, Term::Var(w) if w == v))
-                    // cqd2-lint: allow(panic-in-hot-path, reason = "vars was extracted from these same terms")
-                    .expect("var occurs")
-            })
-            .collect();
-        // Per-position selection checks, resolved once.
-        enum Check {
-            Const(usize, u64),
-            SameAs(usize, usize),
-        }
-        let mut checks: Vec<Check> = Vec::new();
+        // Resolved once: the projection map (first-occurrence position
+        // of each distinct variable) and the selection checks —
+        // positions that must hold a constant, positions that must
+        // repeat an earlier one.
+        let mut vars: Vec<Var> = Vec::new();
+        let mut first_pos: Vec<usize> = Vec::new();
+        let mut constants: Vec<(usize, u64)> = Vec::new();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
         for (i, term) in atom.terms.iter().enumerate() {
-            match term {
-                Term::Const(c) => checks.push(Check::Const(i, *c)),
-                Term::Var(v) => {
-                    // cqd2-lint: allow(panic-in-hot-path, reason = "every variable term appears in the atom's var list")
-                    let first = first_pos[vars.iter().position(|w| w == v).expect("var")];
-                    if first != i {
-                        checks.push(Check::SameAs(i, first));
+            match *term {
+                Term::Const(c) => constants.push((i, c)),
+                Term::Var(v) => match vars.iter().position(|&w| w == v) {
+                    Some(k) => repeats.push((i, first_pos[k])),
+                    None => {
+                        vars.push(v);
+                        first_pos.push(i);
                     }
-                }
+                },
             }
         }
-        let arity = vars.len();
-        let mut data = Vec::with_capacity(stored.tuples.len() * arity);
+        let stored = match db.relation(&atom.relation) {
+            Some(stored) if stored.arity == atom.terms.len() => &stored.tuples,
+            _ => return FlatRelation::empty(vars),
+        };
+        if constants.is_empty() && repeats.is_empty() {
+            return FlatRelation {
+                vars,
+                rows: stored.rows,
+                data: stored.data.clone(),
+            };
+        }
+        let mut data = Vec::with_capacity(stored.rows * vars.len());
         let mut rows = 0usize;
-        'tup: for t in &stored.tuples {
-            for check in &checks {
-                match *check {
-                    Check::Const(i, c) => {
-                        if t[i] != c {
-                            continue 'tup;
-                        }
-                    }
-                    Check::SameAs(i, j) => {
-                        if t[i] != t[j] {
-                            continue 'tup;
-                        }
-                    }
-                }
+        for t in stored.iter() {
+            if constants.iter().all(|&(i, c)| t[i] == c)
+                && repeats.iter().all(|&(i, j)| t[i] == t[j])
+            {
+                data.extend(first_pos.iter().map(|&p| t[p]));
+                rows += 1;
             }
-            data.extend(first_pos.iter().map(|&p| t[p]));
-            rows += 1;
         }
         let mut rel = FlatRelation { vars, rows, data };
-        // Dropping positions (constants / repeated variables) can merge
-        // distinct stored tuples; a full-arity permutation cannot.
-        if arity != atom.terms.len() {
-            rel.dedup();
-        }
+        // Every check drops a position, and dropping positions can merge
+        // distinct stored tuples.
+        rel.dedup();
         rel
     }
 
@@ -630,6 +656,38 @@ mod tests {
         let r = FlatRelation::bind(&q.atoms[0], &db);
         assert_eq!(r.arity(), 1);
         assert_eq!(sorted_tuples(&r), vec![vec![1], vec![3]]);
+    }
+
+    #[test]
+    fn bind_of_distinct_variables_is_the_stored_buffer() {
+        use crate::relation::VRelation;
+        let mut db = Database::new();
+        db.insert_all(
+            "R",
+            &[vec![3, 1, 2], vec![1, 1, 5], vec![1, 2, 5], vec![2, 2, 7]],
+        );
+        // `S` takes Var(0), so R's columns are renamed away from the
+        // stored relation's positional ones.
+        let q = ConjunctiveQuery::parse(&[("S", &["?u"]), ("R", &["?c", "?a", "?b"])]);
+        let stored = db.relation("R").unwrap();
+        let bound = FlatRelation::bind(&q.atoms[1], &db);
+        assert_eq!(bound.vars(), &[v(1), v(2), v(3)]);
+        assert_eq!(bound.len(), stored.tuples.len());
+        assert_eq!(bound.data(), stored.tuples.data());
+        // A repeat (adjacent or permuting) or a constant still selects
+        // and projects exactly like the reference row store.
+        for terms in [
+            ["?x", "?y", "?x"],
+            ["?y", "?x", "?x"],
+            ["?x", "2", "?y"],
+            ["1", "?x", "5"],
+        ] {
+            let q = ConjunctiveQuery::parse(&[("R", &terms)]);
+            let flat = FlatRelation::bind(&q.atoms[0], &db);
+            let reference = VRelation::bind(&q.atoms[0], &db);
+            assert_eq!(flat.vars(), reference.vars.as_slice(), "{terms:?}");
+            assert_eq!(flat.to_tuples(), reference.tuples, "{terms:?}");
+        }
     }
 
     #[test]

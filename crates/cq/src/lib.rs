@@ -6,7 +6,9 @@
 //!
 //! - [`query`]: function-free conjunctive queries with named variables and
 //!   constants; the hypergraph of a query (Section 2).
-//! - [`database`]: databases as sets of ground atoms, stored per-relation.
+//! - [`database`]: databases as sets of ground atoms, stored per-relation
+//!   — each relation as one sorted-distinct [`FlatRelation`] buffer, the
+//!   layout the `.cqds` store persists and `bind` copies.
 //! - [`flat`]: the **columnar execution kernel** — [`FlatRelation`] packs
 //!   all tuples into one contiguous buffer with a fixed stride, resolves
 //!   schemas once per operator, joins/semijoins on packed key slices, and

@@ -64,7 +64,7 @@ impl VRelation {
             first_pos.push(p);
         }
         let mut tuples = Vec::new();
-        'tup: for t in &stored.tuples {
+        'tup: for t in stored.tuples.iter() {
             if t.len() != atom.terms.len() {
                 continue;
             }

@@ -26,14 +26,16 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Collect statistics of one stored relation (one pass per column).
-    /// This is the delta path's unit of work: after a delta, only the
-    /// touched relations are re-collected and the rest of the snapshot's
-    /// per-relation statistics are reused as-is.
+    /// Collect statistics of one stored relation: one strided scan of
+    /// the row-major buffer per column. This is the delta path's unit of
+    /// work: after a delta, only the touched relations are re-collected
+    /// and the rest of the snapshot's per-relation statistics are reused
+    /// as-is.
     pub fn collect(rel: &crate::database::StoredRelation) -> RelationStats {
         let mut distinct = Vec::with_capacity(rel.arity);
         for col in 0..rel.arity {
-            let values: HashSet<u64> = rel.tuples.iter().map(|t| t[col]).collect();
+            let column = rel.tuples.data().iter().skip(col).step_by(rel.arity);
+            let values: HashSet<u64> = column.copied().collect();
             distinct.push(values.len());
         }
         RelationStats {

@@ -157,7 +157,7 @@ fn empty_databases_agree() {
     let mut db = Database::new();
     for (name, rel) in full.relations() {
         if name != "C3" {
-            db.insert_all(name, &rel.tuples);
+            db.insert_all(name, &rel.tuples.to_tuples());
         }
     }
     db.insert_all("C3", &[]);

@@ -270,7 +270,8 @@ mod tests {
             .db()
             .relation("S")
             .unwrap()
-            .tuples[0][1];
+            .tuples
+            .row(0)[1];
         let outcome =
             apply_delta_text(&catalog, "main", &format!("@insert\nU({z}, 999999)\n")).unwrap();
         let (warm, pass) = prepared

@@ -8,14 +8,18 @@
 //! - [`write_snapshot`] / [`read_snapshot`]: a versioned, checksummed
 //!   binary format for a database snapshot. Each relation's tuples are
 //!   laid out as one contiguous row-major `u64` buffer — exactly the
-//!   [`cqd2_cq::FlatRelation`] layout — in a 64-byte-aligned section,
-//!   so loading is one open + one bulk read (mmap-ready: the data
-//!   sections could be mapped in place) followed by an `O(n)`
-//!   sorted-distinct verification instead of tokenizing and re-sorting
-//!   text. Per-relation statistics (cardinality, per-column distinct
-//!   counts) are persisted in the table of contents, so publishing a
-//!   loaded snapshot skips the statistics pass entirely
-//!   ([`publish_snapshot`] / [`swap_snapshot`]).
+//!   [`cqd2_cq::FlatRelation`] buffer the database holds in memory — in
+//!   a 64-byte-aligned section. Saving writes each section straight
+//!   from that buffer; loading is one open + one bulk read, then per
+//!   relation **one copy** of the section into a `Vec<u64>` that
+//!   becomes the stored relation after **one** `O(n)` sorted-distinct
+//!   verification ([`cqd2_cq::Database::insert_sorted_flat`]) — no
+//!   per-row allocation, no tokenizing, no re-sort (mmap-ready: the
+//!   sections could be mapped in place). Per-relation statistics
+//!   (cardinality, per-column distinct counts) are persisted in the
+//!   table of contents, so publishing a loaded snapshot skips the
+//!   statistics pass entirely ([`publish_snapshot`] /
+//!   [`swap_snapshot`]).
 //! - `save_plans` / `load_plans` *(requires the `serde` feature)*:
 //!   spill the engine's isomorphism-keyed plan cache to JSON and
 //!   preload it on the next start. Each record carries the catalog
@@ -282,7 +286,7 @@ pub fn encode_snapshot_with(db: &Database, version: u32, flags: u32) -> Vec<u8> 
     for (_, rel) in &rels {
         end = align_up(end);
         offsets.push(end);
-        end += rel.tuples.len() * rel.arity * 8;
+        end += rel.tuples.data().len() * 8;
     }
     let file_len = end;
 
@@ -300,10 +304,8 @@ pub fn encode_snapshot_with(db: &Database, version: u32, flags: u32) -> Vec<u8> 
     }
     for ((_, rel), &offset) in rels.iter().zip(&offsets) {
         buf.resize(offset, 0);
-        for t in &rel.tuples {
-            for &v in t {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+        for v in rel.tuples.data() {
+            buf.extend_from_slice(&v.to_le_bytes());
         }
     }
     debug_assert_eq!(buf.len(), file_len);
@@ -495,28 +497,22 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
 }
 
 /// Decode a full snapshot from `bytes`: validate everything
-/// ([`inspect_bytes`]), then materialize the database with its sorted,
-/// distinct-tuples invariant re-verified relation by relation, and
-/// reassemble the persisted statistics. Allocation is bounded by the
-/// actual file size — every row count was already checked against the
-/// bytes present.
+/// ([`inspect_bytes`]), then copy each data section into one `Vec<u64>`
+/// and hand it to the database as the stored relation — its sorted,
+/// distinct-tuples invariant verified once, in that hand-over — and
+/// reassemble the persisted statistics. Allocation is one buffer per
+/// relation, bounded by the actual file size: every row count was
+/// already checked against the bytes present.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotFile, StoreError> {
     let summary = inspect_bytes(bytes)?;
     let mut db = Database::new();
     let mut stats: BTreeMap<String, RelationStats> = BTreeMap::new();
     for rel in &summary.relations {
         let start = rel.offset as usize;
-        let len = rel.rows as usize * rel.arity * 8;
-        let section = &bytes[start..start + len];
-        let tuples: Vec<Vec<u64>> = if rel.arity == 0 {
-            vec![Vec::new(); rel.rows as usize]
-        } else {
-            section
-                .chunks_exact(rel.arity * 8)
-                .map(|row| (0..rel.arity).map(|col| u64_at(row, col * 8)).collect())
-                .collect()
-        };
-        db.insert_sorted_relation(&rel.name, rel.arity, tuples)
+        let rows = rel.rows as usize;
+        let section = &bytes[start..start + rows * rel.arity * 8];
+        let data: Vec<u64> = section.chunks_exact(8).map(|w| u64_at(w, 0)).collect();
+        db.insert_sorted_flat(&rel.name, rel.arity, rows, data)
             .map_err(|e| StoreError::corrupt(start, e.to_string()))?;
         stats.insert(
             rel.name.clone(),
@@ -865,12 +861,15 @@ mod tests {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        // The persisted section IS the FlatRelation buffer.
+        // The persisted section IS the FlatRelation buffer — the one the
+        // database holds, and the one the kernel builds from the rows.
         let vars: Vec<Var> = (0..r.arity as u32).map(Var).collect();
         let flat = FlatRelation::from_flat(vars.clone(), r.rows as usize, words.clone()).unwrap();
-        let reference = FlatRelation::from_rows(vars, &db.relation("R").unwrap().tuples);
+        let stored = &db.relation("R").unwrap().tuples;
+        let reference = FlatRelation::from_rows(vars, &stored.to_tuples());
         assert_eq!(flat.data(), reference.data());
         assert_eq!(flat, reference);
+        assert_eq!(&flat, stored);
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn parse_fact_line(
         e.line = Some(lineno);
         e
     })?;
-    // Exact capacity: the database keeps these tuples for its lifetime.
+    // Exact capacity: a delta batch keeps these tuples as parsed.
     let mut tuple = Vec::with_capacity(terms.len());
     for t in &terms {
         let bad = |_| ParseError::at(lineno, format!("fact term `{t}` is not a u64"));
@@ -144,33 +144,34 @@ fn parse_fact_line(
 }
 
 /// Fact collector shared by [`parse_workload`] and [`parse_database`]:
-/// gathers each relation's tuples in file order and bulk-loads them at
-/// the end — one sort + dedup per relation instead of a binary-search
-/// insertion per fact, so an unsorted file costs `O(n log n)`, not
-/// quadratic element moves, and a sorted one (what [`render_database`]
-/// writes) a single linear pass.
+/// gathers each relation's facts in file order into one row-major buffer
+/// and bulk-loads it at the end ([`Database::insert_flat`]) — one sort +
+/// dedup per relation instead of a binary-search insertion per fact, so
+/// an unsorted file costs `O(n log n)`, not quadratic element moves, and
+/// no fact is held as a row of its own.
 #[derive(Default)]
 struct FactAccumulator {
     arities: Arities,
-    tuples: std::collections::BTreeMap<String, Vec<Vec<u64>>>,
+    /// relation → (facts seen, their values in file order).
+    facts: std::collections::BTreeMap<String, (usize, Vec<u64>)>,
 }
 
 impl FactAccumulator {
     fn add_line(&mut self, line: &str, lineno: usize) -> Result<(), ParseError> {
         let (rel, tuple) = parse_fact_line(line, lineno, &mut self.arities)?;
-        self.tuples.entry(rel).or_default().push(tuple);
+        let (rows, data) = self.facts.entry(rel).or_default();
+        *rows += 1;
+        data.extend_from_slice(&tuple);
         Ok(())
     }
 
     fn finish(self) -> Result<Database, ParseError> {
         let mut db = Database::new();
-        for (rel, mut tuples) in self.tuples {
-            tuples.sort_unstable();
-            tuples.dedup();
-            // `add_line` creates a relation's list by pushing to it, and
-            // `parse_fact_line` held every tuple to the first one's arity.
-            let arity = tuples.first().map_or(0, Vec::len);
-            db.insert_sorted_relation(&rel, arity, tuples)
+        for (rel, (rows, data)) in self.facts {
+            // `parse_fact_line` held every fact to its relation's
+            // first-seen arity, so the buffer is `rows` × that.
+            let arity = self.arities.get(&rel).map_or(0, |&(arity, _)| arity);
+            db.insert_flat(&rel, arity, rows, data)
                 .map_err(|e| ParseError::whole_file(e.to_string()))?;
         }
         Ok(db)
@@ -327,7 +328,7 @@ pub fn parse_delta(input: &str) -> Result<cqd2_cq::DatabaseDelta, ParseError> {
 pub fn render_database(db: &Database) -> String {
     let mut out = String::new();
     for (name, rel) in db.relations() {
-        for tuple in &rel.tuples {
+        for tuple in rel.tuples.iter() {
             let cells: Vec<String> = tuple.iter().map(u64::to_string).collect();
             out.push_str(name);
             out.push('(');
@@ -661,6 +662,10 @@ mod tests {
         let db = parse_database("# facts\nR(1, 2)\nR(2, 3)\nS(7)\n").unwrap();
         assert_eq!(db.size(), 3);
         assert!(parse_database("").unwrap().size() == 0);
+        // A repeated nullary fact is one row over an empty buffer.
+        let db = parse_database("U()\nR(2)\nU()\nR(1)\n").unwrap();
+        assert_eq!(db.relation("U").unwrap().tuples.len(), 1);
+        assert_eq!(db.relation("R").unwrap().tuples.data(), &[1, 2]);
         let err = parse_database("R(1)\nQ: R(?x)\n").unwrap_err();
         assert_eq!(err.line, Some(2));
         assert!(err.message.contains("facts only"), "{err}");

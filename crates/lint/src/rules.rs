@@ -35,7 +35,8 @@ pub const LINTS: &[Lint] = &[
         name: "panic-in-hot-path",
         summary: "no unwrap/expect/panic!/unreachable! in serve-path code",
         explain: "The serve path (crates/engine/src/{engine,catalog,session,store}.rs, \
-crates/engine/src/server/, crates/cq/src/{eval,flat,probe}.rs) answers live queries: \
+crates/engine/src/server/, crates/cq/src/{eval,flat,probe,delta,database,stats}.rs) answers \
+live queries and applies client-supplied facts (Reload and Delta frames, every bind): \
 a panic there kills a worker thread, poisons shared mutexes, and turns one bad request \
 into a denial of service for every connection. Return a typed error (EngineError, \
 EvalError, ...) instead, and recover mutex poisoning through \
@@ -150,6 +151,11 @@ pub fn is_hot_path(rel_path: &str) -> bool {
         "crates/cq/src/flat.rs",
         "crates/cq/src/probe.rs",
         "crates/cq/src/delta.rs",
+        // The stored-relation layer: `Reload`/`Delta` admin frames and
+        // every `bind` run it on reader and worker threads, with
+        // client-supplied facts.
+        "crates/cq/src/database.rs",
+        "crates/cq/src/stats.rs",
     ];
     if rel_path.starts_with("crates/engine/src/") {
         return !COLD.contains(&rel_path);
@@ -728,6 +734,9 @@ mod tests {
         // Kernel files in other crates stay on the explicit list.
         assert!(is_hot_path("crates/cq/src/delta.rs"));
         assert!(is_hot_path("crates/cq/src/eval.rs"));
+        assert!(is_hot_path("crates/cq/src/database.rs"));
+        assert!(is_hot_path("crates/cq/src/stats.rs"));
+        assert!(!is_hot_path("crates/cq/src/relation.rs"));
         assert!(!is_hot_path("crates/cq/src/generate.rs"));
     }
 

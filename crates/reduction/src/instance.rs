@@ -79,7 +79,7 @@ impl Instance {
     pub fn db_weight(&self) -> usize {
         self.db
             .relations()
-            .map(|(_, r)| r.arity * r.tuples.len())
+            .map(|(_, r)| r.tuples.data().len())
             .sum()
     }
 
@@ -87,7 +87,7 @@ impl Instance {
     pub fn max_constant(&self) -> u64 {
         self.db
             .relations()
-            .flat_map(|(_, r)| r.tuples.iter().flatten().copied())
+            .flat_map(|(_, r)| r.tuples.data().iter().copied())
             .max()
             .unwrap_or(0)
     }

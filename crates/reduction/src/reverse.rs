@@ -79,13 +79,12 @@ fn reverse_step(
     let prefix = format!("L{level}_");
     let mut db = Database::new();
 
-    // Tuples of the h_next atom for edge `e_next`.
-    let tuples_of = |e_next: EdgeId| -> &[Vec<u64>] {
+    // Tuples of the h_next atom for edge `e_next` (none if it has no
+    // relation).
+    let tuples_of = |e_next: EdgeId| {
         let rel = &inst.query.atoms[e_next.idx()].relation;
-        inst.db
-            .relation(rel)
-            .map(|r| r.tuples.as_slice())
-            .unwrap_or(&[])
+        let stored = inst.db.relation(rel).into_iter();
+        stored.flat_map(|r| r.tuples.iter())
     };
     // Column position of h_i-vertex `u` (mapped through `trace`) within
     // the sorted vertex list of `e_next`.
@@ -111,10 +110,6 @@ fn reverse_step(
         for t in tuples_of(e_next) {
             let row: Vec<u64> = cols.iter().map(|&c| t[c]).collect();
             db.insert(&name, &row);
-        }
-        // Materialize empty relations too (schema completeness).
-        if tuples_of(e_next).is_empty() {
-            let _ = name;
         }
         Ok(())
     };
@@ -164,7 +159,7 @@ fn reverse_step(
             }
             let em = trace.edge_map[iv[0].idx()]
                 .ok_or_else(|| ReductionError::Replay("merged edge vanished".into()))?;
-            let base_tuples: Vec<Vec<u64>> = tuples_of(em).to_vec();
+            let base_tuples: Vec<Vec<u64>> = tuples_of(em).map(<[u64]>::to_vec).collect();
             // R': extend each tuple by a distinct key constant for v.
             let keys: Vec<u64> = (0..base_tuples.len() as u64)
                 .map(|t| *next_star + t)

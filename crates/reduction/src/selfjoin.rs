@@ -14,7 +14,9 @@ pub fn eliminate_self_joins(q: &ConjunctiveQuery, db: &Database) -> (Conjunctive
     for (i, atom) in q2.atoms.iter_mut().enumerate() {
         let fresh = format!("{}__sj{}", atom.relation, i);
         if let Some(rel) = db.relation(&atom.relation) {
-            db2.insert_all(&fresh, &rel.tuples);
+            for t in rel.tuples.iter() {
+                db2.insert(&fresh, t);
+            }
         }
         atom.relation = fresh;
     }

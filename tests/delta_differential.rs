@@ -92,7 +92,7 @@ proptest! {
         for name in ["R", "S"] {
             model.insert(
                 name.to_string(),
-                base.relation(name).unwrap().tuples.iter().cloned().collect(),
+                base.relation(name).unwrap().tuples.to_tuples().into_iter().collect(),
             );
         }
 
@@ -139,10 +139,11 @@ proptest! {
         prop_assert_eq!(live.db(), &rebuilt);
         let vars = vec![Var(0), Var(1)];
         for name in ["R", "S"] {
-            let via_delta =
-                FlatRelation::from_rows(vars.clone(), &live.db().relation(name).unwrap().tuples);
-            let scratch =
-                FlatRelation::from_rows(vars.clone(), &rebuilt.relation(name).unwrap().tuples);
+            let via_delta = &live.db().relation(name).unwrap().tuples;
+            let scratch = FlatRelation::from_rows(
+                vars.clone(),
+                &rebuilt.relation(name).unwrap().tuples.to_tuples(),
+            );
             prop_assert!(
                 via_delta.data() == scratch.data(),
                 "flat buffer of {} differs between delta and rebuild", name

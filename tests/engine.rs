@@ -44,7 +44,7 @@ fn renamed_db(q: &ConjunctiveQuery, db: &cqd2::cq::Database, tag: &str) -> cqd2:
     let mut out = cqd2::cq::Database::new();
     for atom in &q.atoms {
         if let Some(rel) = db.relation(&atom.relation) {
-            out.insert_all(&format!("{}_{tag}", atom.relation), &rel.tuples);
+            out.insert_all(&format!("{}_{tag}", atom.relation), &rel.tuples.to_tuples());
         }
     }
     out

@@ -122,11 +122,17 @@ proptest! {
             ConjunctiveQuery::parse(&[("R", &["?x", "?y", "2"])]),
             ConjunctiveQuery::parse(&[("R", &["?x", "?x", "?x"])]),
             ConjunctiveQuery::parse(&[("R", &["1", "?x", "3"])]),
+            ConjunctiveQuery::parse(&[("R", &["?x", "?y", "?x"])]),
         ] {
             let v = VRelation::bind(&q.atoms[0], &db);
             let f = FlatRelation::bind(&q.atoms[0], &db);
             prop_assert_eq!(f.vars(), v.vars.as_slice());
             prop_assert_eq!(flat_tuples(&f), vrel_tuples(&v));
+            // An atom of distinct variables binds to the stored buffer
+            // itself, not to a re-flattened copy of its rows.
+            if let (3, Some(stored)) = (f.arity(), db.relation("R")) {
+                prop_assert_eq!(f.data(), stored.tuples.data());
+            }
         }
     }
 }

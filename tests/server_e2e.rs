@@ -750,7 +750,7 @@ fn delta_migrates_ghd_prepared_handles_warm_over_the_wire() {
     ]);
     let db = planted_database(&q, 60, 400, 5);
     let before = count_naive(&q, &db);
-    let z = db.relation("S").unwrap().tuples[0][1];
+    let z = db.relation("S").unwrap().tuples.row(0)[1];
     let catalog = Catalog::new();
     catalog.publish("hot", db).expect("publish");
     let config = ServerConfig {

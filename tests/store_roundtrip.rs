@@ -100,16 +100,16 @@ fn randomized_databases_round_trip_bit_identically() {
         // the publish-time skip must be unobservable.
         assert_eq!(file.stats, db.stats(), "seed {seed}: stats mismatch");
 
-        // Kernel-level bit identity: the FlatRelation buffer built from
-        // the loaded tuples equals the one built from the originals.
+        // Kernel-level bit identity: the buffer the loaded relation
+        // holds equals the FlatRelation buffer the kernel builds from
+        // the original rows.
         for (name, rel) in db.relations() {
             let vars: Vec<Var> = (0..rel.arity as u32).map(Var).collect();
-            let original = FlatRelation::from_rows(vars.clone(), &rel.tuples);
+            let original = FlatRelation::from_rows(vars, &rel.tuples.to_tuples());
             let loaded = file.db.relation(name).expect("relation survives");
-            let reloaded = FlatRelation::from_rows(vars, &loaded.tuples);
             assert_eq!(
                 original.data(),
-                reloaded.data(),
+                loaded.tuples.data(),
                 "seed {seed}: column buffer for `{name}` not bit-identical"
             );
         }
@@ -166,6 +166,66 @@ fn round_trip_preserves_query_answers_differentially() {
     }
 }
 
+/// `encode_snapshot` of [`golden_db`] as written by the encoder **before**
+/// the database moved to flat buffers (the `Vec<Vec<u64>>` row store at
+/// commit c7dc547): 64-byte header, four TOC entries, sections at 0x100
+/// (`Edge`), 0x140 (`Empty`, `Tri`) and 0x180 (`Unit`, zero bytes).
+#[rustfmt::skip]
+const GOLDEN_V1: [u8; 384] = [
+    0x43, 0x51, 0x44, 0x32, 0x53, 0x4e, 0x41, 0x50, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x5d, 0xcc, 0xfb, 0x0b, 0x38, 0x24, 0x9f, 0xcb, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x48, 0xfe, 0xb8, 0x44, 0xdc, 0xf3, 0x42, 0x14,
+    0x04, 0x00, 0x00, 0x00, 0x45, 0x64, 0x67, 0x65, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x45, 0x6d, 0x70, 0x74, 0x79, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x40, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x54, 0x72, 0x69,
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x01, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x55, 0x6e, 0x69, 0x74, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x80, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+
+/// Two relations of different arity, one empty relation, and one
+/// nullary relation holding the empty tuple.
+fn golden_db() -> Database {
+    let mut db = Database::new();
+    db.insert_all("Edge", &[vec![3, 4], vec![1, 2], vec![1, u64::MAX]]);
+    db.insert("Tri", &[7, 8, 9]);
+    db.insert_sorted_relation("Empty", 2, Vec::new())
+        .expect("fresh");
+    db.insert("Unit", &[]);
+    db
+}
+
+#[test]
+fn format_version_1_bytes_are_pinned_in_both_directions() {
+    // No other test fixes absolute bytes: this one proves a `.cqds`
+    // written before the in-memory layout changed still loads, and that
+    // today's writer produces the very same file.
+    let db = golden_db();
+    assert_eq!(encode_snapshot(&db), GOLDEN_V1, "writer drifted from v1");
+    let file = decode_snapshot(&GOLDEN_V1).expect("a pre-refactor snapshot loads");
+    assert_eq!(file.db, db);
+    assert_eq!(file.stats, db.stats());
+    assert_eq!(file.flags, 0);
+    let unit = file.db.relation("Unit").expect("nullary relation survives");
+    assert_eq!((unit.arity, unit.tuples.len()), (0, 1));
+    assert!(unit.tuples.data().is_empty());
+}
+
 #[test]
 fn file_round_trip_with_empty_and_extreme_databases() {
     let dir = std::env::temp_dir();
@@ -186,14 +246,29 @@ fn file_round_trip_with_empty_and_extreme_databases() {
     db.insert_sorted_relation("AlsoEmpty", 1, Vec::new())
         .expect("fresh");
     db.insert("Extreme", &[u64::MAX, 0, u64::MAX - 1, 1 << 63]);
+    // Nullary relations: the buffer is empty either way, only the row
+    // count tells "no tuple" from "the empty tuple".
+    db.insert_sorted_relation("False", 0, Vec::new())
+        .expect("fresh");
+    db.insert_sorted_relation("True", 0, vec![Vec::new()])
+        .expect("fresh");
     write_snapshot(path, &db).expect("write");
     let back = read_snapshot(path).expect("read");
     assert_eq!(back.db, db);
     assert_eq!(back.stats, db.stats());
     assert_eq!(
-        back.db.relation("Extreme").expect("present").tuples,
+        back.db
+            .relation("Extreme")
+            .expect("present")
+            .tuples
+            .to_tuples(),
         vec![vec![u64::MAX, 0, u64::MAX - 1, 1 << 63]]
     );
+    for (name, rows) in [("False", 0), ("True", 1)] {
+        let rel = back.db.relation(name).expect("present");
+        assert_eq!((rel.arity, rel.tuples.len()), (0, rows), "{name}");
+        assert_eq!(back.stats.relation(name).expect("stats").cardinality, rows);
+    }
 
     std::fs::remove_file(path).ok();
 }
