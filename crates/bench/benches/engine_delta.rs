@@ -1,4 +1,5 @@
-//! **Experiment E8 — the incremental update plane**, two gates:
+//! **Experiment E8 — the incremental update plane**, one gate and one
+//! correctness check:
 //!
 //! - **E8a, small-delta publish**: applying a dozen-fact delta to a
 //!   ≥ 10⁵-row database through [`Catalog::apply_delta`] (merge only
@@ -8,15 +9,17 @@
 //!   rebuild every relation, rerun the whole statistics pass) by
 //!   **≥ 5×**. The delta's cost is `O(‖Δ‖ + |touched|)`, the reload's
 //!   is `O(‖D‖)` — the gate pins that asymmetry down as a floor.
-//! - **E8b, warm maintenance**: re-executing a prepared handle after a
-//!   delta via [`PreparedQuery::rebase`] (re-materialize only the
-//!   dirty bags, carry clean bags and their probe caches by `Arc`)
-//!   must beat a full re-prepare (fresh bag tree for every bag) by
-//!   **≥ 2×** on a long chain where the delta dirties a minority of
-//!   the spine.
+//! - **E8b, warm maintenance** (untimed): migrating a prepared handle
+//!   across a delta via [`PreparedQuery::rebase`] (re-materialize only
+//!   the dirty bags, carry clean bags and their probe caches by `Arc`)
+//!   must answer exactly like a full re-prepare, report `WarmOverlay`,
+//!   and dirty a strict minority of the spine on a long chain. What a
+//!   rebase costs against a re-prepare is the benchmark ledger's
+//!   `session.rebase_us` vs `session.prepare_us`; the criterion group
+//!   below still prints both.
 //!
-//! Both sides of each gate are checked to agree on the data (E8a) or
-//! the answer (E8b) before any timing. Headline ratios are interleaved
+//! Both sides are checked to agree on the data (E8a) or the answer
+//! (E8b) before any timing. The headline ratio is interleaved
 //! min-of-rounds so slow drift cancels.
 
 use cqd2::cq::generate::canonical_query;
@@ -85,10 +88,6 @@ fn delta_and_inverse(db: &Database) -> (DatabaseDelta, DatabaseDelta) {
         inverse.insert(&last, tuple.to_vec());
     }
     (delta, inverse)
-}
-
-fn gate_line(name: &str, ratio: f64, floor: f64) {
-    println!("GATE {name} ratio={ratio:.3} floor={floor} cmp=ge status=PASS");
 }
 
 fn bench(c: &mut Criterion) {
@@ -163,7 +162,7 @@ fn bench(c: &mut Criterion) {
         "small-delta publish must be >= 5x faster than a text full reload \
          (got {publish_speedup:.2}x: {delta_best:?} vs {reload_best:?})"
     );
-    gate_line("engine_delta/publish", publish_speedup, 5.0);
+    println!("GATE engine_delta/publish ratio={publish_speedup:.3} floor=5 cmp=ge status=PASS");
 
     // -------- E8b: warm rebase vs full re-prepare -------------------
     let q = canonical_query(&hyperchain(RELATIONS, 2));
@@ -200,46 +199,6 @@ fn bench(c: &mut Criterion) {
         "  warm rebase rewrote {} of {} bags; count = {:?}",
         pass.rewritten, pass.total, expected
     );
-
-    // Timed comparison: end-to-end from "a delta just published" to "a
-    // warm handle served an answer at the new epoch". The served
-    // workload is Boolean — cheap relative to the maintenance work, so
-    // the ratio measures the maintenance (rebase vs re-materialize
-    // every bag), which is what the update plane changes; the count
-    // equality above already proved the rebased handle's answers.
-    let mut warm_best = Duration::MAX;
-    let mut reprepare_best = Duration::MAX;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        let (warm, _) = prepared
-            .rebase(&out.snapshot, &out.touched)
-            .expect("rebases warm");
-        assert_eq!(warm.run(Workload::Boolean).answer.as_bool(), Some(true));
-        warm_best = warm_best.min(t.elapsed());
-        black_box(warm);
-
-        let t = Instant::now();
-        let fresh = engine
-            .session_in(&catalog, "live")
-            .expect("live is published")
-            .prepare(&q)
-            .expect("chain plans");
-        assert_eq!(fresh.run(Workload::Boolean).answer.as_bool(), Some(true));
-        reprepare_best = reprepare_best.min(t.elapsed());
-        black_box(fresh);
-    }
-    let warm_speedup = reprepare_best.as_secs_f64() / warm_best.as_secs_f64().max(1e-12);
-    println!(
-        "  warm rebase + run (best of {ROUNDS}): {warm_best:?}\n  \
-         re-prepare + run  (best of {ROUNDS}): {reprepare_best:?}\n  \
-         re-prepare / warm: {warm_speedup:.1}×"
-    );
-    assert!(
-        warm_speedup >= 2.0,
-        "warm prepared re-execution after a delta must be >= 2x over a \
-         full re-prepare (got {warm_speedup:.2}x: {warm_best:?} vs {reprepare_best:?})"
-    );
-    gate_line("engine_delta/warm_maintenance", warm_speedup, 2.0);
 
     // Criterion group: the same four routes under its sampler.
     let mut g = c.benchmark_group("engine_delta");

@@ -731,7 +731,7 @@ fn run_client(_args: &[String]) {
 fn print_plan_json(resp: &cqd2::engine::Response) {
     println!(
         "{}",
-        serde::json::to_string_pretty(&resp.provenance.planned)
+        serde::json::to_string_pretty(&*resp.provenance.planned)
     );
 }
 

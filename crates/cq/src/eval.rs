@@ -19,6 +19,15 @@
 //!   top-down with hash-indexed bag lookups — no dead-end backtracking,
 //!   answers on demand.
 //!
+//! The three GHD routes are passes over one [`MaterializedBags`], and
+//! everything a pass computes depends only on `(q, D, GHD)` — so each
+//! runs **at most once per tree**: the Boolean answer, the count and the
+//! two-way-reduced enumeration plan are memoized on the tree on first
+//! demand, and every later `bcq` / `count` / `enumerator` call is a
+//! lookup. That is the preprocessing/answering split of the papers
+//! above: `build` and the first pass are the preprocessing, a warm call
+//! answers.
+//!
 //! GHD-guided entry points return [`EvalError`] (a typed
 //! `std::error::Error`) when the supplied decomposition does not fit the
 //! query, instead of stringly-typed errors.
@@ -291,15 +300,20 @@ fn workers_if(worthwhile: bool) -> usize {
     }
 }
 
-/// Sparsity of one tree pass: how many bag nodes the pass rewrote
-/// (copied + filtered), out of the tree's total. Boolean and enumerate
-/// passes on join-consistent data rewrite **zero** nodes (every semijoin
-/// keeps every row), and **a count pass never rewrites** — its DP carries
-/// per-row counts beside the shared relations. The engine carries this
-/// verbatim in its plan provenance, for warm and one-shot runs alike.
+/// Sparsity of a tree's reduction: how many bag nodes lost rows to a
+/// semijoin (and are therefore held a second time, filtered, beside
+/// their base relation), out of the tree's total. It describes the
+/// tree's **one** memoized reduction, so every call on the same tree
+/// reports the same value. On join-consistent data the reduction shrinks
+/// **zero** nodes (every semijoin keeps every row), and **a count never
+/// rewrites** — its DP carries per-row counts beside the base relations.
+/// The engine carries this verbatim in its plan provenance, for warm and
+/// one-shot runs alike. [`MaterializedBags::refresh`] reuses the type for
+/// its maintenance sparsity (bags re-materialized out of the total).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassStats {
-    /// Nodes the pass rewrote (copied + filtered); always 0 for counts.
+    /// Nodes the reduction shrank (filtered into a second relation);
+    /// always 0 for counts.
     pub rewritten: usize,
     /// Nodes in the bag tree.
     pub total: usize,
@@ -310,24 +324,28 @@ pub struct PassStats {
 /// atoms), rooted and ordered for tree passes.
 ///
 /// This is the **shared preprocessing** of every GHD-guided evaluator —
-/// the `O(‖D‖^width)` part — in three parts: the data-independent
+/// the `O(‖D‖^width)` part — in four parts: the data-independent
 /// **shape** (tree order, resolved semijoin keys, per-bag build recipes;
 /// one `Arc`, shared across [`MaterializedBags::refresh`]), the immutable
-/// **bag relations**, and one **cache record** per node (lazily built
-/// probe tables over the base relations).
+/// **bag relations**, one **cache record** per node (lazily built probe
+/// tables over the base relations) and one **memo record** per tree (the
+/// answers of the three passes).
 ///
-/// Build it once with [`MaterializedBags::build`] and run as many passes
-/// as needed. No pass mutates the tree: [`MaterializedBags::bcq`] and
-/// [`MaterializedBags::enumerator`] write only the nodes their semijoins
-/// actually shrink, into a private copy-on-rewrite layer, and
-/// [`MaterializedBags::count`] carries per-row counts beside the
-/// relations and copies nothing — so warm re-execution (and any number
-/// of concurrent cursors) shares one bag tree, and a warm run on
-/// join-consistent data is pure probing: no hash-table builds, no
-/// copies. All bottom-up passes are one level walk that fans out per
-/// level over scoped threads on trees wide and large enough to pay for
-/// them. The one-shot [`bcq_via_ghd`] / [`count_via_ghd`] /
-/// [`enumerate_via_ghd`] wrappers are `build` followed by one such pass.
+/// Build it once with [`MaterializedBags::build`] and ask as often as
+/// needed. `build` runs no pass; the first [`MaterializedBags::bcq`],
+/// [`MaterializedBags::count`] or [`MaterializedBags::enumerator`] call
+/// runs its pass over the immutable tree and memoizes the result, and
+/// every later call — on this tree or a clone of it, from any thread —
+/// reads the memo: a warm Boolean or count is a load, a warm enumerator
+/// is an `Arc` bump on the shared enumeration plan. Concurrent first
+/// callers compute once (`OnceLock`). No pass mutates the tree: the
+/// reduction keeps a filtered copy of exactly the nodes its semijoins
+/// shrink (sharing every other node's base `Arc`), and the counting DP
+/// carries per-row counts beside the relations and copies nothing. The
+/// bottom-up passes are one level walk that fans out per level over
+/// scoped threads on trees wide and large enough to pay for them. The
+/// one-shot [`bcq_via_ghd`] / [`count_via_ghd`] / [`enumerate_via_ghd`]
+/// wrappers are `build` followed by one such pass.
 ///
 /// ```
 /// use cqd2_cq::eval::MaterializedBags;
@@ -340,12 +358,14 @@ pub struct PassStats {
 /// db.insert_all("S", &[vec![2, 3], vec![2, 4]]);
 /// let ghd = ghw_decomposition(&q.hypergraph()).expect("small instance");
 ///
-/// // Pay the O(‖D‖^width) preprocessing once…
+/// // Pay the O(‖D‖^width) materialization once…
 /// let bags = MaterializedBags::build(&q, &db, &ghd)?;
-/// // …then run as many copy-free tree passes as needed.
+/// // …each pass runs on first demand, once…
 /// assert!(bags.bcq());
 /// assert_eq!(bags.count(), 2);
 /// assert_eq!(bags.enumerator().count(), 2);
+/// // …and asking again is a lookup.
+/// assert_eq!(bags.count(), 2);
 /// # Ok::<(), cqd2_cq::eval::EvalError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -355,6 +375,9 @@ pub struct MaterializedBags {
     /// enumerators hold untouched bags without copying buffers.
     relations: Vec<Arc<FlatRelation>>,
     caches: Vec<NodeCache>,
+    /// What the passes over `relations` answered. Shared by clones and by
+    /// a refresh that dirtied no bag (same relations, same answers).
+    memo: Arc<PassMemo>,
 }
 
 /// The data-independent part of a bag tree. Re-running a bag's recipe
@@ -519,10 +542,11 @@ fn materialize(
 }
 
 /// One node's lazily built probe tables, each over a **base** relation
-/// (passes never mutate those, so a filled table is reusable across
-/// runs) and each consulted only while the pass at hand has left that
-/// relation unrewritten. `Arc`'d so `refresh` can hand a still-valid
-/// table to the refreshed tree instead of rebuilding it.
+/// (passes never mutate those) and each consulted by the one-time passes
+/// only while they have left that relation unshrunk; the enumeration plan
+/// then shares `up` as the node's walk index. `Arc`'d so `refresh` can
+/// hand a still-valid table to the refreshed tree — whose first pass
+/// re-reduces with it — instead of rebuilding it.
 #[derive(Debug, Clone, Default)]
 struct NodeCache {
     /// Over the node's own relation, keyed on `up_key`: what the
@@ -555,10 +579,22 @@ impl NodeCache {
     }
 }
 
-/// The copy-on-rewrite layer of one Boolean or enumerate reduction over
-/// a shared tree: reads fall through to the base materialization; a
-/// semijoin that drops rows writes the filtered relation here and
-/// leaves the base untouched.
+/// The per-tree memo: each pass's answer, filled on first demand by
+/// `OnceLock::get_or_init` (concurrent first callers compute once) and
+/// immutable afterwards.
+#[derive(Debug, Default)]
+struct PassMemo {
+    /// The bottom-up reduction's verdict and sparsity.
+    boolean: OnceLock<(bool, PassStats)>,
+    /// The counting DP's total.
+    count: OnceLock<u128>,
+    /// The two-way reduction, wired for enumeration, and its sparsity.
+    plan: OnceLock<(Arc<EnumPlan>, PassStats)>,
+}
+
+/// The working state of one reduction over a shared tree: reads fall
+/// through to the base materialization; a semijoin that drops rows
+/// writes the filtered relation here and leaves the base untouched.
 struct BagOverlay<'a> {
     base: &'a MaterializedBags,
     /// Sparse rewrite layer, indexed by node.
@@ -643,11 +679,13 @@ impl MaterializedBags {
             shape: Arc::new(shape),
             relations: relations.into_iter().map(Arc::new).collect(),
             caches: vec![NodeCache::default(); n],
+            memo: Arc::default(),
         })
     }
 
-    /// Total rows across all materialized bag relations (the memory the
-    /// handle pins).
+    /// Total rows across all materialized **base** bag relations. The
+    /// tree additionally pins, once enumeration has been asked for, a
+    /// filtered copy of every node the reduction shrank.
     pub fn total_rows(&self) -> usize {
         self.relations.iter().map(|r| r.len()).sum()
     }
@@ -665,10 +703,16 @@ impl MaterializedBags {
     /// post-delta database; `dirty` holds the names of the relations the
     /// delta touched.
     ///
+    /// Like `build`, this runs no pass. A reduced bag can grow when a
+    /// neighbour gains rows, so once any bag is dirty the refreshed tree
+    /// starts with an empty memo and re-reduces the whole tree — over
+    /// the unreduced base relations, with the carried tables — on its
+    /// first read.
+    ///
     /// Returns the refreshed tree plus the maintenance sparsity: how
     /// many bags were re-materialized out of the total. `rewritten == 0`
     /// means the delta did not intersect this query at all and the
-    /// refreshed tree is a pure share of `self`.
+    /// refreshed tree is a pure share of `self`, memo included.
     pub fn refresh(
         &self,
         q: &ConjunctiveQuery,
@@ -683,6 +727,13 @@ impl MaterializedBags {
             .collect();
         let n = dirty_bag.len();
         let dirty_nodes: Vec<usize> = (0..n).filter(|&u| dirty_bag[u]).collect();
+        let stats = PassStats {
+            rewritten: dirty_nodes.len(),
+            total: n,
+        };
+        if dirty_nodes.is_empty() {
+            return (self.clone(), stats);
+        }
         let mut relations = self.relations.clone();
         let remat = materialize(&shape.recipes, &dirty_nodes, q, db);
         for (&u, rel) in dirty_nodes.iter().zip(remat) {
@@ -701,10 +752,7 @@ impl MaterializedBags {
             shape: Arc::clone(shape),
             relations,
             caches,
-        };
-        let stats = PassStats {
-            rewritten: dirty_nodes.len(),
-            total: n,
+            memo: Arc::default(),
         };
         (refreshed, stats)
     }
@@ -716,20 +764,29 @@ impl MaterializedBags {
         &self.relations[u]
     }
 
-    /// Decide `q(D) ≠ ∅` with a Boolean pass (Prop. 2.2 bottom-up
-    /// semijoins; copies only the nodes it shrinks).
+    /// Whether the two-way reduction behind [`MaterializedBags::enumerator`]
+    /// has run on this tree — the witness tests use to assert that
+    /// nothing forces it before an answer is asked for.
+    pub fn enumeration_ready(&self) -> bool {
+        self.memo.plan.get().is_some()
+    }
+
+    /// Decide `q(D) ≠ ∅` (Prop. 2.2 bottom-up semijoins, run on the
+    /// first call; a lookup afterwards).
     pub fn bcq(&self) -> bool {
         self.bcq_with_stats().0
     }
 
-    /// [`MaterializedBags::bcq`] plus the pass's rewrite sparsity.
+    /// [`MaterializedBags::bcq`] plus the bottom-up reduction's sparsity.
     pub fn bcq_with_stats(&self) -> (bool, PassStats) {
-        let mut ov = BagOverlay::new(self);
-        (self.reduce_bottom_up(&mut ov), ov.stats())
+        *self.memo.boolean.get_or_init(|| {
+            let mut ov = BagOverlay::new(self);
+            (self.reduce_bottom_up(&mut ov), ov.stats())
+        })
     }
 
-    /// Count `|q(D)|` with the counting DP (Prop. 4.14 junction-tree
-    /// DP; copies no rows).
+    /// Count `|q(D)|` (Prop. 4.14 junction-tree DP, run on the first
+    /// call; a lookup afterwards). Copies no rows.
     pub fn count(&self) -> u128 {
         self.count_with_stats().0
     }
@@ -738,11 +795,19 @@ impl MaterializedBags {
     /// is 0 by construction — the DP carries, per non-leaf node, one
     /// extension count per **base** row and never filters a relation.
     pub fn count_with_stats(&self) -> (u128, PassStats) {
+        let stats = PassStats {
+            rewritten: 0,
+            total: self.relations.len(),
+        };
+        (*self.memo.count.get_or_init(|| self.count_dp()), stats)
+    }
+
+    /// The counting DP over the whole tree.
+    fn count_dp(&self) -> u128 {
         let shape = &*self.shape;
-        let n = self.relations.len();
         // Leaves keep an empty slot: their rows all count 1, and their
         // aggregation comes from the per-leaf cache.
-        let mut counts: Vec<Vec<u128>> = vec![Vec::new(); n];
+        let mut counts: Vec<Vec<u128>> = vec![Vec::new(); self.relations.len()];
         self.bottom_up(
             &mut counts,
             |counts, u| self.count_node(counts, u),
@@ -751,34 +816,40 @@ impl MaterializedBags {
                 true
             },
         );
-        let total = if shape.children[shape.root].is_empty() {
+        if shape.children[shape.root].is_empty() {
             self.relations[shape.root].len() as u128
         } else {
             counts[shape.root].iter().sum()
-        };
-        let stats = PassStats {
-            rewritten: 0,
-            total: n,
-        };
-        (total, stats)
+        }
     }
 
-    /// Open a streaming answer enumerator over a two-way reduction
-    /// (semijoin-reduce bottom-up and top-down, then constant-delay
-    /// enumeration). Untouched bags are shared with the base tree by
-    /// `Arc`, so any number of concurrent cursors pin one
-    /// materialization.
+    /// Open a streaming answer enumerator over the tree's two-way
+    /// reduction (semijoin-reduce bottom-up and top-down — on the first
+    /// call — then constant-delay enumeration). Every enumerator of a
+    /// tree shares one immutable plan by `Arc`, so opening one costs an
+    /// `Arc` bump plus its cursor vectors, and any number of concurrent
+    /// cursors pin one materialization.
     pub fn enumerator(&self) -> GhdEnumerator {
         self.enumerator_with_stats().0
     }
 
-    /// [`MaterializedBags::enumerator`] plus the reduction's rewrite
-    /// sparsity (both passes combined).
+    /// [`MaterializedBags::enumerator`] plus the reduction's sparsity
+    /// (both passes combined).
     pub fn enumerator_with_stats(&self) -> (GhdEnumerator, PassStats) {
+        let (plan, stats) = self.memo.plan.get_or_init(|| self.reduce_two_way());
+        (GhdEnumerator::open(Arc::clone(plan)), *stats)
+    }
+
+    /// Both reduction passes, then the enumeration plan over the result.
+    fn reduce_two_way(&self) -> (Arc<EnumPlan>, PassStats) {
         let shape = &*self.shape;
         let mut ov = BagOverlay::new(self);
-        if !self.reduce_bottom_up(&mut ov) {
-            return (GhdEnumerator::empty(), ov.stats());
+        let alive = self.reduce_bottom_up(&mut ov);
+        // The Boolean answer falls out of the first half: a later `bcq`
+        // must not reduce again for it.
+        let _ = self.memo.boolean.set((alive, ov.stats()));
+        if !alive {
+            return (Arc::default(), ov.stats());
         }
         // Top-down pass (parents filter children, shallowest level
         // first): afterwards the tree is globally consistent — every
@@ -794,7 +865,7 @@ impl MaterializedBags {
                 ov.set(c, f);
             }
         }
-        (self.build_enumerator(&ov), ov.stats())
+        (Arc::new(self.enum_plan(&ov)), ov.stats())
     }
 
     /// The probe table over node `u`'s current relation, keyed on
@@ -896,11 +967,12 @@ impl MaterializedBags {
         cur
     }
 
-    /// Wire up a [`GhdEnumerator`] over the fully semijoin-reduced tree
+    /// Wire up the enumeration plan over the fully semijoin-reduced tree
     /// in `ov`: covered-variable check, pre-order, per-bag parent-key
-    /// probe tables. Untouched bags are shared with the prepared
-    /// materialization by `Arc` — relation and cached probe table both.
-    fn build_enumerator(&self, ov: &BagOverlay<'_>) -> GhdEnumerator {
+    /// probe tables. Bags the reduction left whole are shared with the
+    /// base materialization by `Arc` — relation and cached probe table
+    /// both.
+    fn enum_plan(&self, ov: &BagOverlay<'_>) -> EnumPlan {
         let shape = &*self.shape;
         // Every variable must be carried by some bag; a variable outside
         // all bags (possible only for degenerate hand-built inputs)
@@ -913,7 +985,7 @@ impl MaterializedBags {
             }
         }
         if covered.iter().any(|c| !c) {
-            return GhdEnumerator::empty();
+            return EnumPlan::default();
         }
         // Pre-order over the rooted tree, parents first.
         let mut pre_order = Vec::with_capacity(self.relations.len());
@@ -928,7 +1000,7 @@ impl MaterializedBags {
         // `u`'s parent bag — so chaining each bag's rows by its
         // parent-shared columns (`up_key`, empty at the root: one chain of
         // every row) is enough to keep the walk consistent.
-        let levels: Vec<EnumLevel> = pre_order
+        let levels = pre_order
             .iter()
             .map(|&u| {
                 let rel = Arc::clone(ov.rel(u));
@@ -941,13 +1013,9 @@ impl MaterializedBags {
                 }
             })
             .collect();
-        GhdEnumerator {
-            choice: vec![0; levels.len()],
+        EnumPlan {
             levels,
-            assignment: vec![0; shape.num_vars],
-            scratch: Vec::new(),
-            started: false,
-            done: false,
+            num_vars: shape.num_vars,
         }
     }
 
@@ -1009,9 +1077,9 @@ pub fn count_via_ghd(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Result<u
 /// enumeration (pre-order position).
 #[derive(Debug)]
 struct EnumLevel {
-    /// The fully semijoin-reduced bag relation. `Arc`-shared: bags the
-    /// reduction left untouched point straight into the prepared
-    /// materialization, so concurrent cursors pin one tree.
+    /// The fully semijoin-reduced bag relation: the base materialization's
+    /// own `Arc` wherever the reduction dropped no row, a filtered copy
+    /// otherwise.
     rel: Arc<FlatRelation>,
     /// Assignment slot (`Var` id) of each of `rel`'s columns.
     write: Vec<usize>,
@@ -1021,27 +1089,42 @@ struct EnumLevel {
     key_slots: Vec<usize>,
     /// Row ids chained by parent-key value: the same probe table the
     /// reduction passes use (the node's cached base-side table when the
-    /// reduction left the bag untouched, a fresh one otherwise).
+    /// reduction left the bag whole, one built over the filtered copy
+    /// otherwise).
     index: Arc<KeyTable>,
 }
 
+/// The memoized result of a tree's two-way reduction, wired for
+/// enumeration: the globally consistent bag relations in pre-order
+/// (parents before children), each with its walk index. Immutable and
+/// `Arc`-shared by every [`GhdEnumerator`] of the tree. No levels = no
+/// answers.
+#[derive(Debug, Default)]
+struct EnumPlan {
+    levels: Vec<EnumLevel>,
+    /// Answer tuple width.
+    num_vars: usize,
+}
+
 /// A streaming answer enumerator over a semijoin-reduced GHD bag tree
-/// (created by [`enumerate_via_ghd`]).
+/// (created by [`MaterializedBags::enumerator`] / [`enumerate_via_ghd`]).
 ///
 /// After the two reduction passes every bag row extends to at least one
 /// full answer, so the top-down walk never backtracks out of a dead end:
-/// each [`Iterator::next`] call does `O(tree size)` hash probes and row
-/// copies, independent of the database — the constant-delay regime of
-/// Durand & Grandjean / Carmeli & Kröll, with the `O(‖D‖^k)` work
-/// confined to the preprocessing phase.
+/// each [`Iterator::next`] call — the first included — does
+/// `O(tree size)` hash probes and row copies, independent of the
+/// database — the constant-delay regime of Durand & Grandjean / Carmeli
+/// & Kröll, with the `O(‖D‖^k)` work confined to the preprocessing phase
+/// the tree runs once. The enumerator itself is a cursor: a shared
+/// reference to the tree's reduced relations and indexes plus its own
+/// position.
 ///
 /// Answers are full assignments in `Var` id order (the same shape
 /// [`enumerate_naive`] produces) but **not** in sorted order; sort the
 /// collected prefix if a canonical order is needed.
 #[derive(Debug)]
 pub struct GhdEnumerator {
-    /// Bags in pre-order (parents before children).
-    levels: Vec<EnumLevel>,
+    plan: Arc<EnumPlan>,
     /// Current answer under construction, indexed by `Var` id.
     assignment: Vec<u64>,
     /// Current row id per level.
@@ -1053,15 +1136,15 @@ pub struct GhdEnumerator {
 }
 
 impl GhdEnumerator {
-    /// An enumerator that yields nothing (empty result set).
-    fn empty() -> GhdEnumerator {
+    /// A cursor at the start of `plan`'s answers.
+    fn open(plan: Arc<EnumPlan>) -> GhdEnumerator {
         GhdEnumerator {
-            levels: Vec::new(),
-            assignment: Vec::new(),
-            choice: Vec::new(),
+            assignment: vec![0; plan.num_vars],
+            choice: vec![0; plan.levels.len()],
             scratch: Vec::new(),
             started: false,
-            done: true,
+            done: plan.levels.is_empty(),
+            plan,
         }
     }
 
@@ -1071,8 +1154,9 @@ impl GhdEnumerator {
     /// first matches. Backtracks on exhaustion; `false` means the walk is
     /// done.
     fn search(&mut self, mut d: usize, mut advance: bool) -> bool {
+        let levels = &self.plan.levels;
         loop {
-            let level = &self.levels[d];
+            let level = &levels[d];
             let found = if advance {
                 // Shallower levels have not moved, so the probe key is
                 // still the current row's own key.
@@ -1091,7 +1175,7 @@ impl GhdEnumerator {
                         self.assignment[slot] = row[c];
                     }
                     self.choice[d] = r;
-                    if d + 1 == self.levels.len() {
+                    if d + 1 == levels.len() {
                         return true;
                     }
                     d += 1;
@@ -1119,7 +1203,7 @@ impl Iterator for GhdEnumerator {
             return None;
         }
         let found = if self.started {
-            self.search(self.levels.len() - 1, true)
+            self.search(self.plan.levels.len() - 1, true)
         } else {
             self.started = true;
             self.search(0, false)
@@ -1625,5 +1709,190 @@ mod tests {
             db = applied.db;
             warm = next;
         }
+    }
+    /// The bushy fixture of `tests/overlay_differential.rs` (root `A`,
+    /// two internal mid nodes, four leaves), for the tests below that
+    /// need private access to the memo.
+    fn bushy() -> (ConjunctiveQuery, Ghd) {
+        use cqd2_decomp::TreeDecomposition;
+        let q = ConjunctiveQuery::parse(&[
+            ("A", &["?a", "?b"]),
+            ("B0", &["?a", "?c", "?d"]),
+            ("B1", &["?b", "?e", "?f"]),
+            ("C0", &["?c", "?g"]),
+            ("C1", &["?d", "?h"]),
+            ("C2", &["?e", "?i"]),
+            ("C3", &["?f", "?j"]),
+        ]);
+        let bags = [
+            vec![0u32, 1],
+            vec![0, 2, 3],
+            vec![1, 4, 5],
+            vec![2, 6],
+            vec![3, 7],
+            vec![4, 8],
+            vec![5, 9],
+        ]
+        .into_iter()
+        .map(|b| b.into_iter().map(VertexId).collect())
+        .collect();
+        let tree = vec![(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)];
+        let ghd = Ghd::from_td_exact(&q.hypergraph(), TreeDecomposition { bags, tree });
+        ghd.validate(&q.hypergraph()).unwrap();
+        (q, ghd)
+    }
+
+    /// One root row over three `B0` rows, two of which dangle (no `C0` /
+    /// no `C1` partner), and two `B1` rows, one of which dangles.
+    fn dangling_database() -> Database {
+        let mut db = Database::new();
+        db.insert_all("A", &[vec![1, 1]]);
+        db.insert_all("B0", &[vec![1, 2, 3], vec![1, 5, 3], vec![1, 2, 7]]);
+        db.insert_all("B1", &[vec![1, 4, 4], vec![1, 4, 8]]);
+        db.insert_all("C0", &[vec![2, 10], vec![2, 11], vec![2, 12]]);
+        db.insert_all("C1", &[vec![3, 20], vec![3, 21]]);
+        db.insert_all("C2", &[vec![4, 30], vec![4, 31]]);
+        db.insert_all("C3", &[vec![4, 40]]);
+        db
+    }
+
+    #[test]
+    fn enumeration_plan_is_globally_consistent() {
+        // The specification of the two-way reduction: every relation of
+        // the memoized plan is exactly the projection of `q(D)` onto its
+        // bag's variables — no dangling row survives, no answer's row is
+        // lost — and a bag the reduction did not shrink is the base Arc.
+        use std::collections::BTreeSet;
+        let (q, ghd) = bushy();
+        let mut dbs = vec![dangling_database()];
+        for seed in 0..2 {
+            dbs.extend([3, 8, 32].map(|domain| random_database(&q, domain, 40, seed)));
+            dbs.push(random_database(&q, 2, 300, seed));
+        }
+        let (mut shrunk, mut whole) = (0, 0);
+        for (i, db) in dbs.iter().enumerate() {
+            let bags = MaterializedBags::build(&q, db, &ghd).unwrap();
+            let answers = enumerate_naive(&q, db);
+            let (e, stats) = bags.enumerator_with_stats();
+            assert_eq!(e.plan.levels.is_empty(), answers.is_empty(), "db {i}");
+            for level in &e.plan.levels {
+                let projected: BTreeSet<Vec<u64>> = answers
+                    .iter()
+                    .map(|a| level.rel.vars().iter().map(|v| a[v.idx()]).collect())
+                    .collect();
+                let held: BTreeSet<Vec<u64>> = level.rel.iter().map(<[u64]>::to_vec).collect();
+                assert_eq!(held.len(), level.rel.len(), "db {i}: duplicate bag row");
+                assert_eq!(held, projected, "db {i}: bag {:?}", level.rel.vars());
+            }
+            if !answers.is_empty() {
+                let shared = (e.plan.levels.iter())
+                    .filter(|l| bags.relations.iter().any(|r| Arc::ptr_eq(r, &l.rel)))
+                    .count();
+                assert_eq!(shared, stats.total - stats.rewritten, "db {i}");
+                shrunk += stats.rewritten;
+                whole += shared;
+            }
+        }
+        assert!(shrunk > 0 && whole > 0, "fixtures must cover both cases");
+    }
+
+    #[test]
+    fn racing_first_callers_compute_each_pass_once() {
+        let (q, ghd) = bushy();
+        let db = random_database(&q, 8, 40, 3);
+        let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        let expected = enumerate_naive(&q, &db);
+        assert!(!expected.is_empty(), "fixture must have answers");
+        // Eight threads released together onto the cold tree.
+        let barrier = std::sync::Barrier::new(8);
+        let plans: Vec<Arc<EnumPlan>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|i| {
+                    let (bags, barrier, expected) = (&bags, &barrier, &expected);
+                    s.spawn(move || {
+                        barrier.wait();
+                        match i % 3 {
+                            0 => {
+                                assert!(bags.bcq());
+                                None
+                            }
+                            1 => {
+                                assert_eq!(bags.count(), expected.len() as u128);
+                                None
+                            }
+                            _ => {
+                                let e = bags.enumerator();
+                                let plan = Arc::clone(&e.plan);
+                                let mut got: Vec<Vec<u64>> = e.collect();
+                                got.sort_unstable();
+                                assert_eq!(&got, expected);
+                                Some(plan)
+                            }
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .filter_map(|h| h.join().expect("no panic"))
+                .collect()
+        });
+        assert!(plans.len() >= 2);
+        for plan in &plans {
+            assert!(Arc::ptr_eq(plan, &plans[0]), "two reductions ran");
+        }
+        assert!(Arc::ptr_eq(&bags.enumerator().plan, &plans[0]));
+        // The memo is what every later call reports.
+        assert_eq!(bags.bcq_with_stats(), bags.bcq_with_stats());
+        assert_eq!(bags.count_with_stats(), bags.count_with_stats());
+        assert_eq!(
+            bags.enumerator_with_stats().1,
+            bags.enumerator_with_stats().1
+        );
+    }
+
+    #[test]
+    fn refresh_never_serves_a_stale_memo() {
+        let (q, ghd) = bushy();
+        let mut db = dangling_database();
+        db.insert_all("Unrelated", &[vec![8]]);
+        let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        assert!(!bags.enumeration_ready(), "build runs no pass");
+        assert!(bags.bcq());
+        assert_eq!(bags.count(), 12);
+        assert_eq!(bags.enumerator().count(), 12);
+        let memo = &bags.memo;
+        assert!(memo.boolean.get().is_some() && memo.count.get().is_some());
+        assert!(bags.enumeration_ready());
+
+        // A delta that gives a dangling `B0` row its `C0` partner grows
+        // the *reduced* form of clean bags too: the memo must go.
+        let mut delta = DatabaseDelta::new();
+        delta.insert("C0", vec![5, 13]);
+        let applied = db.apply_delta(&delta).unwrap();
+        let (warm, stats) = bags.refresh(&q, &applied.db, &applied.touched);
+        assert_eq!(stats.rewritten, 1);
+        assert!(!Arc::ptr_eq(&bags.memo, &warm.memo));
+        let memo = &warm.memo;
+        assert!(memo.boolean.get().is_none() && memo.count.get().is_none());
+        assert!(!warm.enumeration_ready(), "refresh runs no pass");
+        let fresh = MaterializedBags::build(&q, &applied.db, &ghd).unwrap();
+        assert_eq!(warm.bcq_with_stats(), fresh.bcq_with_stats());
+        assert_eq!(warm.count(), 12 + 2 * 2);
+        assert_eq!(warm.count(), fresh.count());
+        let mut got: Vec<Vec<u64>> = warm.enumerator().collect();
+        got.sort_unstable();
+        assert_eq!(got, enumerate_naive(&q, &applied.db));
+        // The old tree still answers its own epoch.
+        assert_eq!(bags.count(), 12);
+
+        // A delta that touches no bag changes no answer: same memo.
+        let mut delta = DatabaseDelta::new();
+        delta.insert("Unrelated", vec![9]);
+        let applied = db.apply_delta(&delta).unwrap();
+        let (same, stats) = bags.refresh(&q, &applied.db, &applied.touched);
+        assert_eq!(stats.rewritten, 0);
+        assert!(Arc::ptr_eq(&bags.memo, &same.memo));
+        assert_eq!(same.count(), 12);
     }
 }

@@ -26,8 +26,8 @@
 //!   branch-free, autovectorization-friendly loop), records survivors in
 //!   a selection bitmask, and only then materializes output rows — and
 //!   returns `None` when *every* row survives, so unchanged inputs are
-//!   never copied at all (the enabler of the bag-tree overlay's
-//!   copy-free warm runs);
+//!   never copied at all (which is why a bag tree's reduction holds a
+//!   second copy of only the bags it shrinks);
 //! - runs the sort-based dedup **only where an operator can introduce
 //!   duplicates**: binding an atom that drops positions (constants or
 //!   repeated variables) and projections that drop columns. Joins and
@@ -360,8 +360,8 @@ impl FlatRelation {
 
     /// Chunked semijoin filter: `Some(filtered)` with the surviving rows,
     /// or **`None` when every row survives** — the caller can keep using
-    /// `self` unchanged, paying no copy (the bag-tree overlay's warm runs
-    /// live on this).
+    /// `self` unchanged, paying no copy (the bag tree's reduction shares
+    /// its base relations on this).
     ///
     /// The filter runs in fixed-size chunks: key columns are gathered and
     /// hashed in a branch-free loop, survivors recorded in a selection

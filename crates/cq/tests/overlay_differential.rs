@@ -1,10 +1,11 @@
-//! Differential suite for the copy-free tree passes: every workload
-//! (Boolean / Count / Enumerate) run as `bcq` / `count` / `enumerator`
-//! on a shared [`MaterializedBags`] must agree with the naive
+//! Differential suite for the memoized tree passes: every workload
+//! (Boolean / Count / Enumerate) asked as `bcq` / `count` / `enumerator`
+//! of a shared [`MaterializedBags`] must agree with the naive
 //! backtracking oracle (`bcq_naive` / `count_naive` / `enumerate_naive`)
 //! across randomized, empty, dangling and duplicate-heavy databases —
-//! and the passes must not perturb the shared tree (re-running yields
-//! the same answers, concurrent readers agree, a count copies nothing).
+//! and asking must not perturb the shared tree (asking again reads the
+//! memo and yields the same answers, concurrent readers agree, a count
+//! copies nothing).
 
 use cqd2_cq::generate::random_database;
 use cqd2_cq::{
@@ -264,7 +265,10 @@ fn parallel_passes_match_sequential() {
         "the count pass copies nothing on the tree the Boolean pass rewrites"
     );
     let par_tuples: Vec<Vec<u64>> = bags.enumerator().collect();
+    // The sequential side gets its own tree: on the shared one it would
+    // read the parallel side's memo and compare nothing.
     let (seq_bool, seq_count, seq_tuples) = with_sequential_bags(|| {
+        let bags = MaterializedBags::build(&q, &db, &ghd).expect("bag tree materializes");
         let b = bags.bcq();
         let n = bags.count();
         let t: Vec<Vec<u64>> = bags.enumerator().collect();

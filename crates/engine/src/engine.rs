@@ -167,20 +167,22 @@ impl Answer {
 /// Where a response's plan came from and what it cost.
 #[derive(Debug, Clone)]
 pub struct PlanProvenance {
-    /// The plan that was executed (with cost estimate and notes).
-    pub planned: PlannedQuery,
+    /// The plan that was executed (with cost estimate and notes),
+    /// shared with the prepared state it came from.
+    pub planned: Arc<PlannedQuery>,
     /// Whether the structure analysis came from the cache.
     pub cache_hit: bool,
     /// Time spent planning (≈ 0 on cache hits).
     pub planning: Duration,
     /// Time spent executing the plan against the database.
     pub execution: Duration,
-    /// Rewrite sparsity of the run's tree pass over the materialized
-    /// bag tree (`None` on naive plans, which have none). `rewritten = 0`
-    /// means pure probing, no copies: the ideal warm case for Boolean and
-    /// enumerate runs, and every count run (the counting DP never
-    /// rewrites a bag). One-shot calls measure it too — same pass, over
-    /// a tree they just built.
+    /// Sparsity of the bag tree's reduction (`None` on naive plans,
+    /// which have no tree): how many nodes it had to filter. The
+    /// reduction runs once per tree, so every run of a handle reports
+    /// the same value. `rewritten = 0` means no semijoin dropped a row —
+    /// join-consistent data — and is what every count run reports (the
+    /// counting DP never rewrites a bag). One-shot calls report it too —
+    /// same pass, over a tree they just built.
     pub bags: Option<PassStats>,
     /// How this handle crossed the most recent delta epoch, if it was
     /// maintained rather than freshly prepared: `warm-overlay` when the
@@ -363,7 +365,7 @@ impl Engine {
     /// calling `db.stats()` once and passing it here (or by holding a
     /// [`crate::Session`], which pins a full snapshot).
     ///
-    /// The same `build → overlay pass` route as [`crate::Session::run`],
+    /// The same `build → first pass` route as [`crate::Session::run`],
     /// borrowing the database directly (no snapshot cloned or pinned);
     /// provenance reports the planning and — inside `execution` — the
     /// preprocessing this call paid.

@@ -41,7 +41,7 @@
 //!   `(query, db)` requests over shared databases with scoped worker
 //!   threads, returning per-request answers plus plan provenance.
 //!   `Engine::serve` and friends are one-shot shims over the same
-//!   `build → overlay pass` route prepared handles run.
+//!   `build → first pass` route prepared handles run.
 //! - [`server`] *(requires the `serde` feature)*: the **socket serving
 //!   front-end** — a thread-pool TCP server (`cqd2-serve`) framing the
 //!   workload text format over a shared [`Catalog`], with per-batch

@@ -5,9 +5,8 @@
 //! Everything here is built on `std::sync::atomic` only — no external
 //! crates, consistent with the repository's vendored offline build —
 //! and is cheap enough to leave permanently enabled on the hot path
-//! (`benches/engine_metrics_overhead.rs` gates the instrumented warm
-//! [`PreparedQuery::run`](crate::session::PreparedQuery::run) path
-//! within 5% of the bare one).
+//! (the benchmark ledger's `metrics.trace_overhead_pct` prices a traced
+//! request against an untraced one, end to end).
 //!
 //! # Histogram design
 //!

@@ -46,12 +46,12 @@ pub(super) struct DbMetrics {
     pub(super) overloads: Counter,
     pub(super) prepared_hits: Counter,
     pub(super) prepared_misses: Counter,
-    /// Bag nodes the tree passes rewrote (copied + filtered), summed
-    /// over every answered GHD-plan query (counts contribute 0).
+    /// Bag nodes the answering tree's memoized reduction had to filter,
+    /// summed over every answered GHD-plan query (counts contribute 0).
     pub(super) bags_rewritten: Counter,
-    /// Bag nodes those passes visited in total; `rewritten / total` is
-    /// the production pass-sparsity ratio (0 = ideal warm serving:
-    /// every run was pure probing over the shared materialization).
+    /// Bag nodes of those trees in total; `rewritten / total` is the
+    /// production reduction-sparsity ratio (0 = join-consistent data:
+    /// no handle holds a reduced copy of any bag).
     pub(super) bags_total: Counter,
     /// Delta batches successfully merged into this database.
     pub(super) delta_batches: Counter,
@@ -284,12 +284,13 @@ pub struct ServerStats {
     /// file was missing, unreadable, corrupt, or version-skewed (the
     /// old epoch kept serving every time).
     pub store_errors: u64,
-    /// Bag nodes rewritten (copied + filtered) by tree passes across
-    /// all answered GHD-plan queries (a count pass rewrites none).
+    /// Bag nodes the answering trees' memoized reductions had to
+    /// filter, across all answered GHD-plan queries (a count
+    /// contributes none).
     pub bags_rewritten: u64,
-    /// Bag nodes visited by those passes in total. The ratio
-    /// `bags_rewritten / bags_total` is the serving fleet's pass
-    /// sparsity; 0 means every warm run was copy-free.
+    /// Bag nodes of those trees in total. The ratio
+    /// `bags_rewritten / bags_total` is the serving fleet's reduction
+    /// sparsity; 0 means no handle holds a reduced copy of any bag.
     pub bags_total: u64,
     /// Successful `Delta` frame applications (structural-sharing epoch
     /// publications).

@@ -54,7 +54,8 @@ pub struct WireResult {
     /// Nanoseconds of planning this execution paid (0 on prepared
     /// re-execution — the cost was paid when the handle was prepared).
     pub planning_ns: u64,
-    /// Nanoseconds of execution (the per-run tree pass).
+    /// Nanoseconds of execution (the tree pass on a handle's first run
+    /// of a workload kind, a memo read afterwards).
     pub execution_ns: u64,
     /// Microseconds this query spent inside the server, from receipt of
     /// its `Query` frame to this response being handed to the socket
@@ -352,11 +353,13 @@ pub struct WireDbStats {
     pub prepared_hits: u64,
     /// Prepared-query cache misses.
     pub prepared_misses: u64,
-    /// Bag nodes rewritten (copied + filtered) by tree passes over
-    /// this database's prepared bag trees (a count pass rewrites none).
+    /// Bag nodes the memoized reductions of this database's prepared
+    /// bag trees had to filter, summed over answered queries (a count
+    /// contributes none).
     pub bags_rewritten: u64,
-    /// Bag nodes those passes visited in total; `rewritten / total` is
-    /// this database's pass sparsity (0 = fully copy-free serving).
+    /// Bag nodes of those trees in total; `rewritten / total` is this
+    /// database's reduction sparsity (0 = join-consistent data: no
+    /// handle holds a reduced copy of any bag).
     pub bags_total: u64,
     /// Delta batches successfully applied to this database.
     pub delta_batches: u64,
@@ -412,9 +415,9 @@ pub struct WireStats {
     /// `Reload { path }` frames rejected with `Store` (bad snapshot
     /// file; the old epoch kept serving).
     pub store_errors: u64,
-    /// Bag nodes rewritten by tree passes (all databases).
+    /// Bag nodes filtered by the trees' reductions (all databases).
     pub bags_rewritten: u64,
-    /// Bag nodes visited by those passes in total (all databases).
+    /// Bag nodes of those trees in total (all databases).
     pub bags_total: u64,
     /// Successful `Delta` frames (all databases).
     pub delta_batches: u64,

@@ -130,9 +130,12 @@ fn execute_job(job: Job<'_>, sequential_bags: bool) {
             t.record_with(Phase::Plan, plan, provenance);
             t.record(Phase::Materialize, materialize);
         }
-        // Only the run is pinned sequential: a prepared-cache miss above
-        // still materializes its bags in parallel, which is what keeps
-        // the first read after a delta short.
+        // Only the run is pinned sequential — which matters for a
+        // handle's first run of a workload kind, the one that computes
+        // the tree pass (later runs read the bag tree's memo and spawn
+        // nothing either way). A prepared-cache miss above still
+        // materializes its bags in parallel, which is what keeps the
+        // first read after a delta short.
         let mut run = || match trace.as_mut() {
             Some(t) => prepared.run_traced(workload, t),
             None => prepared.run(workload),
@@ -142,9 +145,10 @@ fn execute_job(job: Job<'_>, sequential_bags: bool) {
         } else {
             run()
         };
-        // Pass-sparsity accounting: how much of the prepared bag tree
-        // this run had to copy (0 rewritten = fully copy-free, which a
-        // count always is).
+        // Reduction-sparsity accounting: how much of the prepared bag
+        // tree the reduction behind this answer had to filter (0
+        // rewritten = no semijoin dropped a row, which is what a count
+        // always reports).
         if let Some(pass) = &resp.provenance.bags {
             db_metrics.bags_rewritten.add(pass.rewritten as u64);
             db_metrics.bags_total.add(pass.total as u64);

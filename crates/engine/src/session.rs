@@ -14,16 +14,19 @@
 //! - [`PreparedQuery`] resolves the structure analysis (through the
 //!   engine's isomorphism-keyed plan cache), derives the per-workload
 //!   plans, and materializes the GHD bag tree **once**, at
-//!   [`Session::prepare`]. Re-execution via [`PreparedQuery::run`] does
-//!   no planning or re-materialization at all — provenance reports a
-//!   zero planning duration — which is what makes repeated-query
-//!   serving cheap (`session.prepare_us` against `eval.bcq_us` in the
-//!   benchmark ledger).
+//!   [`Session::prepare`]. The first [`PreparedQuery::run`] of each
+//!   workload kind runs that kind's tree pass and the bag tree memoizes
+//!   its result; every later run does no planning, no materialization
+//!   and no pass — it reads the memo, and provenance reports a zero
+//!   planning duration — which is what makes repeated-query serving
+//!   cheap (`session.prepare_us` and `eval.first_run_us` against
+//!   `eval.bcq_us` in the benchmark ledger).
 //! - [`AnswerCursor`] streams `Enumerate` answers on demand: on the GHD
-//!   route the semijoin reduction runs over the already-materialized
-//!   bag tree when the cursor is opened, and each answer then arrives
-//!   with constant delay (Durand & Grandjean / Carmeli & Kröll's
-//!   enumeration regime).
+//!   route the handle's first cursor runs the two-way semijoin reduction
+//!   over the already-materialized bag tree, every later one shares its
+//!   result, and each answer — the first included — arrives with
+//!   constant delay (Durand & Grandjean / Carmeli & Kröll's enumeration
+//!   regime).
 //!
 //! All three handles are **owned and lifetime-free**: a session holds a
 //! cheap clone of its [`Engine`] and an `Arc` pin on its snapshot, so
@@ -165,8 +168,9 @@ impl Session {
     /// preprocessing, pinning the materialized bag tree in the handle
     /// (sound because the handle also pins the immutable snapshot it
     /// was built from). This is the only place planning or
-    /// preprocessing happens; the returned handle re-executes with just
-    /// the cheap per-run pass.
+    /// materialization happens. No tree pass runs here: the handle's
+    /// first run of each workload kind pays that pass, once, and later
+    /// runs read its memoized result.
     ///
     /// This is also where all errors surface: an
     /// [`EngineError::Eval`] here means the resolved decomposition did
@@ -206,7 +210,7 @@ impl Session {
 
     /// Prepare-and-run in one call (one-shot convenience; serving loops
     /// should hold the [`PreparedQuery`] instead): the same
-    /// `build → overlay pass` route as [`Session::prepare`] +
+    /// `build → first pass` route as [`Session::prepare`] +
     /// [`PreparedQuery::run`], with the planning and preprocessing this
     /// call pays folded back into the response's provenance.
     pub fn run(&self, q: &ConjunctiveQuery, workload: Workload) -> Result<Response, EngineError> {
@@ -229,8 +233,9 @@ impl Session {
 /// against a borrowed database and run it once — no snapshot, no copy).
 pub(crate) struct PreparedCore {
     query: ConjunctiveQuery,
-    bool_plan: PlannedQuery,
-    count_plan: PlannedQuery,
+    /// `Arc`'d: every response's provenance shares them.
+    bool_plan: Arc<PlannedQuery>,
+    count_plan: Arc<PlannedQuery>,
     /// The materialized bag tree (`None` = the plan is the naive join).
     bags: Option<MaterializedBags>,
     cache_hit: bool,
@@ -292,8 +297,8 @@ impl PreparedCore {
         };
         Ok(PreparedCore {
             query: q.clone(),
-            bool_plan,
-            count_plan,
+            bool_plan: Arc::new(bool_plan),
+            count_plan: Arc::new(count_plan),
             bags,
             cache_hit,
             maintenance: None,
@@ -324,8 +329,10 @@ impl PreparedCore {
     /// against the post-delta `db`, re-materializing only the bags that
     /// read a relation in `touched` and sharing everything else (bag
     /// relations *and* filled probe-table caches) with `self` by `Arc`.
-    /// `None` when there is no bag tree to refresh (naive-join plans) —
-    /// the caller should fall back to a full prepare.
+    /// No pass runs here; unless the delta missed every bag, the first
+    /// read of the refreshed core re-reduces its tree. `None` when there
+    /// is no bag tree to refresh (naive-join plans) — the caller should
+    /// fall back to a full prepare.
     fn rebase_warm(&self, db: &Database, touched: &[String]) -> Option<(PreparedCore, PassStats)> {
         let bags = self.bags.as_ref()?;
         let refresh_start = Instant::now();
@@ -333,8 +340,8 @@ impl PreparedCore {
         Some((
             PreparedCore {
                 query: self.query.clone(),
-                bool_plan: self.bool_plan.clone(),
-                count_plan: self.count_plan.clone(),
+                bool_plan: Arc::clone(&self.bool_plan),
+                count_plan: Arc::clone(&self.count_plan),
                 bags: Some(refreshed),
                 cache_hit: self.cache_hit,
                 maintenance: Some(crate::delta::MaintenanceClass::WarmOverlay),
@@ -345,7 +352,7 @@ impl PreparedCore {
         ))
     }
 
-    fn plan(&self, workload: Workload) -> &PlannedQuery {
+    fn plan(&self, workload: Workload) -> &Arc<PlannedQuery> {
         match workload {
             Workload::Count => &self.count_plan,
             // Boolean evaluation and enumeration share the Yannakakis
@@ -355,10 +362,10 @@ impl PreparedCore {
     }
 
     /// Execute for `workload` against `db` (which must be the database
-    /// the core was built from) with one tree pass: the shared bag tree
-    /// is never cloned — a Boolean or enumerate pass copies only the
-    /// nodes it rewrites, a count pass none — and provenance reports how
-    /// many that was.
+    /// the core was built from): ask the bag tree, which runs the
+    /// workload's pass if this is the first time anyone asks and reads
+    /// its memo otherwise. Provenance reports the sparsity of the tree's
+    /// reduction (how many nodes it had to filter; none for a count).
     fn run(&self, db: &Database, workload: Workload) -> Response {
         let exec_start = Instant::now();
         let (answer, pass) = match workload {
@@ -384,7 +391,7 @@ impl PreparedCore {
         Response {
             answer,
             provenance: PlanProvenance {
-                planned: self.plan(workload).clone(),
+                planned: Arc::clone(self.plan(workload)),
                 cache_hit: self.cache_hit,
                 // Paid at build time; `one_shot` restores it.
                 planning: Duration::ZERO,
@@ -395,14 +402,22 @@ impl PreparedCore {
         }
     }
 
-    /// Open a cursor plus — on the GHD route — the overlay reduction's
-    /// rewrite sparsity (`None` on the naive route).
+    /// Open a cursor plus — on the GHD route — the reduction's sparsity
+    /// (`None` on the naive route).
     fn cursor_with_stats(
         &self,
         db: &Database,
         limit: Option<usize>,
     ) -> (AnswerCursor, Option<PassStats>) {
         let (inner, pass) = match &self.bags {
+            // Nothing to yield: do not reduce the tree for it.
+            Some(bags) if limit == Some(0) => (
+                CursorInner::Buffered(Vec::new().into_iter()),
+                Some(PassStats {
+                    rewritten: 0,
+                    total: bags.num_bags(),
+                }),
+            ),
             Some(bags) => {
                 let (e, s) = bags.enumerator_with_stats();
                 (CursorInner::Streaming(e), Some(s))
@@ -430,13 +445,16 @@ impl PreparedCore {
 /// The handle is owned and lifetime-free: it pins the session's
 /// [`DatabaseSnapshot`], so it stays valid — and keeps answering
 /// against its pinned epoch — across catalog swaps, thread moves, and
-/// the end of the scope that prepared it. [`PreparedQuery::run`]
-/// re-executes with only the per-workload tree pass (semijoins /
-/// counting DP / enumeration) — no planning, no re-materialization;
-/// [`PreparedQuery::cursor`] streams enumeration answers without
-/// materializing the result set. The handle pins the materialized bag
-/// relations in memory (`O(‖D‖^width)` in the worst case) plus the
-/// snapshot; drop it to release them.
+/// the end of the scope that prepared it. The first
+/// [`PreparedQuery::run`] of a workload kind runs that kind's tree pass
+/// (semijoins / counting DP / two-way reduction) and the bag tree keeps
+/// the result; every later run is a lookup — no planning, no
+/// re-materialization, no pass. [`PreparedQuery::cursor`] streams
+/// enumeration answers without materializing the result set. The handle
+/// pins the snapshot plus, in memory, the materialized bag relations
+/// (`O(‖D‖^width)` in the worst case), their probe tables and — once
+/// enumeration has been asked for — a filtered copy of each bag the
+/// reduction shrank; drop it to release them.
 pub struct PreparedQuery {
     snapshot: Arc<DatabaseSnapshot>,
     core: PreparedCore,
@@ -487,10 +505,12 @@ impl PreparedQuery {
     /// Execute the prepared plan for `workload`. No planning happens
     /// here — provenance carries the resolved plan with a zero planning
     /// duration (see [`PreparedQuery::planning_time`] for the cost paid
-    /// at prepare time). GHD passes run **copy-free** over the shared
-    /// materialized bag tree: only the nodes a Boolean or enumerate pass
-    /// rewrites are copied (provenance's `bags` field reports how many;
-    /// on join-consistent data that is none), and a count copies nothing.
+    /// at prepare time). On GHD plans the tree pass behind the answer
+    /// runs **once per handle**: the first run of a workload kind pays
+    /// it, later runs (from any thread) read the memoized result.
+    /// Provenance's `bags` field reports how many nodes the tree's
+    /// reduction had to filter — the same value on every run; none on
+    /// join-consistent data, and none for a count.
     ///
     /// `Enumerate` materializes up to `limit` answers into
     /// [`Answer::Tuples`]; use [`PreparedQuery::cursor`] to stream
@@ -504,8 +524,8 @@ impl PreparedQuery {
     /// `trace`. This is the engine-level half of the serve path's
     /// per-query tracing; the span is built from provenance the run
     /// already measures, so the instrumentation adds only a `Vec` push
-    /// (`benches/engine_metrics_overhead.rs` gates the warm path
-    /// within 5% of [`PreparedQuery::run`]).
+    /// (the benchmark ledger's `metrics.trace_overhead_pct` prices the
+    /// whole traced request against the untraced one).
     pub fn run_traced(&self, workload: Workload, trace: &mut QueryTrace) -> Response {
         let resp = self.core.run(self.snapshot.db(), workload);
         trace.record_with(
@@ -519,13 +539,15 @@ impl PreparedQuery {
     /// Open a streaming [`AnswerCursor`] over `q(D)`, yielding at most
     /// `limit` answers (`None` = all).
     ///
-    /// On the GHD route this runs the semijoin reduction through an
-    /// overlay over the already-materialized bag tree now (bags the
-    /// reduction leaves untouched are shared with the handle by `Arc`,
-    /// not copied — any number of concurrent cursors pin one tree), and
-    /// then delivers answers with constant delay; on the naive route the
-    /// backtracking search runs eagerly (stopping at `limit`) and the
-    /// cursor drains the buffer. Either way the cursor is
+    /// On the GHD route the handle's first cursor runs the two-way
+    /// semijoin reduction over the already-materialized bag tree now;
+    /// the tree keeps the result (bags the reduction leaves whole stay
+    /// the handle's own `Arc`s, not copies) and every later cursor is an
+    /// `Arc` bump on it — any number of concurrent cursors pin one tree.
+    /// Answers then arrive with constant delay, the first included. A
+    /// `limit` of 0 yields nothing and reduces nothing. On the naive
+    /// route the backtracking search runs eagerly (stopping at `limit`)
+    /// and the cursor drains the buffer. Either way the cursor is
     /// self-contained: it stays valid (and keeps streaming the pinned
     /// epoch's answers) after the handle is dropped or the catalog entry
     /// is swapped.
@@ -559,9 +581,11 @@ impl PreparedQuery {
     /// tree in place — only the bags reading a relation in `touched`
     /// (the names [`crate::Catalog::apply_delta`] reports) are
     /// re-materialized; clean bags and their filled probe-table caches
-    /// are shared with this handle by `Arc`, so the migrated handle
-    /// starts as warm as this one. Plans are carried over unchanged
-    /// (the structure did not move; only the data did).
+    /// are shared with this handle by `Arc`. Plans are carried over
+    /// unchanged (the structure did not move; only the data did). The
+    /// migrated handle's first read re-reduces its tree (with the
+    /// carried tables) unless the delta missed every bag, in which case
+    /// it shares this handle's memoized answers too.
     ///
     /// Returns the migrated handle plus the maintenance sparsity (how
     /// many bags were rewritten out of the total, and recorded as
@@ -605,7 +629,8 @@ impl PreparedQuery {
 enum CursorInner {
     /// Constant-delay streaming over a semijoin-reduced GHD bag tree.
     Streaming(GhdEnumerator),
-    /// Pre-materialized answers (naive plans), drained on demand.
+    /// Pre-materialized answers (naive plans; empty for a zero limit),
+    /// drained on demand.
     Buffered(std::vec::IntoIter<Vec<u64>>),
 }
 
@@ -717,6 +742,21 @@ mod tests {
         // The limit also caps the materialized workload answer.
         let resp = prepared.run(Workload::Enumerate { limit: Some(1) });
         assert_eq!(resp.answer.as_tuples().map(<[_]>::len), Some(1));
+        // A zero limit yields nothing, so it must not force the two-way
+        // reduction on a handle nobody has enumerated yet.
+        let fresh = session.prepare(&q).unwrap();
+        assert_eq!(fresh.cursor(Some(0)).count(), 0);
+        let resp = fresh.run(Workload::Enumerate { limit: Some(0) });
+        assert_eq!(resp.answer.as_tuples().map(<[_]>::len), Some(0));
+        let bags = fresh
+            .core
+            .bags
+            .as_ref()
+            .expect("fixture keeps the GHD plan");
+        assert_eq!(resp.provenance.bags.map(|b| b.total), Some(bags.num_bags()));
+        assert!(!bags.enumeration_ready(), "limit 0 reduced the tree");
+        assert_eq!(fresh.cursor(Some(1)).count(), 1);
+        assert!(bags.enumeration_ready());
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Engine-level differential tests for copy-free prepared re-execution:
+//! Engine-level differential tests for memoized prepared re-execution:
 //! every entry point — one-shot [`Engine::serve`] and `Session::run`,
-//! warm `PreparedQuery::run` — runs the same `build → overlay pass`
-//! route, so they must agree with each other and with the naive oracle,
-//! report the same bag tree in provenance, and support concurrent
-//! cursors streaming from ONE shared materialization.
+//! warm `PreparedQuery::run` — runs the same `build → first pass`
+//! route (a warm handle then reads the pass's memoized result), so they
+//! must agree with each other and with the naive oracle, report the
+//! same bag tree in provenance, and support concurrent cursors
+//! streaming from ONE shared materialization.
 
 use std::time::Duration;
 
@@ -163,6 +164,30 @@ fn warm_run_on_join_consistent_data_rewrites_no_bag() {
         prepared.run(Workload::Count).answer,
         Answer::Count(count_naive(&q, &db))
     );
+}
+
+#[test]
+fn warm_runs_share_the_plan_and_report_one_reduction() {
+    // What a warm run hands out is shared, not rebuilt: the plan in
+    // provenance is the handle's own `Arc`, and the reduction sparsity
+    // is the tree's one memoized value, whichever run asks.
+    let (q, db) = fixture();
+    let engine = Engine::default();
+    let prepared = engine
+        .session(&db)
+        .prepare(&q)
+        .expect("planning cannot fail");
+    for workload in [
+        Workload::Boolean,
+        Workload::Count,
+        Workload::Enumerate { limit: Some(5) },
+    ] {
+        let first = prepared.run(workload).provenance;
+        let again = prepared.run(workload).provenance;
+        assert!(std::sync::Arc::ptr_eq(&first.planned, &again.planned));
+        assert_eq!(*first.planned, *prepared.plan(workload));
+        assert_eq!(first.bags.expect("GHD plan"), again.bags.expect("GHD plan"));
+    }
 }
 
 #[test]
