@@ -51,12 +51,12 @@ struct StoredRows {
 
 #[cfg(feature = "serde")]
 impl serde::Serialize for StoredRelation {
-    fn to_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut Vec<u8>) {
         let rows = StoredRows {
             arity: self.arity,
             tuples: self.tuples.to_tuples(),
         };
-        rows.to_value()
+        rows.write_json(out);
     }
 }
 
@@ -66,8 +66,8 @@ impl serde::Serialize for StoredRelation {
 /// [`Database::insert`].
 #[cfg(feature = "serde")]
 impl serde::Deserialize for StoredRelation {
-    fn from_value(v: &serde::Value) -> Result<StoredRelation, serde::Error> {
-        let StoredRows { arity, tuples } = serde::Deserialize::from_value(v)?;
+    fn read_json(r: &mut serde::json::Reader<'_>) -> Result<StoredRelation, serde::Error> {
+        let StoredRows { arity, tuples } = serde::Deserialize::read_json(r)?;
         if tuples.iter().any(|t| t.len() != arity) {
             return Err(serde::Error::new(format!(
                 "tuple length does not match arity {arity}"

@@ -237,8 +237,61 @@ impl Client {
     }
 }
 
-/// Decode a JSON frame payload.
+/// How much of an undecodable payload a [`ServerError::Decode`] quotes.
+const DECODE_QUOTE_LEN: usize = 120;
+
+/// Decode a JSON frame payload. A payload that does not decode is
+/// quoted by its head and its length — a reply may be hundreds of
+/// megabytes, the error about it must not be.
 fn decode<T: serde::Deserialize>(frame: &Frame) -> Result<T, ServerError> {
     let text = frame.text()?;
-    serde::json::from_str(text).map_err(|e| ServerError::Decode(format!("{e} in `{text}`")))
+    serde::json::from_str(text).map_err(|e| {
+        let mut end = text.len().min(DECODE_QUOTE_LEN);
+        while !text.is_char_boundary(end) {
+            end -= 1;
+        }
+        let cut = if end < text.len() { "…" } else { "" };
+        let (head, len) = (&text[..end], text.len());
+        ServerError::Decode(format!("{e} in `{head}{cut}` ({len} bytes)"))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_decode_error_quotes_the_head_of_the_payload_not_all_of_it() {
+        let frame = |payload: String| Frame {
+            frame_type: FrameType::Result,
+            payload: payload.into_bytes(),
+        };
+        // 1 MB of rows, then the defect; multi-byte text straddling the cut.
+        let head = format!(
+            "{{\"request\":1,\"strategy\":\"{}\",\"rows\":[",
+            "é".repeat(60)
+        );
+        let body = format!("{head}{}", "[1,2],".repeat(1 << 18));
+        let len = body.len();
+        assert!(len > 1 << 20);
+        let Err(ServerError::Decode(msg)) = decode::<WireResult>(&frame(body)) else {
+            panic!("a truncated payload decoded");
+        };
+        assert!(msg.len() < 300, "{} bytes", msg.len());
+        assert!(msg.starts_with("serde: "), "{msg}");
+        let quoted = &head[..119];
+        assert!(
+            msg.contains(&format!(" in `{quoted}…` ({len} bytes)")),
+            "{msg}"
+        );
+        // A short payload is quoted whole.
+        let Err(ServerError::Decode(msg)) = decode::<WireDone>(&frame("{\"request\":1}".into()))
+        else {
+            panic!("an incomplete payload decoded");
+        };
+        assert_eq!(
+            msg,
+            "serde: missing field `results` of WireDone in `{\"request\":1}` (13 bytes)"
+        );
+    }
 }

@@ -42,10 +42,11 @@ impl ConnWriter {
         })
     }
 
-    fn send_json<T: serde::Serialize>(&self, frame_type: FrameType, payload: &T) -> io::Result<()> {
-        let payload = serde::json::to_string(payload);
+    /// Send an encoded JSON payload as one frame — straight from the
+    /// encoder's buffer to the socket, under the frame lock.
+    fn send(&self, frame_type: FrameType, json: &str) -> io::Result<()> {
         let mut stream = lock_or_poison(&self.stream);
-        frame::write_frame(&mut *stream, frame_type, payload.as_bytes())
+        frame::write_frame(&mut *stream, frame_type, json.as_bytes())
     }
 }
 
@@ -148,14 +149,28 @@ impl<'e> Reply<'e> {
     }
 
     /// Send a success frame. `payload` is built from the request number
-    /// and the `server_micros` stamp (receipt of the frame → now).
+    /// and the `server_micros` stamp (receipt of the frame → now), then
+    /// encoded.
     pub(super) fn ok<T: serde::Serialize>(
         &self,
         frame_type: FrameType,
         payload: impl FnOnce(u64, u64) -> T,
     ) -> io::Result<()> {
-        let payload = payload(self.request(), micros(self.received_at.elapsed()));
-        self.writer.send_json(frame_type, &payload)
+        self.ok_encoded(frame_type, |server_micros| {
+            serde::json::to_string(&payload(self.request(), server_micros))
+        })
+    }
+
+    /// [`Reply::ok`] for a payload its caller encodes: `json` gets the
+    /// `server_micros` stamp and returns the frame's JSON text (a worker
+    /// completes an already encoded `Result` with it).
+    pub(super) fn ok_encoded(
+        &self,
+        frame_type: FrameType,
+        json: impl FnOnce(u64) -> String,
+    ) -> io::Result<()> {
+        let json = json(micros(self.received_at.elapsed()));
+        self.writer.send(frame_type, &json)
     }
 
     /// The frame's payload as text; a non-UTF-8 payload is rejected here.
@@ -193,7 +208,9 @@ impl<'e> Reply<'e> {
             queue_depth: queue.map(|q| q.len() as u64),
             queue_capacity: queue.map(|q| q.capacity() as u64),
         };
-        let _ = self.writer.send_json(FrameType::Error, &error);
+        let _ = self
+            .writer
+            .send(FrameType::Error, &serde::json::to_string(&error));
     }
 
     /// Reject a failed `Reload` / `Delta` with the code its

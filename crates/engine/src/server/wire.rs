@@ -5,6 +5,13 @@
 //! response payloads carry `request` — the 1-based sequence number of
 //! the client frame they answer, counted per connection — so clients
 //! may pipeline frames and still correlate responses.
+//!
+//! The derives write and read the text directly — encoding a payload
+//! appends to one byte buffer, decoding allocates only what the decoded
+//! value holds (one `Vec` per answer tuple) — and the field order of a
+//! struct is its key order on the wire. [`WireResult`] relies on that:
+//! its last two fields are the ones only the send can fill in, so a
+//! worker encodes everything before them once and appends the rest.
 
 use serde::{Deserialize, Serialize};
 
@@ -68,14 +75,15 @@ pub struct WireResult {
 }
 
 impl WireResult {
-    /// Assemble from an engine [`Response`]. `server_micros` is zero
-    /// and `trace` absent until the server stamps them just before
-    /// sending.
-    pub fn from_response(request: u64, index: u64, prepared_hit: bool, resp: &Response) -> Self {
+    /// Assemble from an engine [`Response`], taking it by value: an
+    /// enumerated answer moves onto the wire struct, it is not copied.
+    /// `server_micros` is zero and `trace` absent — the reply path
+    /// appends both to the encoded payload (`encode_unstamped`, `stamp`).
+    pub fn from_response(request: u64, index: u64, prepared_hit: bool, resp: Response) -> Self {
         WireResult {
             request,
             index,
-            answer: resp.answer.clone(),
+            answer: resp.answer,
             strategy: resp.provenance.planned.plan.strategy().to_string(),
             cache_hit: resp.provenance.cache_hit,
             prepared_hit,
@@ -85,7 +93,34 @@ impl WireResult {
             trace: None,
         }
     }
+
+    /// The payload's JSON up to its last two fields — everything a
+    /// worker knows before the send, the answer included. This is the
+    /// one encode a `Result` frame pays, so it is also what a trace's
+    /// `serialize` span times; [`WireResult::stamp`] completes it.
+    pub(super) fn encode_unstamped(&self) -> String {
+        debug_assert!(self.server_micros == 0 && self.trace.is_none());
+        let mut json = serde::json::to_string(self);
+        debug_assert!(json.ends_with(UNSTAMPED_TAIL));
+        json.truncate(json.len().saturating_sub(UNSTAMPED_TAIL.len()));
+        json
+    }
+
+    /// Complete an [`WireResult::encode_unstamped`] payload with the
+    /// `server_micros` stamp and the span block. The result is
+    /// byte-identical to encoding the fully populated struct.
+    pub(super) fn stamp(json: &mut String, server_micros: u64, trace: Option<&WireTrace>) {
+        json.push_str("\"server_micros\":");
+        json.push_str(&serde::json::to_string(&server_micros));
+        json.push_str(",\"trace\":");
+        json.push_str(&serde::json::to_string(&trace));
+        json.push('}');
+    }
 }
+
+/// How an unstamped [`WireResult`] ends: its last two fields, which the
+/// reply path overwrites.
+const UNSTAMPED_TAIL: &str = "\"server_micros\":0,\"trace\":null}";
 
 /// One phase of a [`WireTrace`] span breakdown.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -519,6 +554,51 @@ mod tests {
             serde::json::from_str::<WireResult>(&json).unwrap().answer,
             big_count.answer
         );
+    }
+
+    /// The worker encodes a result once, before it knows the stamp, and
+    /// appends the last two fields: the bytes on the wire are those of
+    /// encoding the whole struct.
+    #[test]
+    fn a_stamped_payload_is_the_encoding_of_the_whole_struct() {
+        let trace = WireTrace {
+            total_micros: 27,
+            spans: vec![WireSpan {
+                phase: "serialize".to_string(),
+                micros: 27,
+                detail: Some("a \"quoted\" detail".to_string()),
+            }],
+        };
+        for answer in [
+            Answer::Bool(true),
+            Answer::Count(u128::MAX),
+            Answer::Tuples(vec![vec![1, 2], vec![3, 4]]),
+        ] {
+            for (server_micros, trace) in [(0, None), (640, None), (u64::MAX, Some(trace.clone()))]
+            {
+                let unstamped = WireResult {
+                    request: 3,
+                    index: 1,
+                    answer: answer.clone(),
+                    strategy: "ghd-yannakakis".to_string(),
+                    cache_hit: true,
+                    prepared_hit: false,
+                    planning_ns: 0,
+                    execution_ns: 12_345,
+                    server_micros: 0,
+                    trace: None,
+                };
+                let mut json = unstamped.encode_unstamped();
+                assert!(json.ends_with("\"execution_ns\":12345,"), "{json}");
+                WireResult::stamp(&mut json, server_micros, trace.as_ref());
+                let whole = WireResult {
+                    server_micros,
+                    trace,
+                    ..unstamped
+                };
+                assert_eq!(json, serde::json::to_string(&whole));
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The worker side: the pool drains the bounded queue of accepted
 //! batches, resolving (or preparing) each query's warm handle and
-//! streaming `Result` frames through the batch's [`Reply`].
+//! streaming `Result` frames through the batch's [`Reply`]. An answer
+//! is moved, not copied, from the run onto its wire struct and encoded
+//! exactly once, traced or not.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,11 +67,11 @@ pub(super) fn worker_loop(queue: &JobQueue<Job<'_>>, sequential_bags: bool) {
 /// the protocol's "error ends the request" rule.
 ///
 /// Observability: every answered query stamps `server_micros` (receipt
-/// of the `Query` frame → the result handed to the socket) and records
-/// it into the database's latency histogram; when the batch carried
-/// `@trace`, a [`QueryTrace`] is assembled per query from disjoint
-/// phase sub-intervals (so the span sum never exceeds `server_micros`)
-/// and attached to the `Result` payload.
+/// of the `Query` frame → the encoded result handed to the socket) and
+/// records it into the database's latency histogram; when the batch
+/// carried `@trace`, a [`QueryTrace`] is assembled per query from
+/// disjoint phase sub-intervals (so the span sum never exceeds
+/// `server_micros`) and appended to the `Result` payload.
 fn execute_job(job: Job<'_>, sequential_bags: bool) {
     let (reply, cache, db_metrics) = (&job.reply, &job.db.prepared, &job.db.metrics);
     let queue_wait = job.enqueued_at.elapsed();
@@ -153,24 +155,21 @@ fn execute_job(job: Job<'_>, sequential_bags: bool) {
             db_metrics.bags_rewritten.add(pass.rewritten as u64);
             db_metrics.bags_total.add(pass.total as u64);
         }
-        let wire = WireResult::from_response(reply.request(), index as u64, prepared_hit, &resp);
+        // The one encode of this frame: everything but the two fields
+        // only the send can know. It is the `serialize` span; the reply
+        // path stamps `server_micros` after it (all phases are then
+        // completed sub-intervals of it) and appends the span block.
+        let ser_start = Instant::now();
+        let mut json = WireResult::from_response(reply.request(), index as u64, prepared_hit, resp)
+            .encode_unstamped();
         if let Some(t) = trace.as_mut() {
-            // Measure serialization on the trace-less payload; the
-            // reply path stamps `server_micros` *after* that (all phases
-            // are then completed sub-intervals of it) and encodes again
-            // with the trace attached. The double encode is paid only
-            // by traced batches.
-            let ser_start = Instant::now();
-            let _ = serde::json::to_string(&wire);
             t.record(Phase::Serialize, ser_start.elapsed());
         }
-        let sent = reply.ok(FrameType::Result, |_, server_micros| {
+        let sent = reply.ok_encoded(FrameType::Result, |server_micros| {
             db_metrics.latency.record(server_micros);
-            WireResult {
-                server_micros,
-                trace: trace.as_ref().map(WireTrace::from_trace),
-                ..wire
-            }
+            let trace = trace.as_ref().map(WireTrace::from_trace);
+            WireResult::stamp(&mut json, server_micros, trace.as_ref());
+            json
         });
         if sent.is_err() {
             // Client went away; drop the rest of the batch.
