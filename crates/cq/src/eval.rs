@@ -16,8 +16,14 @@
 //!   Carmeli & Kröll: semijoin-reduce the bag tree bottom-up **and**
 //!   top-down (so every surviving bag row extends to a full answer), then
 //!   stream answers from a [`GhdEnumerator`] that walks the reduced tree
-//!   top-down with hash-indexed bag lookups — no dead-end backtracking,
-//!   answers on demand.
+//!   top-down — no dead-end backtracking, answers on demand. The plan it
+//!   walks is the Durand–Grandjean pointer structure: each bag's rows are
+//!   ordered by the columns it shares with its parent bag, and every
+//!   parent row holds the `[lo, hi)` range of its compatible child rows,
+//!   found once when the plan is built (a binary search over the child's
+//!   distinct keys, or a direct table when one-column keys are dense). A
+//!   descent is then one array read and an advance is `r + 1`; the walk
+//!   hashes nothing.
 //!
 //! The three GHD routes are passes over one [`MaterializedBags`], and
 //! everything a pass computes depends only on `(q, D, GHD)` — so each
@@ -46,7 +52,7 @@
 //! decomposition is computable and fall back to naive otherwise.
 
 use crate::database::Database;
-use crate::flat::FlatRelation;
+use crate::flat::{FlatRelation, KeyRuns};
 use crate::probe::{AggTable, KeyTable};
 use crate::query::{ConjunctiveQuery, Var};
 use cqd2_decomp::ghd::GhdError;
@@ -543,14 +549,13 @@ fn materialize(
 
 /// One node's lazily built probe tables, each over a **base** relation
 /// (passes never mutate those) and each consulted by the one-time passes
-/// only while they have left that relation unshrunk; the enumeration plan
-/// then shares `up` as the node's walk index. `Arc`'d so `refresh` can
-/// hand a still-valid table to the refreshed tree — whose first pass
-/// re-reduces with it — instead of rebuilding it.
+/// only while they have left that relation unshrunk. `Arc`'d so
+/// `refresh` can hand a still-valid table to the refreshed tree — whose
+/// first pass re-reduces with it — instead of rebuilding it.
 #[derive(Debug, Clone, Default)]
 struct NodeCache {
     /// Over the node's own relation, keyed on `up_key`: what the
-    /// parent's bottom-up semijoin probes and the enumerator walks.
+    /// parent's bottom-up semijoin probes.
     up: OnceLock<Arc<KeyTable>>,
     /// Over the **parent's** relation, keyed on `parent_key`: what the
     /// node's top-down semijoin probes.
@@ -968,10 +973,12 @@ impl MaterializedBags {
     }
 
     /// Wire up the enumeration plan over the fully semijoin-reduced tree
-    /// in `ov`: covered-variable check, pre-order, per-bag parent-key
-    /// probe tables. Bags the reduction left whole are shared with the
-    /// base materialization by `Arc` — relation and cached probe table
-    /// both.
+    /// in `ov`: covered-variable check, pre-order, each bag's rows in
+    /// parent-key order and one row range per parent row. A bag the
+    /// reduction left whole and whose rows already are in parent-key
+    /// order is the base materialization's own `Arc`; a reduced bag in
+    /// that order is the reduction's `Arc`; only a bag out of order is
+    /// copied.
     fn enum_plan(&self, ov: &BagOverlay<'_>) -> EnumPlan {
         let shape = &*self.shape;
         // Every variable must be carried by some bag; a variable outside
@@ -997,22 +1004,46 @@ impl MaterializedBags {
         // Each bag relation's columns are exactly its bag's variables, and
         // by the running-intersection property every variable of bag `u`
         // already assigned by an earlier (pre-order) bag also lives in
-        // `u`'s parent bag — so chaining each bag's rows by its
-        // parent-shared columns (`up_key`, empty at the root: one chain of
-        // every row) is enough to keep the walk consistent.
-        let levels = pre_order
-            .iter()
-            .map(|&u| {
-                let rel = Arc::clone(ov.rel(u));
-                let slot = |c: usize| rel.vars()[c].idx();
-                EnumLevel {
-                    write: (0..rel.arity()).map(slot).collect(),
-                    key_slots: shape.up_key[u].iter().map(|&c| slot(c)).collect(),
-                    index: self.up_table(ov, u),
-                    rel,
+        // `u`'s parent bag — so the rows of `u` that extend the parent's
+        // current row are exactly those agreeing with it on the
+        // parent-shared columns (`up_key`, empty at the root). With the
+        // rows ordered by `up_key` those form one contiguous range, found
+        // here once per parent row.
+        let mut level_of = vec![usize::MAX; self.relations.len()];
+        let mut levels: Vec<EnumLevel> = Vec::with_capacity(pre_order.len());
+        for &u in &pre_order {
+            let up_key = &shape.up_key[u];
+            let mut rel = Arc::clone(ov.rel(u));
+            crate::flat::check_row_index_fits(rel.len());
+            let (parent, ranges) = match level_of.get(shape.parents[u]) {
+                Some(&p) => {
+                    // A bag out of parent-key order is copied sorted — at
+                    // most once: the copy is in order.
+                    let runs = loop {
+                        match KeyRuns::of(&rel, up_key) {
+                            Some(runs) => break runs,
+                            None => rel = Arc::new(rel.sorted_by(up_key)),
+                        }
+                    };
+                    (p, runs.ranges(&levels[p].rel, &shape.parent_key[u]))
                 }
-            })
-            .collect();
+                // The root's range is every row, in any order.
+                None => (0, Vec::new()),
+            };
+            // The parent-shared columns hold the values the parent's row
+            // already wrote; only the bag's own columns are written.
+            let write = (0..rel.arity())
+                .filter(|c| !up_key.contains(c))
+                .map(|c| (c, rel.vars()[c].idx()))
+                .collect();
+            level_of[u] = levels.len();
+            levels.push(EnumLevel {
+                rel,
+                write,
+                parent,
+                ranges,
+            });
+        }
         EnumPlan {
             levels,
             num_vars: shape.num_vars,
@@ -1077,28 +1108,37 @@ pub fn count_via_ghd(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Result<u
 /// enumeration (pre-order position).
 #[derive(Debug)]
 struct EnumLevel {
-    /// The fully semijoin-reduced bag relation: the base materialization's
-    /// own `Arc` wherever the reduction dropped no row, a filtered copy
-    /// otherwise.
+    /// The fully semijoin-reduced bag relation with its rows ordered by
+    /// the parent-shared columns (`up_key`): the base materialization's
+    /// own `Arc` where the reduction dropped no row and the rows already
+    /// are in that order, the reduction's filtered copy where it is in
+    /// order, a reordered copy otherwise.
     rel: Arc<FlatRelation>,
-    /// Assignment slot (`Var` id) of each of `rel`'s columns.
-    write: Vec<usize>,
-    /// Assignment slots of the variables shared with the parent bag —
-    /// the probe key. Empty at the root (and for parent-disjoint bags),
-    /// where the index holds every row under the empty key.
-    key_slots: Vec<usize>,
-    /// Row ids chained by parent-key value: the same probe table the
-    /// reduction passes use (the node's cached base-side table when the
-    /// reduction left the bag whole, one built over the filtered copy
-    /// otherwise).
-    index: Arc<KeyTable>,
+    /// `(column, assignment slot)` of each of `rel`'s columns the parent
+    /// bag does not share — every column at the root.
+    write: Vec<(usize, usize)>,
+    /// Pre-order position of the parent bag's level (0 at the root,
+    /// where it is unused).
+    parent: usize,
+    /// Per row of the parent level's relation, the `[lo, hi)` range of
+    /// `rel`'s rows that agree with it on the shared columns: the
+    /// Durand–Grandjean pointer from a bag tuple to its compatible child
+    /// tuples. Never empty on a two-way-reduced tree. Empty at the root,
+    /// whose range is every row.
+    ranges: Vec<[u32; 2]>,
 }
 
 /// The memoized result of a tree's two-way reduction, wired for
 /// enumeration: the globally consistent bag relations in pre-order
-/// (parents before children), each with its walk index. Immutable and
+/// (parents before children), each ordered by its parent-shared columns
+/// and pointed at from every parent row by a row range. Immutable and
 /// `Arc`-shared by every [`GhdEnumerator`] of the tree. No levels = no
 /// answers.
+///
+/// What it pins beyond the base materialization: a filtered copy of each
+/// bag the reduction shrank, a reordered copy of each bag whose rows are
+/// not in parent-key order (none on a chain whose bags are its atoms in
+/// order), and 8 bytes of range per parent row. It holds no probe table.
 #[derive(Debug, Default)]
 struct EnumPlan {
     levels: Vec<EnumLevel>,
@@ -1110,29 +1150,39 @@ struct EnumPlan {
 /// (created by [`MaterializedBags::enumerator`] / [`enumerate_via_ghd`]).
 ///
 /// After the two reduction passes every bag row extends to at least one
-/// full answer, so the top-down walk never backtracks out of a dead end:
-/// each [`Iterator::next`] call — the first included — does
-/// `O(tree size)` hash probes and row copies, independent of the
-/// database — the constant-delay regime of Durand & Grandjean / Carmeli
-/// & Kröll, with the `O(‖D‖^k)` work confined to the preprocessing phase
-/// the tree runs once. The enumerator itself is a cursor: a shared
-/// reference to the tree's reduced relations and indexes plus its own
-/// position.
+/// full answer, so the top-down walk never backtracks out of a dead end.
+/// The plan points each parent row at the contiguous range of its
+/// compatible child rows, so descending into a level is **one array
+/// read** (`ranges[parent row]`) and advancing within it is `r + 1` —
+/// no hashing, no key comparison, no probe table. Each answer, the first
+/// included, settles or advances at most `2 × levels` rows, independent
+/// of the database: the constant-delay regime of Durand & Grandjean /
+/// Carmeli & Kröll, with the `O(‖D‖^k)` work confined to the
+/// preprocessing the tree runs once. The enumerator itself is a cursor:
+/// a shared reference to the plan plus its own position.
+///
+/// [`GhdEnumerator::advance`] is the walk; it lends the answer in place.
+/// [`Iterator::next`] copies it out for callers that keep answers.
 ///
 /// Answers are full assignments in `Var` id order (the same shape
 /// [`enumerate_naive`] produces) but **not** in sorted order; sort the
-/// collected prefix if a canonical order is needed.
+/// collected prefix if a canonical order is needed. The order is fixed
+/// by the tree: every enumerator of one tree yields the same sequence.
 #[derive(Debug)]
 pub struct GhdEnumerator {
     plan: Arc<EnumPlan>,
     /// Current answer under construction, indexed by `Var` id.
     assignment: Vec<u64>,
-    /// Current row id per level.
-    choice: Vec<u32>,
-    /// Scratch buffer for packed probe keys.
-    scratch: Vec<u64>,
+    /// Current row per level.
+    row: Vec<u32>,
+    /// End of the current row range per level.
+    end: Vec<u32>,
     started: bool,
     done: bool,
+    /// Levels settled or advanced so far (the constant-delay tests'
+    /// measure).
+    #[cfg(test)]
+    steps: usize,
 }
 
 impl GhdEnumerator {
@@ -1140,65 +1190,20 @@ impl GhdEnumerator {
     fn open(plan: Arc<EnumPlan>) -> GhdEnumerator {
         GhdEnumerator {
             assignment: vec![0; plan.num_vars],
-            choice: vec![0; plan.levels.len()],
-            scratch: Vec::new(),
+            row: vec![0; plan.levels.len()],
+            end: vec![0; plan.levels.len()],
             started: false,
             done: plan.levels.is_empty(),
             plan,
+            #[cfg(test)]
+            steps: 0,
         }
     }
 
-    /// Settle level `d` on a row — the next match after its current one
-    /// if `advance`, else the first match of the parent-bound key — bind
-    /// it into the assignment, then settle all deeper levels on their
-    /// first matches. Backtracks on exhaustion; `false` means the walk is
-    /// done.
-    fn search(&mut self, mut d: usize, mut advance: bool) -> bool {
-        let levels = &self.plan.levels;
-        loop {
-            let level = &levels[d];
-            let found = if advance {
-                // Shallower levels have not moved, so the probe key is
-                // still the current row's own key.
-                level.index.next_match(self.choice[d])
-            } else {
-                self.scratch.clear();
-                for &slot in &level.key_slots {
-                    self.scratch.push(self.assignment[slot]);
-                }
-                level.index.matches(&self.scratch).next()
-            };
-            match found {
-                Some(r) => {
-                    let row = level.rel.row(r as usize);
-                    for (c, &slot) in level.write.iter().enumerate() {
-                        self.assignment[slot] = row[c];
-                    }
-                    self.choice[d] = r;
-                    if d + 1 == levels.len() {
-                        return true;
-                    }
-                    d += 1;
-                    advance = false;
-                }
-                // Exhausted at `d` (on a reduced tree this only happens
-                // when the whole chain is consumed, never on first entry).
-                None => {
-                    if d == 0 {
-                        return false;
-                    }
-                    d -= 1;
-                    advance = true;
-                }
-            }
-        }
-    }
-}
-
-impl Iterator for GhdEnumerator {
-    type Item = Vec<u64>;
-
-    fn next(&mut self) -> Option<Vec<u64>> {
+    /// The next answer, lent in place (a full assignment in `Var` id
+    /// order, valid until the next call); `None` once the answers are
+    /// exhausted, and on every call after that.
+    pub fn advance(&mut self) -> Option<&[u64]> {
         if self.done {
             return None;
         }
@@ -1212,7 +1217,60 @@ impl Iterator for GhdEnumerator {
             self.done = true;
             return None;
         }
-        Some(self.assignment.clone())
+        Some(&self.assignment)
+    }
+
+    /// Settle level `d` on a row — the next one in its range if
+    /// `advance`, else the first of the range its parent's current row
+    /// points at — bind it into the assignment, then settle all deeper
+    /// levels on the first row of theirs. Backtracks on exhaustion;
+    /// `false` means the walk is done.
+    fn search(&mut self, mut d: usize, mut advance: bool) -> bool {
+        let levels = &self.plan.levels;
+        loop {
+            #[cfg(test)]
+            {
+                self.steps += 1;
+            }
+            let level = &levels[d];
+            let (r, end) = if advance {
+                (self.row[d] + 1, self.end[d])
+            } else if d == 0 {
+                (0, level.rel.len() as u32)
+            } else {
+                let [lo, hi] = level.ranges[self.row[level.parent] as usize];
+                (lo, hi)
+            };
+            if r < end {
+                let row = level.rel.row(r as usize);
+                for &(c, slot) in &level.write {
+                    self.assignment[slot] = row[c];
+                }
+                self.row[d] = r;
+                self.end[d] = end;
+                if d + 1 == levels.len() {
+                    return true;
+                }
+                d += 1;
+                advance = false;
+            } else {
+                // Exhausted at `d` (on a reduced tree this only happens
+                // when the range is consumed, never on first entry).
+                if d == 0 {
+                    return false;
+                }
+                d -= 1;
+                advance = true;
+            }
+        }
+    }
+}
+
+impl Iterator for GhdEnumerator {
+    type Item = Vec<u64>;
+
+    fn next(&mut self) -> Option<Vec<u64>> {
+        self.advance().map(<[u64]>::to_vec)
     }
 }
 
@@ -1283,6 +1341,7 @@ mod tests {
     use crate::delta::DatabaseDelta;
     use crate::generate::{canonical_query, planted_database, random_database};
     use cqd2_hypergraph::generators::{hyperchain, hypercycle};
+    use std::collections::HashSet;
 
     fn path_query() -> ConjunctiveQuery {
         ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])])
@@ -1756,26 +1815,54 @@ mod tests {
         db
     }
 
+    /// The three-atom chain rooted at its `T` end: bag `{y, z}` shares
+    /// `z`, its *second* column, with the root `{z, w}`, so its rows are
+    /// not in parent-key order and the plan must reorder them.
+    fn chain_rooted_at_t() -> (ConjunctiveQuery, Ghd) {
+        use cqd2_decomp::TreeDecomposition;
+        let q = chain_query();
+        let bags = [vec![2u32, 3], vec![1, 2], vec![0, 1]]
+            .into_iter()
+            .map(|b| b.into_iter().map(VertexId).collect())
+            .collect();
+        let tree = vec![(0, 1), (1, 2)];
+        let ghd = Ghd::from_td_exact(&q.hypergraph(), TreeDecomposition { bags, tree });
+        ghd.validate(&q.hypergraph()).unwrap();
+        (q, ghd)
+    }
+
     #[test]
     fn enumeration_plan_is_globally_consistent() {
         // The specification of the two-way reduction: every relation of
         // the memoized plan is exactly the projection of `q(D)` onto its
         // bag's variables — no dangling row survives, no answer's row is
-        // lost — and a bag the reduction did not shrink is the base Arc.
+        // lost. The specification of the pointer structure: every bag's
+        // rows are in parent-key order, and each parent row's range is
+        // nonempty and holds exactly the rows that agree with it. A bag
+        // the reduction left whole and that is already in parent-key
+        // order is the base Arc.
         use std::collections::BTreeSet;
+        let mut cases: Vec<(ConjunctiveQuery, Ghd, Database)> = Vec::new();
         let (q, ghd) = bushy();
-        let mut dbs = vec![dangling_database()];
+        cases.push((q.clone(), ghd.clone(), dangling_database()));
         for seed in 0..2 {
-            dbs.extend([3, 8, 32].map(|domain| random_database(&q, domain, 40, seed)));
-            dbs.push(random_database(&q, 2, 300, seed));
+            for db in [3, 8, 32].map(|domain| random_database(&q, domain, 40, seed)) {
+                cases.push((q.clone(), ghd.clone(), db));
+            }
+            cases.push((q.clone(), ghd.clone(), random_database(&q, 2, 300, seed)));
         }
-        let (mut shrunk, mut whole) = (0, 0);
-        for (i, db) in dbs.iter().enumerate() {
-            let bags = MaterializedBags::build(&q, db, &ghd).unwrap();
-            let answers = enumerate_naive(&q, db);
+        let (q, ghd) = chain_rooted_at_t();
+        for seed in 0..2 {
+            cases.push((q.clone(), ghd.clone(), random_database(&q, 6, 20, seed)));
+        }
+        let (mut shrunk, mut whole, mut reordered) = (0, 0, 0);
+        for (i, (q, ghd, db)) in cases.iter().enumerate() {
+            let bags = MaterializedBags::build(q, db, ghd).unwrap();
+            let answers = enumerate_naive(q, db);
             let (e, stats) = bags.enumerator_with_stats();
-            assert_eq!(e.plan.levels.is_empty(), answers.is_empty(), "db {i}");
-            for level in &e.plan.levels {
+            let levels = &e.plan.levels;
+            assert_eq!(levels.is_empty(), answers.is_empty(), "db {i}");
+            for level in levels {
                 let projected: BTreeSet<Vec<u64>> = answers
                     .iter()
                     .map(|a| level.rel.vars().iter().map(|v| a[v.idx()]).collect())
@@ -1783,17 +1870,96 @@ mod tests {
                 let held: BTreeSet<Vec<u64>> = level.rel.iter().map(<[u64]>::to_vec).collect();
                 assert_eq!(held.len(), level.rel.len(), "db {i}: duplicate bag row");
                 assert_eq!(held, projected, "db {i}: bag {:?}", level.rel.vars());
+                let u = (0..bags.num_bags())
+                    .find(|&u| bags.relations[u].vars() == level.rel.vars())
+                    .unwrap();
+                let up_key = &bags.shape.up_key[u];
+                let in_order = |rel: &FlatRelation| KeyRuns::of(rel, up_key).is_some();
+                assert!(in_order(&level.rel), "db {i}: bag {u}");
+                if u != bags.shape.root {
+                    let parent = &levels[level.parent].rel;
+                    assert_eq!(parent.vars(), bags.relations[bags.shape.parents[u]].vars());
+                    assert_eq!(level.ranges.len(), parent.len(), "db {i}: bag {u}");
+                    let parent_key = &bags.shape.parent_key[u];
+                    for (prow, &[lo, hi]) in parent.iter().zip(&level.ranges) {
+                        let agrees = |r: &[u64]| {
+                            (up_key.iter().zip(parent_key)).all(|(&c, &pc)| r[c] == prow[pc])
+                        };
+                        let all = level.rel.iter().filter(|r| agrees(r)).count();
+                        assert!(lo < hi, "db {i}: bag {u}: empty range");
+                        assert_eq!(all, (hi - lo) as usize, "db {i}: bag {u}");
+                        assert!((lo..hi).all(|r| agrees(level.rel.row(r as usize))));
+                    }
+                }
+                let base = &bags.relations[u];
+                let left_whole = base.len() == level.rel.len();
+                let in_order = in_order(base);
+                let is_base = Arc::ptr_eq(base, &level.rel);
+                assert_eq!(is_base, left_whole && in_order, "db {i}: bag {u}");
+                whole += usize::from(is_base);
+                reordered += usize::from(!in_order);
             }
             if !answers.is_empty() {
-                let shared = (e.plan.levels.iter())
-                    .filter(|l| bags.relations.iter().any(|r| Arc::ptr_eq(r, &l.rel)))
-                    .count();
-                assert_eq!(shared, stats.total - stats.rewritten, "db {i}");
                 shrunk += stats.rewritten;
-                whole += shared;
             }
         }
-        assert!(shrunk > 0 && whole > 0, "fixtures must cover both cases");
+        assert!(
+            shrunk > 0 && whole > 0 && reordered > 0,
+            "fixtures must cover every case: {shrunk} shrunk, {whole} whole, {reordered} reordered"
+        );
+    }
+
+    /// Drain `e`, checking that every call — each answer, the first
+    /// included, and the final `None` — settles or advances at most
+    /// `2 × levels` rows and that no answer repeats. Returns the answers
+    /// and the most steps one call took.
+    fn drain_counting_steps(mut e: GhdEnumerator) -> (Vec<Vec<u64>>, usize) {
+        let bound = 2 * e.plan.levels.len();
+        let (mut seen, mut answers, mut max) = (HashSet::new(), Vec::new(), 0);
+        loop {
+            let before = e.steps;
+            let answer = e.advance().map(<[u64]>::to_vec);
+            let took = e.steps - before;
+            assert!(took <= bound, "{took} steps for one answer, bound {bound}");
+            max = max.max(took);
+            let Some(answer) = answer else {
+                return (answers, max);
+            };
+            assert!(seen.insert(answer.clone()), "answer {answer:?} repeated");
+            answers.push(answer);
+        }
+    }
+
+    #[test]
+    fn enumeration_has_constant_delay() {
+        let (q, ghd) = bushy();
+        for db in [dangling_database(), random_database(&q, 3, 40, 1)] {
+            let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+            let (mut got, _) = drain_counting_steps(bags.enumerator());
+            got.sort_unstable();
+            assert_eq!(got, enumerate_naive(&q, &db));
+        }
+        // Chains along the planner's decomposition and rooted at the far
+        // end (the reordered plan): the most steps any one answer takes
+        // is the same at 40, 400 and 4 000 rows per relation.
+        let q = chain_query();
+        let planned = ghw_decomposition(&q.hypergraph()).unwrap();
+        let (_, reversed) = chain_rooted_at_t();
+        for ghd in [planned, reversed] {
+            let mut max_steps = Vec::new();
+            for rows in [40, 400, 4_000] {
+                let db = random_database(&q, rows as u64, rows, 7);
+                let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+                let (got, max) = drain_counting_steps(bags.enumerator());
+                assert!(got.len() > 1, "fixture at {rows} rows needs answers");
+                assert_eq!(got.len() as u128, bags.count(), "{rows} rows");
+                max_steps.push(max);
+            }
+            assert!(
+                max_steps.iter().all(|&m| m == max_steps[0]),
+                "steps per answer grew with the database: {max_steps:?}"
+            );
+        }
     }
 
     #[test]

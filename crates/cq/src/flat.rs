@@ -452,6 +452,26 @@ impl FlatRelation {
         Some(FlatRelation::from_parts(self.vars.clone(), kept, data))
     }
 
+    /// A copy with the rows stably sorted by the key columns `cols`
+    /// (lexicographic over `cols`; rows with equal keys keep their
+    /// relative order). [`KeyRuns::of`] tells whether a relation needs
+    /// it: one in canonical order is already ordered by any prefix of its
+    /// columns.
+    pub(crate) fn sorted_by(&self, cols: &[usize]) -> FlatRelation {
+        check_row_index_fits(self.rows);
+        let key = |i: u32| -> Vec<u64> {
+            let row = self.row(i as usize);
+            cols.iter().map(|&c| row[c]).collect()
+        };
+        let mut idx: Vec<u32> = (0..self.rows as u32).collect();
+        idx.sort_by_cached_key(|&i| key(i));
+        let mut data = Vec::with_capacity(self.data.len());
+        for &i in &idx {
+            data.extend_from_slice(self.row(i as usize));
+        }
+        FlatRelation::from_parts(self.vars.clone(), self.rows, data)
+    }
+
     /// Reference semijoin on std hashing (`HashSet`, SipHash): the
     /// implementation [`FlatRelation::semijoin`] replaced, kept for
     /// differential tests and as the baseline the `relation_ops` bench
@@ -573,6 +593,126 @@ impl FlatRelation {
         self.rows = out.len() / a;
         self.data = out;
     }
+}
+
+/// The distinct values a relation ordered by the key columns `cols`
+/// holds in those columns, each with the contiguous range of rows that
+/// holds it: "the rows that agree with this key" becomes one search over
+/// a dense, ascending key array. Built and dropped while an enumeration
+/// plan is wired; the plan keeps only the ranges.
+pub(crate) struct KeyRuns {
+    /// Key width.
+    k: usize,
+    /// The distinct keys, ascending, `k` values each, row-major.
+    keys: Vec<u64>,
+    /// First row of each key's run, then the row count.
+    starts: Vec<u32>,
+}
+
+impl KeyRuns {
+    /// One pass over `rel`: its distinct keys in `cols` with their row
+    /// ranges — or `None` when the rows are not ordered by `cols` (some
+    /// key is smaller than the one before it), and the caller sorts them
+    /// first ([`FlatRelation::sorted_by`]).
+    pub(crate) fn of(rel: &FlatRelation, cols: &[usize]) -> Option<KeyRuns> {
+        check_row_index_fits(rel.rows);
+        let k = cols.len();
+        let (mut keys, mut starts): (Vec<u64>, Vec<u32>) = (Vec::new(), Vec::new());
+        if let [c] = *cols {
+            // One key column, the common case: a strided scan.
+            let mut last = None;
+            for (i, &v) in rel.data.iter().skip(c).step_by(rel.arity()).enumerate() {
+                if last != Some(v) {
+                    if last.is_some_and(|l| v < l) {
+                        return None;
+                    }
+                    last = Some(v);
+                    keys.push(v);
+                    starts.push(i as u32);
+                }
+            }
+        } else {
+            for (i, row) in rel.iter().enumerate() {
+                // The previous run's key sits at the end of `keys`.
+                let last = &keys[keys.len().saturating_sub(k)..];
+                let key = cols.iter().map(|&c| row[c]);
+                match key.clone().cmp(last.iter().copied()) {
+                    std::cmp::Ordering::Less if !starts.is_empty() => return None,
+                    std::cmp::Ordering::Equal if !starts.is_empty() => continue,
+                    _ => {}
+                }
+                keys.extend(key);
+                starts.push(i as u32);
+            }
+        }
+        starts.push(rel.rows as u32);
+        Some(KeyRuns { k, keys, starts })
+    }
+
+    /// For each row of `parent`, the `[lo, hi)` range of rows whose key
+    /// equals the row's `parent_cols` (same column order as this index's
+    /// `cols`) — empty when no row's does; an empty key matches every
+    /// row. A binary search per parent row; one-column keys that are
+    /// dense (span fewer than [`DENSE_SPAN`] values per distinct key, as
+    /// dictionary-encoded ids do) are looked up in a direct table
+    /// instead, one read per parent row.
+    pub(crate) fn ranges(&self, parent: &FlatRelation, parent_cols: &[usize]) -> Vec<[u32; 2]> {
+        debug_assert_eq!(parent_cols.len(), self.k);
+        let range =
+            |run: Option<usize>| run.map_or([0, 0], |j| [self.starts[j], self.starts[j + 1]]);
+        let keys = &self.keys;
+        if let [c] = *parent_cols {
+            let a = parent.arity();
+            let probes = (0..parent.rows).map(|i| parent.data[i * a + c]);
+            let (min, span) = match (keys.first(), keys.last()) {
+                (Some(&min), Some(&max)) => (min, max - min),
+                _ => return vec![[0, 0]; parent.rows],
+            };
+            if span >= DENSE_SPAN * keys.len() as u64 {
+                return probes.map(|v| range(keys.binary_search(&v).ok())).collect();
+            }
+            let mut run_of = vec![u32::MAX; span as usize + 1];
+            for (j, &key) in keys.iter().enumerate() {
+                run_of[(key - min) as usize] = j as u32;
+            }
+            let run = |v: u64| match v.checked_sub(min).and_then(|d| run_of.get(d as usize)) {
+                Some(&j) if j != u32::MAX => Some(j as usize),
+                _ => None,
+            };
+            return probes.map(|v| range(run(v))).collect();
+        }
+        let (k, runs) = (self.k, self.starts.len() - 1);
+        let at = |j: usize| &keys[j * k..j * k + k];
+        let mut key = Vec::with_capacity(k);
+        (parent.iter())
+            .map(|row| {
+                pack_key(&mut key, row, parent_cols);
+                let j = partition_point(0, runs, |j| at(j) < &key[..]);
+                range((j < runs && at(j) == &key[..]).then_some(j))
+            })
+            .collect()
+    }
+}
+
+/// One-column keys spanning fewer than this many values per distinct key
+/// are dense: [`KeyRuns::ranges`] indexes them through a direct table of
+/// at most `4 × DENSE_SPAN` bytes per key, built and dropped with the
+/// ranges.
+const DENSE_SPAN: u64 = 16;
+
+/// The first index in `lo..hi` where `before` turns false (`before`
+/// must hold on a prefix of the range) — `slice::partition_point` over
+/// row indices.
+fn partition_point(mut lo: usize, mut hi: usize, before: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Pack the key columns of `row` into `scratch` (cleared first).
@@ -846,5 +986,53 @@ mod tests {
         assert_eq!(sorted_tuples(&r), vec![vec![1, 2], vec![3, 4]]);
         r.dedup();
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn key_runs_detect_order_and_sorted_by_restores_it_stably() {
+        let r = rel(&[0, 1], &[&[1, 5], &[2, 3], &[3, 5], &[4, 1]]);
+        // Canonical order is ordered by any prefix of the columns.
+        assert!(KeyRuns::of(&r, &[0]).is_some() && KeyRuns::of(&r, &[]).is_some());
+        assert!(KeyRuns::of(&r, &[0, 1]).is_some());
+        assert!(KeyRuns::of(&r, &[1]).is_none() && KeyRuns::of(&r, &[1, 0]).is_none());
+        let by_second = r.sorted_by(&[1]);
+        // Equal keys (5) keep their relative order.
+        assert_eq!(
+            by_second.to_tuples(),
+            vec![vec![4, 1], vec![2, 3], vec![1, 5], vec![3, 5]]
+        );
+        let runs = KeyRuns::of(&by_second, &[1]).unwrap();
+        assert_eq!((runs.keys, runs.starts), (vec![1, 3, 5], vec![0, 1, 2, 4]));
+        let runs = KeyRuns::of(&r.sorted_by(&[1, 0]), &[1, 0]).unwrap();
+        assert_eq!(runs.starts, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn key_runs_point_each_parent_row_at_its_matching_rows() {
+        // One key column, dense (1, 2, 5) and sparse (multiples of 10^9):
+        // the direct table and the binary search agree.
+        for scale in [1, 1_000_000_000u64] {
+            let child = [[1, 10], [1, 11], [2, 20], [5, 50]].map(|[a, b]| vec![a * scale, b]);
+            let child = FlatRelation::from_rows(vec![v(0), v(1)], &child);
+            let parent = [[0, 5], [1, 1], [2, 3], [3, 2], [4, 0]].map(|[a, b]| vec![a, b * scale]);
+            let parent = FlatRelation::from_rows(vec![v(2), v(0)], &parent);
+            let runs = KeyRuns::of(&child, &[0]).unwrap();
+            let expected = vec![[3, 4], [0, 2], [0, 0], [2, 3], [0, 0]];
+            assert_eq!(runs.ranges(&parent, &[1]), expected, "scale {scale}");
+            let none = KeyRuns::of(&FlatRelation::empty(vec![v(0)]), &[0]).unwrap();
+            assert_eq!(none.ranges(&parent, &[1]), vec![[0, 0]; 5]);
+        }
+        // Two key columns, in the parent's column order (v0, v1).
+        let child = rel(
+            &[0, 1, 2],
+            &[&[1, 2, 0], &[1, 2, 1], &[1, 3, 0], &[2, 2, 0]],
+        );
+        let parent = rel(&[1, 0], &[&[2, 1], &[3, 1], &[2, 2], &[9, 9]]);
+        let runs = KeyRuns::of(&child, &[0, 1]).unwrap();
+        let expected = vec![[0, 2], [3, 4], [2, 3], [0, 0]];
+        assert_eq!(runs.ranges(&parent, &[1, 0]), expected);
+        // An empty key: every parent row points at every row.
+        let all = KeyRuns::of(&child, &[]).unwrap();
+        assert_eq!(all.ranges(&parent, &[]), vec![[0, 4]; 4]);
     }
 }

@@ -153,20 +153,6 @@ impl KeyTable {
             cur: self.heads[(hash_key(key) & self.mask) as usize],
         }
     }
-
-    /// The next build row after `row` with `row`'s own key, if any:
-    /// resumes [`KeyTable::matches`] from a match it yielded, without
-    /// holding the iterator (or the key) in between.
-    #[inline]
-    pub(crate) fn next_match(&self, row: u32) -> Option<u32> {
-        let o = row as usize * self.k;
-        Matches {
-            table: self,
-            key: &self.keys[o..o + self.k],
-            cur: self.next[row as usize],
-        }
-        .next()
-    }
 }
 
 /// Iterator over the build rows matching one probe key (see
@@ -325,11 +311,6 @@ mod tests {
         // the compare must separate them regardless.
         assert_eq!(t.matches(&[2, 1]).collect::<Vec<_>>(), vec![2]);
         assert!(!t.contains(&[2, 2]));
-        // `next_match` resumes a chain from a row it yielded, by that
-        // row's own key.
-        assert_eq!(t.next_match(0), Some(1));
-        assert_eq!(t.next_match(1), None);
-        assert_eq!(t.next_match(2), None);
     }
 
     #[test]
@@ -342,8 +323,7 @@ mod tests {
         let r = rel(&[0], &[&[1], &[2]]);
         let t0 = KeyTable::build(&r, &[]);
         assert!(t0.contains(&[]));
-        assert_eq!(t0.matches(&[]).count(), 2);
-        assert_eq!((t0.next_match(0), t0.next_match(1)), (Some(1), None));
+        assert_eq!(t0.matches(&[]).collect::<Vec<_>>(), vec![0, 1]);
         let t0e = KeyTable::build(&e, &[]);
         assert!(!t0e.contains(&[]));
     }

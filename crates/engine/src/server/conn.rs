@@ -44,9 +44,9 @@ impl ConnWriter {
 
     /// Send an encoded JSON payload as one frame — straight from the
     /// encoder's buffer to the socket, under the frame lock.
-    fn send(&self, frame_type: FrameType, json: &str) -> io::Result<()> {
+    fn send(&self, frame_type: FrameType, json: &[u8]) -> io::Result<()> {
         let mut stream = lock_or_poison(&self.stream);
-        frame::write_frame(&mut *stream, frame_type, json.as_bytes())
+        frame::write_frame(&mut *stream, frame_type, json)
     }
 }
 
@@ -157,17 +157,17 @@ impl<'e> Reply<'e> {
         payload: impl FnOnce(u64, u64) -> T,
     ) -> io::Result<()> {
         self.ok_encoded(frame_type, |server_micros| {
-            serde::json::to_string(&payload(self.request(), server_micros))
+            serde::json::to_string(&payload(self.request(), server_micros)).into_bytes()
         })
     }
 
     /// [`Reply::ok`] for a payload its caller encodes: `json` gets the
-    /// `server_micros` stamp and returns the frame's JSON text (a worker
+    /// `server_micros` stamp and returns the frame's JSON bytes (a worker
     /// completes an already encoded `Result` with it).
     pub(super) fn ok_encoded(
         &self,
         frame_type: FrameType,
-        json: impl FnOnce(u64) -> String,
+        json: impl FnOnce(u64) -> Vec<u8>,
     ) -> io::Result<()> {
         let json = json(micros(self.received_at.elapsed()));
         self.writer.send(frame_type, &json)
@@ -210,7 +210,7 @@ impl<'e> Reply<'e> {
         };
         let _ = self
             .writer
-            .send(FrameType::Error, &serde::json::to_string(&error));
+            .send(FrameType::Error, serde::json::to_string(&error).as_bytes());
     }
 
     /// Reject a failed `Reload` / `Delta` with the code its

@@ -11,7 +11,10 @@
 //! value holds (one `Vec` per answer tuple) — and the field order of a
 //! struct is its key order on the wire. [`WireResult`] relies on that:
 //! its last two fields are the ones only the send can fill in, so a
-//! worker encodes everything before them once and appends the rest.
+//! worker encodes everything before them once and appends the rest. An
+//! enumerated answer reaches the encoder as one row-major buffer of
+//! `u64`s (`FlatRows`), written into the answer's place in the payload
+//! as the same `[[…],…]` text the derive writes for `Answer::Tuples`.
 
 use serde::{Deserialize, Serialize};
 
@@ -98,29 +101,92 @@ impl WireResult {
     /// worker knows before the send, the answer included. This is the
     /// one encode a `Result` frame pays, so it is also what a trace's
     /// `serialize` span times; [`WireResult::stamp`] completes it.
-    pub(super) fn encode_unstamped(&self) -> String {
+    ///
+    /// With `rows`, the answer is an enumeration the worker drained into
+    /// one row-major buffer, and `self.answer` must be the empty
+    /// `Answer::Tuples` standing in for it: the derive encodes the
+    /// payload around that placeholder — it stays the one place that
+    /// knows the key order — and the rows are written into the
+    /// placeholder's tuple array, byte-identical to encoding
+    /// `Answer::Tuples` of them.
+    pub(super) fn encode_unstamped(&self, rows: Option<FlatRows<'_>>) -> Vec<u8> {
         debug_assert!(self.server_micros == 0 && self.trace.is_none());
-        let mut json = serde::json::to_string(self);
-        debug_assert!(json.ends_with(UNSTAMPED_TAIL));
+        let mut json = Vec::new();
+        self.write_json(&mut json);
+        debug_assert!(json.ends_with(UNSTAMPED_TAIL.as_bytes()));
         json.truncate(json.len().saturating_sub(UNSTAMPED_TAIL.len()));
+        if let Some(rows) = rows {
+            debug_assert_eq!(self.answer, Answer::Tuples(Vec::new()));
+            // `{"Tuples":[[]]}`: the inner `[]` is the empty tuple list.
+            // A `{"` never occurs inside an encoded string (its quote
+            // would be escaped), so the first match is the answer.
+            let placeholder = serde::json::to_string(&self.answer);
+            let found = (json.windows(placeholder.len()))
+                .position(|w| w == placeholder.as_bytes())
+                .zip(placeholder.find("[]"));
+            debug_assert!(found.is_some(), "no empty tuple list in {placeholder}");
+            if let Some((answer, tuples)) = found {
+                let at = answer + tuples;
+                let tail = json.split_off(at + "[]".len());
+                json.truncate(at);
+                rows.write_json(&mut json);
+                json.extend_from_slice(&tail);
+            }
+        }
         json
     }
 
     /// Complete an [`WireResult::encode_unstamped`] payload with the
     /// `server_micros` stamp and the span block. The result is
     /// byte-identical to encoding the fully populated struct.
-    pub(super) fn stamp(json: &mut String, server_micros: u64, trace: Option<&WireTrace>) {
-        json.push_str("\"server_micros\":");
-        json.push_str(&serde::json::to_string(&server_micros));
-        json.push_str(",\"trace\":");
-        json.push_str(&serde::json::to_string(&trace));
-        json.push('}');
+    pub(super) fn stamp(json: &mut Vec<u8>, server_micros: u64, trace: Option<&WireTrace>) {
+        json.extend_from_slice(b"\"server_micros\":");
+        server_micros.write_json(json);
+        json.extend_from_slice(b",\"trace\":");
+        trace.write_json(json);
+        json.push(b'}');
     }
 }
 
 /// How an unstamped [`WireResult`] ends: its last two fields, which the
 /// reply path overwrites.
 const UNSTAMPED_TAIL: &str = "\"server_micros\":0,\"trace\":null}";
+
+/// An enumerated answer as the worker holds it: `rows` answers of
+/// `arity` values each, row-major in one buffer (`data.len() == rows ×
+/// arity`; a nullary answer still counts its rows). It encodes as the
+/// JSON of the same tuples as `Vec<Vec<u64>>` — `[[1,2],[3,4]]` — with
+/// no `Vec` per tuple to build or free.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct FlatRows<'a> {
+    pub(super) arity: usize,
+    pub(super) rows: usize,
+    pub(super) data: &'a [u64],
+}
+
+impl Serialize for FlatRows<'_> {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        debug_assert_eq!(self.data.len(), self.rows * self.arity);
+        // Room for the usual row; the buffer still grows if digits run long.
+        out.reserve(self.rows * (3 + 7 * self.arity));
+        out.push(b'[');
+        for i in 0..self.rows {
+            if i > 0 {
+                out.push(b',');
+            }
+            out.push(b'[');
+            let row = &self.data[i * self.arity..(i + 1) * self.arity];
+            for (j, &v) in row.iter().enumerate() {
+                if j > 0 {
+                    out.push(b',');
+                }
+                serde::json::write_u64(out, v);
+            }
+            out.push(b']');
+        }
+        out.push(b']');
+    }
+}
 
 /// One phase of a [`WireTrace`] span breakdown.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -588,16 +654,86 @@ mod tests {
                     server_micros: 0,
                     trace: None,
                 };
-                let mut json = unstamped.encode_unstamped();
-                assert!(json.ends_with("\"execution_ns\":12345,"), "{json}");
+                let mut json = unstamped.encode_unstamped(None);
+                assert!(json.ends_with(b"\"execution_ns\":12345,"));
                 WireResult::stamp(&mut json, server_micros, trace.as_ref());
                 let whole = WireResult {
                     server_micros,
                     trace,
                     ..unstamped
                 };
-                assert_eq!(json, serde::json::to_string(&whole));
+                assert_eq!(json, serde::json::to_string(&whole).into_bytes());
             }
+        }
+    }
+
+    /// An enumeration drained into one row-major buffer goes on the wire
+    /// byte for byte as the derive encodes `Answer::Tuples` of the same
+    /// rows: random arity 0–6, 0–50 rows, values at both ends of `u64`,
+    /// traced and untraced.
+    #[test]
+    fn a_flat_answer_encodes_like_its_tuples() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let trace = WireTrace {
+            total_micros: 3,
+            spans: vec![WireSpan {
+                phase: "execute".to_string(),
+                micros: 3,
+                detail: Some("answer {\"Tuples\":[[]]} in a detail".to_string()),
+            }],
+        };
+        for case in 0..300 {
+            let (arity, rows) = ((next() % 7) as usize, (next() % 51) as usize);
+            let data: Vec<u64> = (0..rows * arity)
+                .map(|_| match next() % 4 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => next() % 1000,
+                    _ => next(),
+                })
+                .collect();
+            let tuples: Vec<Vec<u64>> = match arity {
+                0 => vec![Vec::new(); rows],
+                a => data.chunks_exact(a).map(<[u64]>::to_vec).collect(),
+            };
+            let traced = (case % 2 == 1).then(|| trace.clone());
+            let result = |answer| WireResult {
+                request: case,
+                index: 2,
+                answer,
+                // A string holding the placeholder's text is escaped, so
+                // it cannot be mistaken for the answer.
+                strategy: "naive-join {\"Tuples\":[[]]}".to_string(),
+                cache_hit: false,
+                prepared_hit: true,
+                planning_ns: 7,
+                execution_ns: 12_345,
+                server_micros: 0,
+                trace: None,
+            };
+            let flat = FlatRows {
+                arity,
+                rows,
+                data: &data,
+            };
+            let mut json = result(Answer::Tuples(Vec::new())).encode_unstamped(Some(flat));
+            WireResult::stamp(&mut json, 640, traced.as_ref());
+            let whole = WireResult {
+                server_micros: 640,
+                trace: traced,
+                ..result(Answer::Tuples(tuples))
+            };
+            assert_eq!(
+                String::from_utf8(json).unwrap(),
+                serde::json::to_string(&whole),
+                "arity {arity}, {rows} rows"
+            );
         }
     }
 

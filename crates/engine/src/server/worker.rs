@@ -2,7 +2,10 @@
 //! batches, resolving (or preparing) each query's warm handle and
 //! streaming `Result` frames through the batch's [`Reply`]. An answer
 //! is moved, not copied, from the run onto its wire struct and encoded
-//! exactly once, traced or not.
+//! exactly once, traced or not. An enumeration never becomes a
+//! `Vec<Vec<u64>>` here: the run drains it into one row buffer the batch
+//! reuses from query to query, and the encoder writes those rows into
+//! the payload — no `Vec` is allocated or freed per answer.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,7 +22,7 @@ use super::conn::Reply;
 use super::frame::FrameType;
 use super::queue::JobQueue;
 use super::stats::ServedDb;
-use super::wire::{ErrorCode, WireDone, WireResult, WireTrace};
+use super::wire::{ErrorCode, FlatRows, WireDone, WireResult, WireTrace};
 
 /// One query of a batch, ready to execute.
 pub(super) struct QueryItem {
@@ -77,6 +80,9 @@ fn execute_job(job: Job<'_>, sequential_bags: bool) {
     let queue_wait = job.enqueued_at.elapsed();
     let epoch = job.session.epoch();
     let mut results = 0u64;
+    // Every enumeration of the batch drains into this one row-major
+    // buffer (`execute`), which the encoder then reads (`serialize`).
+    let mut rows: Vec<u64> = Vec::new();
     for (index, item) in job.items.iter().enumerate() {
         let workload = item.workload;
         let cached = lock_or_poison(cache).get(&item.key, epoch);
@@ -138,15 +144,20 @@ fn execute_job(job: Job<'_>, sequential_bags: bool) {
         // nothing either way). A prepared-cache miss above still
         // materializes its bags in parallel, which is what keeps the
         // first read after a delta short.
-        let mut run = || match trace.as_mut() {
-            Some(t) => prepared.run_traced(workload, t),
-            None => prepared.run(workload),
-        };
-        let resp = if sequential_bags {
+        rows.clear();
+        let enumerate = matches!(workload, Workload::Enumerate { .. });
+        let mut run =
+            || prepared.run_rows(workload, enumerate.then_some(&mut rows), trace.as_mut());
+        let (mut resp, drained) = if sequential_bags {
             with_sequential_bags(run)
         } else {
             run()
         };
+        // Planning is paid at prepare time, so it belongs to this reply
+        // only when this request prepared the handle.
+        if !prepared_hit {
+            resp.provenance.planning = prepared.planning_time();
+        }
         // Reduction-sparsity accounting: how much of the prepared bag
         // tree the reduction behind this answer had to filter (0
         // rewritten = no semijoin dropped a row, which is what a count
@@ -160,8 +171,13 @@ fn execute_job(job: Job<'_>, sequential_bags: bool) {
         // path stamps `server_micros` after it (all phases are then
         // completed sub-intervals of it) and appends the span block.
         let ser_start = Instant::now();
+        let flat = enumerate.then(|| FlatRows {
+            arity: prepared.query().num_vars(),
+            rows: drained,
+            data: &rows,
+        });
         let mut json = WireResult::from_response(reply.request(), index as u64, prepared_hit, resp)
-            .encode_unstamped();
+            .encode_unstamped(flat);
         if let Some(t) = trace.as_mut() {
             t.record(Phase::Serialize, ser_start.elapsed());
         }

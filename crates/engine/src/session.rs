@@ -367,7 +367,23 @@ impl PreparedCore {
     /// its memo otherwise. Provenance reports the sparsity of the tree's
     /// reduction (how many nodes it had to filter; none for a count).
     fn run(&self, db: &Database, workload: Workload) -> Response {
+        self.execute(db, workload, None).0
+    }
+
+    /// [`PreparedCore::run`], with `rows` as where an `Enumerate` puts its
+    /// answers: `None` collects them into [`Answer::Tuples`]; `Some(out)`
+    /// drains them row-major onto `out` ([`AnswerCursor::drain_rows`])
+    /// and answers with an empty `Answer::Tuples` in their place. Also
+    /// returns the number of rows drained (0 otherwise). The drain is
+    /// inside the measured execution.
+    fn execute(
+        &self,
+        db: &Database,
+        workload: Workload,
+        rows: Option<&mut Vec<u64>>,
+    ) -> (Response, usize) {
         let exec_start = Instant::now();
+        let mut drained = 0;
         let (answer, pass) = match workload {
             Workload::Boolean => match &self.bags {
                 Some(bags) => {
@@ -384,22 +400,31 @@ impl PreparedCore {
                 None => (Answer::Count(count_naive(&self.query, db)), None),
             },
             Workload::Enumerate { limit } => {
-                let (cursor, pass) = self.cursor_with_stats(db, limit);
-                (Answer::Tuples(cursor.collect()), pass)
+                let (mut cursor, pass) = self.cursor_with_stats(db, limit);
+                let tuples = match rows {
+                    Some(out) => {
+                        drained = cursor.drain_rows(out);
+                        Vec::new()
+                    }
+                    None => cursor.collect(),
+                };
+                (Answer::Tuples(tuples), pass)
             }
         };
-        Response {
+        let resp = Response {
             answer,
             provenance: PlanProvenance {
                 planned: Arc::clone(self.plan(workload)),
                 cache_hit: self.cache_hit,
-                // Paid at build time; `one_shot` restores it.
+                // Paid at build time; `one_shot` and a server's
+                // prepared-cache miss report it.
                 planning: Duration::ZERO,
                 execution: exec_start.elapsed(),
                 bags: pass,
                 maintenance: self.maintenance,
             },
-        }
+        };
+        (resp, drained)
     }
 
     /// Open a cursor plus — on the GHD route — the reduction's sparsity
@@ -527,13 +552,30 @@ impl PreparedQuery {
     /// (the benchmark ledger's `metrics.trace_overhead_pct` prices the
     /// whole traced request against the untraced one).
     pub fn run_traced(&self, workload: Workload, trace: &mut QueryTrace) -> Response {
-        let resp = self.core.run(self.snapshot.db(), workload);
-        trace.record_with(
-            Phase::Execute,
-            resp.provenance.execution,
-            resp.provenance.planned.plan.strategy(),
-        );
-        resp
+        self.run_rows(workload, None, Some(trace)).0
+    }
+
+    /// The serve path's run: [`PreparedQuery::run`], tracing the
+    /// `execute` span into `trace` when given (as
+    /// [`PreparedQuery::run_traced`] does), and with `rows` as where an
+    /// `Enumerate` drains its answers row-major — the answer is then an
+    /// empty [`Answer::Tuples`] standing in for them, and the second
+    /// value is how many rows were drained. The drain is the execution.
+    pub(crate) fn run_rows(
+        &self,
+        workload: Workload,
+        rows: Option<&mut Vec<u64>>,
+        trace: Option<&mut QueryTrace>,
+    ) -> (Response, usize) {
+        let (resp, drained) = self.core.execute(self.snapshot.db(), workload, rows);
+        if let Some(trace) = trace {
+            trace.record_with(
+                Phase::Execute,
+                resp.provenance.execution,
+                resp.provenance.planned.plan.strategy(),
+            );
+        }
+        (resp, drained)
     }
 
     /// Open a streaming [`AnswerCursor`] over `q(D)`, yielding at most
@@ -642,6 +684,53 @@ enum CursorInner {
 pub struct AnswerCursor {
     inner: CursorInner,
     remaining: Option<usize>,
+}
+
+impl AnswerCursor {
+    /// Drain the cursor's remaining answers (up to its limit) onto `out`,
+    /// row-major — answer after answer, each `q.num_vars()` values in
+    /// `Var` id order, the layout of a `FlatRelation` — and return how
+    /// many were appended (a nullary query's answer appends no values
+    /// but still counts). On the GHD route each answer is copied
+    /// straight from the enumerator's assignment, so the drain allocates
+    /// nothing per answer: `out` grows, nothing is freed. It shares the
+    /// walk ([`GhdEnumerator::advance`]) with [`Iterator::next`].
+    ///
+    /// ```
+    /// use cqd2_engine::Engine;
+    /// use cqd2_cq::{ConjunctiveQuery, Database};
+    ///
+    /// let q = ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])]);
+    /// let mut db = Database::new();
+    /// db.insert_all("R", &[vec![1, 2]]);
+    /// db.insert_all("S", &[vec![2, 3], vec![2, 4]]);
+    /// let engine = Engine::default();
+    /// let prepared = engine.session(&db).prepare(&q)?;
+    ///
+    /// let mut rows = Vec::new();
+    /// assert_eq!(prepared.cursor(None).drain_rows(&mut rows), 2);
+    /// let mut tuples: Vec<&[u64]> = rows.chunks(3).collect();
+    /// tuples.sort_unstable();
+    /// assert_eq!(tuples, [[1, 2, 3], [1, 2, 4]]);
+    /// # Ok::<(), cqd2_engine::EngineError>(())
+    /// ```
+    pub fn drain_rows(&mut self, out: &mut Vec<u64>) -> usize {
+        let mut drained = 0;
+        while self.remaining.is_none_or(|r| drained < r) {
+            let more = match &mut self.inner {
+                CursorInner::Streaming(e) => e.advance().map(|row| out.extend_from_slice(row)),
+                CursorInner::Buffered(b) => b.next().map(|row| out.extend_from_slice(&row)),
+            };
+            if more.is_none() {
+                break;
+            }
+            drained += 1;
+        }
+        if let Some(r) = &mut self.remaining {
+            *r -= drained;
+        }
+        drained
+    }
 }
 
 impl Iterator for AnswerCursor {

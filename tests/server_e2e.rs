@@ -13,7 +13,7 @@ use cqd2::engine::server::frame::{read_frame, write_frame, FrameType, PROTOCOL_V
 use cqd2::engine::server::wire::{ErrorCode, WireDbStats, WireError};
 use cqd2::engine::server::{Server, ServerConfig, ServerHandle, ServerStats};
 use cqd2::engine::textio::{self, parse_workload};
-use cqd2::engine::{Catalog, Engine, Workload};
+use cqd2::engine::{Answer, Catalog, Engine, Workload};
 use cqd2::hypergraph::generators::{hyperchain, hypercycle};
 
 /// Run `f` against a live server, then shut the server down and return
@@ -504,6 +504,84 @@ fn enumerate_limits_and_rebinding_work_over_the_wire() {
         client.bind_db("tiny").expect("rebind");
         let count = client.query("T(?x)", Workload::Count).expect("count");
         assert_eq!(count.answer.as_count(), Some(2));
+    });
+}
+
+/// The worker drains an enumeration into one row buffer and writes the
+/// rows into the `Result` payload: every limit around the answer count
+/// returns exactly `min(k, |q(D)|)` distinct answers of `q(D)`, on the
+/// GHD route (the bag-tree enumerator) and on the naive route (the
+/// buffered backtracking answers).
+#[test]
+fn enumerate_limits_return_distinct_answers_on_both_routes() {
+    let text = "R(?x, ?y), S(?y, ?z), U(?z, ?w)";
+    let q = textio::parse_query(text).expect("query");
+    // Large enough that the planner keeps the bag tree…
+    let big = planted_database(&q, 60, 400, 5);
+    // …and small enough that it does not.
+    let small = "R(1, 2)\nR(3, 3)\nS(2, 3)\nS(3, 5)\nU(3, 7)\nU(3, 8)\nU(5, 9)\n";
+    let small = textio::parse_database(small).expect("facts");
+    let catalog = Catalog::new();
+    catalog.publish("ghd", big.clone()).expect("publish ghd");
+    catalog
+        .publish("naive", small.clone())
+        .expect("publish naive");
+    let ((), _) = with_server(test_config(), &catalog, |addr, _| {
+        let mut client = Client::connect(addr).expect("connect");
+        for (name, db, ghd_route) in [("ghd", &big, true), ("naive", &small, false)] {
+            client.bind_db(name).expect("bind");
+            let expected = enumerate_naive(&q, db);
+            let n = expected.len();
+            assert!(n >= 2, "{name}: fixture needs answers");
+            for limit in [Some(0), Some(1), Some(n - 1), Some(n), Some(n + 1), None] {
+                let reply = client
+                    .query(text, Workload::Enumerate { limit })
+                    .expect("enumerate");
+                assert_eq!(
+                    reply.strategy != "naive-join",
+                    ghd_route,
+                    "{name}: {reply:?}"
+                );
+                let mut got = reply.answer.into_tuples().expect("tuples");
+                assert_eq!(got.len(), limit.map_or(n, |k| k.min(n)), "{name} {limit:?}");
+                got.sort_unstable();
+                got.dedup();
+                assert_eq!(got.len(), limit.map_or(n, |k| k.min(n)), "{name}: repeats");
+                for t in &got {
+                    assert!(expected.binary_search(t).is_ok(), "{name}: {t:?} ∉ q(D)");
+                }
+            }
+        }
+        // A query without variables answers one empty tuple when its
+        // fact holds and none when it does not.
+        client.bind_db("naive").expect("bind");
+        let holds = client.query("R(1, 2)", Workload::Enumerate { limit: None });
+        assert_eq!(holds.expect("R(1, 2)").answer, Answer::Tuples(vec![vec![]]));
+        let fails = client.query("R(9, 9)", Workload::Enumerate { limit: None });
+        assert_eq!(fails.expect("R(9, 9)").answer, Answer::Tuples(vec![]));
+    });
+}
+
+/// A reply that prepared its handle says what planning cost it; a reply
+/// served by the prepared cache paid none.
+#[test]
+fn planning_ns_is_reported_on_a_prepare_and_zero_on_a_hit() {
+    let catalog = small_catalog();
+    let ((), _) = with_server(test_config(), &catalog, |addr, _| {
+        let mut client = Client::connect(addr).expect("connect");
+        client.bind_db("main").expect("bind");
+        for workload in [Workload::Count, Workload::Enumerate { limit: None }] {
+            let text = match workload {
+                Workload::Count => "R(?x, ?y), S(?y, ?z)",
+                _ => "S(?a, ?b), R(?c, ?a)",
+            };
+            let fresh = client.query(text, workload).expect("fresh");
+            assert!(!fresh.prepared_hit, "{fresh:?}");
+            assert!(fresh.planning_ns > 0, "a prepare plans: {fresh:?}");
+            let again = client.query(text, workload).expect("again");
+            assert!(again.prepared_hit, "{again:?}");
+            assert_eq!(again.planning_ns, 0, "{again:?}");
+        }
     });
 }
 

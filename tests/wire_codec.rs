@@ -210,6 +210,42 @@ fn a_plan_spill_survives_load_and_save_byte_for_byte() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The `Result` example in `docs/PROTOCOL.md` is a payload this codec
+/// decodes, and each answer shape the prose spells out decodes to the
+/// answer it names.
+#[test]
+fn the_protocol_docs_result_example_decodes() {
+    const PROTOCOL: &str = include_str!("../docs/PROTOCOL.md");
+    let example = PROTOCOL
+        .split("```json")
+        .skip(1)
+        .filter_map(|block| block.split("```").next())
+        .find(|block| block.contains("\"answer\""))
+        .expect("PROTOCOL.md shows a Result payload");
+    let result: WireResult = json::from_str(example).unwrap_or_else(|e| panic!("{e}: {example}"));
+    assert_eq!(result.answer, Answer::Count(2));
+    assert_eq!((result.request, result.trace), (3, None));
+    for (text, answer) in [
+        ("{\"Bool\": [true]}", Answer::Bool(true)),
+        (
+            "{\"Count\": [\"18446744073709551620\"]}",
+            Answer::Count(u128::from(u64::MAX) + 5),
+        ),
+        (
+            "{\"Tuples\": [[[1, 2, 3], [1, 2, 4]]]}",
+            Answer::Tuples(vec![vec![1, 2, 3], vec![1, 2, 4]]),
+        ),
+        ("{\"Tuples\": [[[]]]}", Answer::Tuples(vec![vec![]])),
+    ] {
+        assert!(
+            PROTOCOL.contains(text),
+            "PROTOCOL.md no longer shows {text}"
+        );
+        assert_eq!(json::from_str::<Answer>(text).unwrap(), answer, "{text}");
+    }
+    assert!(json::from_str::<Answer>("{\"Count\": 2}").is_err());
+}
+
 // ---- 2. round trips of the derive shapes ----------------------------
 
 #[derive(Serialize, Deserialize, Debug, Clone, PartialEq)]
