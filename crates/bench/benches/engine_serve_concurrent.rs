@@ -5,6 +5,8 @@
 //! query text) and are compared against `Engine::execute_batch` on a
 //! single-worker engine, which re-prepares — statistics scan,
 //! isomorphism translation, bag materialization — on every request.
+//! The baseline is one thread end to end: `execute_batch` runs inline
+//! at one worker, and evaluation never fans a query's bags out.
 //!
 //! The fixture is the prepared-query bench's rank-3 hypercycle on a
 //! small planted database: per-request planning work dominates

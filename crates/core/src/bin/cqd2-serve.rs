@@ -35,8 +35,8 @@
 //! `Delta` admin frames — both mutate served data, so they share the
 //! gate),
 //! `--plans path` (plan-store spill: preload the engine's plan cache
-//! from `path` at startup when the file exists and the catalog epochs
-//! still match, and spill the cache back at shutdown),
+//! from `path` at startup when the file exists, and spill the cache
+//! back at shutdown),
 //! `--workers N` (0 = available parallelism), `--queue N` (bounded
 //! request queue = the backpressure point), `--prepared N` (per-db
 //! prepared-query cache), `--cache N` (engine plan-cache capacity),
@@ -184,18 +184,8 @@ fn main() {
     });
     if let Some(plans_path) = &args.plans {
         if std::path::Path::new(plans_path).exists() {
-            match store::load_plans(plans_path, &engine, &catalog) {
-                Ok(load) if load.stale > 0 => eprintln!(
-                    "cqd2-serve: preloaded {} plan(s) from {plans_path}, \
-                     skipped {} stale record(s) (catalog epochs moved)",
-                    load.loaded, load.stale
-                ),
-                Ok(load) => {
-                    eprintln!(
-                        "cqd2-serve: preloaded {} plan(s) from {plans_path}",
-                        load.loaded
-                    )
-                }
+            match store::load_plans(plans_path, &engine) {
+                Ok(loaded) => eprintln!("cqd2-serve: preloaded {loaded} plan(s) from {plans_path}"),
                 Err(e) => eprintln!("cqd2-serve: ignoring plan store {plans_path}: {e}"),
             }
         }
@@ -228,7 +218,7 @@ fn main() {
         .run(&engine, &catalog)
         .unwrap_or_else(|e| exit_with(&format!("server failed: {e}")));
     if let Some(plans_path) = &args.plans {
-        match store::save_plans(plans_path, &engine, &catalog) {
+        match store::save_plans(plans_path, &engine) {
             Ok(count) => eprintln!("cqd2-serve: spilled {count} plan(s) to {plans_path}"),
             Err(e) => eprintln!("cqd2-serve: could not spill plans to {plans_path}: {e}"),
         }

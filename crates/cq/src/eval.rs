@@ -42,11 +42,10 @@
 //! ([`crate::flat`]): bags materialize through packed-key hash joins, the
 //! counting DP keeps per-row extension counts in a dense `Vec<u128>`
 //! aligned with each bag's row order and aggregates child counts over
-//! packed key slices (no `HashMap<Vec<u64>, _>` per tuple), and — on
-//! databases large enough to pay for the threads — bag materialization
-//! fans out over the decomposition's bags via `std::thread::scope`, since
-//! each bag joins only already-bound atom relations and is independent of
-//! every other bag.
+//! packed key slices (no `HashMap<Vec<u64>, _>` per tuple). Evaluation
+//! of one query is one sequential pass over its bag tree, as the paper
+//! prices it; concurrency lives across requests, in the callers' worker
+//! pools.
 //!
 //! `bcq_auto` / `count_auto` pick the GHD route when an exact
 //! decomposition is computable and fall back to naive otherwise.
@@ -264,48 +263,6 @@ fn dfs(
 // GHD-guided evaluation (Prop. 2.2 / Prop. 4.14).
 // ---------------------------------------------------------------------
 
-/// Total bound-atom tuples below which bag materialization stays
-/// sequential: scoped-thread setup costs more than the joins it would
-/// parallelize, and the serving layer already parallelizes across
-/// requests.
-const PARALLEL_BAG_THRESHOLD: usize = 4096;
-
-thread_local! {
-    /// When set, bag materialization on this thread stays sequential
-    /// regardless of database size (see [`with_sequential_bags`]).
-    static SEQUENTIAL_BAGS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Run `f` with intra-query parallel bag materialization disabled on the
-/// current thread. Batch executors that already fan requests out over
-/// worker threads wrap per-request evaluation in this, so a large
-/// database cannot trigger a second layer of thread spawning underneath
-/// an already-saturated pool (threads × bags oversubscription).
-pub fn with_sequential_bags<R>(f: impl FnOnce() -> R) -> R {
-    SEQUENTIAL_BAGS.with(|flag| {
-        let prev = flag.replace(true);
-        let out = f();
-        flag.set(prev);
-        out
-    })
-}
-
-/// Total bag-tree rows below which the per-level tree passes stay
-/// sequential: scoped-thread setup costs more than the semijoin probes
-/// it would parallelize.
-const PARALLEL_PASS_THRESHOLD: usize = 1 << 15;
-
-/// Worker count for a fan-out that is `worthwhile` on its inputs: the
-/// machine's parallelism, or 1 when the work is too small or the caller
-/// opted out via [`with_sequential_bags`].
-fn workers_if(worthwhile: bool) -> usize {
-    if worthwhile && !SEQUENTIAL_BAGS.with(std::cell::Cell::get) {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        1
-    }
-}
-
 /// Sparsity of a tree's reduction: how many bag nodes lost rows to a
 /// semijoin (and are therefore held a second time, filtered, beside
 /// their base relation), out of the tree's total. It describes the
@@ -348,10 +305,9 @@ pub struct PassStats {
 /// reduction keeps a filtered copy of exactly the nodes its semijoins
 /// shrink (sharing every other node's base `Arc`), and the counting DP
 /// carries per-row counts beside the relations and copies nothing. The
-/// bottom-up passes are one level walk that fans out per level over
-/// scoped threads on trees wide and large enough to pay for them. The
-/// one-shot [`bcq_via_ghd`] / [`count_via_ghd`] / [`enumerate_via_ghd`]
-/// wrappers are `build` followed by one such pass.
+/// bottom-up passes are one sequential level walk, deepest level first.
+/// The one-shot [`bcq_via_ghd`] / [`count_via_ghd`] /
+/// [`enumerate_via_ghd`] wrappers are `build` followed by one such pass.
 ///
 /// ```
 /// use cqd2_cq::eval::MaterializedBags;
@@ -519,10 +475,7 @@ impl BagRecipe {
 
 /// Materialize the bags `nodes` (indices into `recipes`) of `q` against
 /// `db`, in `nodes` order: bind exactly the atoms those bags read, then
-/// run each recipe. Bags depend only on the bound relations, never on
-/// each other, so they materialize concurrently once the *bound* tuples
-/// (not the whole database — a big unrelated relation must not trigger
-/// thread spawns for a microsecond join) amortize thread setup.
+/// run each recipe.
 fn materialize(
     recipes: &[BagRecipe],
     nodes: &[usize],
@@ -535,16 +488,17 @@ fn materialize(
             bound[ai] = Some(FlatRelation::bind(&q.atoms[ai], db));
         }
     }
-    let bound_tuples: usize = bound.iter().flatten().map(FlatRelation::len).sum();
-    let workers = workers_if(nodes.len() > 1 && bound_tuples >= PARALLEL_BAG_THRESHOLD);
-    crate::par::scoped_map(nodes.len(), workers, |i| {
-        recipes[nodes[i]].run(|ai| {
-            bound[ai]
-                .as_ref()
-                // cqd2-lint: allow(panic-in-hot-path, reason = "every atom these bags read was bound in the loop above")
-                .expect("bag atom bound")
+    nodes
+        .iter()
+        .map(|&u| {
+            recipes[u].run(|ai| {
+                bound[ai]
+                    .as_ref()
+                    // cqd2-lint: allow(panic-in-hot-path, reason = "every atom these bags read was bound in the loop above")
+                    .expect("bag atom bound")
+            })
         })
-    })
+        .collect()
 }
 
 /// One node's lazily built probe tables, each over a **base** relation
@@ -813,14 +767,10 @@ impl MaterializedBags {
         // Leaves keep an empty slot: their rows all count 1, and their
         // aggregation comes from the per-leaf cache.
         let mut counts: Vec<Vec<u128>> = vec![Vec::new(); self.relations.len()];
-        self.bottom_up(
-            &mut counts,
-            |counts, u| self.count_node(counts, u),
-            |counts, u, cnt| {
-                counts[u] = cnt;
-                true
-            },
-        );
+        self.bottom_up(|u| {
+            counts[u] = self.count_node(&counts, u);
+            true
+        });
         if shape.children[shape.root].is_empty() {
             self.relations[shape.root].len() as u128
         } else {
@@ -897,60 +847,24 @@ impl MaterializedBags {
     }
 
     /// The one bottom-up level walk, deepest level first, over the
-    /// non-leaf nodes. `visit(state, u)` computes node `u`'s result
-    /// reading only the state of deeper levels; `merge(state, u, result)`
-    /// installs it and returns `false` to stop the walk (which then
-    /// returns `false`). A level's visits fan out over scoped threads
-    /// when some level has two or more non-leaf nodes (otherwise threads
-    /// are pure overhead) and the tree is big enough to amortize them.
-    fn bottom_up<S: Sync, R: Send + Sync>(
-        &self,
-        state: &mut S,
-        visit: impl Fn(&S, usize) -> R + Sync,
-        mut merge: impl FnMut(&mut S, usize, R) -> bool,
-    ) -> bool {
-        let levels = &self.shape.levels;
-        let wide = levels.iter().any(|l| l.len() > 1);
-        let workers = workers_if(wide && self.total_rows() >= PARALLEL_PASS_THRESHOLD);
-        for work in levels.iter().rev() {
-            if workers > 1 && work.len() > 1 {
-                let deeper: &S = state;
-                let results =
-                    crate::par::scoped_map(work.len(), workers, |i| visit(deeper, work[i]));
-                let mut go = true;
-                for (&u, res) in work.iter().zip(results) {
-                    go &= merge(state, u, res);
-                }
-                if !go {
-                    return false;
-                }
-            } else {
-                for &u in work {
-                    let res = visit(state, u);
-                    if !merge(state, u, res) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+    /// non-leaf nodes. `step(u)` computes and installs node `u`'s result
+    /// — deeper levels are already done — and returns `false` to stop the
+    /// walk (which then returns `false`).
+    fn bottom_up(&self, mut step: impl FnMut(usize) -> bool) -> bool {
+        self.shape.levels.iter().rev().flatten().all(|&u| step(u))
     }
 
     /// Bottom-up Yannakakis pass over the overlay. Returns `false` as
     /// soon as any bag is (or becomes) empty — then `q(D) = ∅`.
     fn reduce_bottom_up(&self, ov: &mut BagOverlay<'_>) -> bool {
         !self.relations.iter().any(|r| r.is_empty())
-            && self.bottom_up(
-                ov,
-                |ov, u| self.reduce_node(ov, u),
-                |ov, u, shrunk| {
-                    shrunk.is_none_or(|rel| {
-                        let alive = !rel.is_empty();
-                        ov.set(u, rel);
-                        alive
-                    })
-                },
-            )
+            && self.bottom_up(|u| {
+                self.reduce_node(ov, u).is_none_or(|rel| {
+                    let alive = !rel.is_empty();
+                    ov.set(u, rel);
+                    alive
+                })
+            })
     }
 
     /// Semijoin node `u` against each of its children through the
@@ -1414,15 +1328,13 @@ mod tests {
     }
 
     #[test]
-    fn ghd_route_crosses_the_parallel_threshold() {
-        // A database above PARALLEL_BAG_THRESHOLD exercises the scoped-
-        // thread materialization path; answers must match a full join
-        // computed with the reference row store (the naive backtracker
-        // has no index and would need ~n³ work at this size).
+    fn ghd_route_matches_a_full_join_on_thousands_of_rows() {
+        // A few thousand bound tuples per query: answers must match a
+        // full join computed with the reference row store (the naive
+        // backtracker has no index and would need ~n³ work at this size).
         let q = canonical_query(&hyperchain(3, 2));
-        let per_relation = PARALLEL_BAG_THRESHOLD / 3 + 256;
-        let db = random_database(&q, 1000, per_relation, 11);
-        assert!(db.size() >= PARALLEL_BAG_THRESHOLD, "fixture too small");
+        let db = random_database(&q, 1000, 1621, 11);
+        assert!(db.size() >= 4096, "fixture too small");
         let mut joined = crate::relation::VRelation::unit();
         for atom in &q.atoms {
             joined = joined.join(&crate::relation::VRelation::bind(atom, &db));
@@ -1431,10 +1343,6 @@ mod tests {
         let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
         assert_eq!(bcq_via_ghd(&q, &db, &ghd).unwrap(), expected > 0);
         assert_eq!(count_via_ghd(&q, &db, &ghd).unwrap(), expected);
-        // The batch-executor opt-out must force the sequential path and
-        // produce identical answers.
-        let sequential = with_sequential_bags(|| count_via_ghd(&q, &db, &ghd).unwrap());
-        assert_eq!(sequential, expected);
     }
 
     #[test]

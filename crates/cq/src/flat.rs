@@ -598,13 +598,12 @@ impl FlatRelation {
 /// The distinct values a relation ordered by the key columns `cols`
 /// holds in those columns, each with the contiguous range of rows that
 /// holds it: "the rows that agree with this key" becomes one search over
-/// a dense, ascending key array. Built and dropped while an enumeration
-/// plan is wired; the plan keeps only the ranges.
+/// the sorted distinct keys. Built and dropped while an enumeration plan
+/// is wired; the plan keeps only the ranges.
 pub(crate) struct KeyRuns {
-    /// Key width.
-    k: usize,
-    /// The distinct keys, ascending, `k` values each, row-major.
-    keys: Vec<u64>,
+    /// The distinct keys, ascending: a sorted-distinct relation over the
+    /// key columns, one row per run.
+    keys: FlatRelation,
     /// First row of each key's run, then the row count.
     starts: Vec<u32>,
 }
@@ -618,77 +617,55 @@ impl KeyRuns {
         check_row_index_fits(rel.rows);
         let k = cols.len();
         let (mut keys, mut starts): (Vec<u64>, Vec<u32>) = (Vec::new(), Vec::new());
-        if let [c] = *cols {
-            // One key column, the common case: a strided scan.
-            let mut last = None;
-            for (i, &v) in rel.data.iter().skip(c).step_by(rel.arity()).enumerate() {
-                if last != Some(v) {
-                    if last.is_some_and(|l| v < l) {
-                        return None;
-                    }
-                    last = Some(v);
-                    keys.push(v);
-                    starts.push(i as u32);
-                }
+        for (i, row) in rel.iter().enumerate() {
+            // The previous run's key sits at the end of `keys`.
+            let last = &keys[keys.len().saturating_sub(k)..];
+            let key = cols.iter().map(|&c| row[c]);
+            match key.clone().cmp(last.iter().copied()) {
+                std::cmp::Ordering::Less if !starts.is_empty() => return None,
+                std::cmp::Ordering::Equal if !starts.is_empty() => continue,
+                _ => {}
             }
-        } else {
-            for (i, row) in rel.iter().enumerate() {
-                // The previous run's key sits at the end of `keys`.
-                let last = &keys[keys.len().saturating_sub(k)..];
-                let key = cols.iter().map(|&c| row[c]);
-                match key.clone().cmp(last.iter().copied()) {
-                    std::cmp::Ordering::Less if !starts.is_empty() => return None,
-                    std::cmp::Ordering::Equal if !starts.is_empty() => continue,
-                    _ => {}
-                }
-                keys.extend(key);
-                starts.push(i as u32);
-            }
+            keys.extend(key);
+            starts.push(i as u32);
         }
+        let vars = cols.iter().map(|&c| rel.vars[c]).collect();
+        let keys = FlatRelation::from_parts(vars, starts.len(), keys);
         starts.push(rel.rows as u32);
-        Some(KeyRuns { k, keys, starts })
+        Some(KeyRuns { keys, starts })
     }
 
     /// For each row of `parent`, the `[lo, hi)` range of rows whose key
     /// equals the row's `parent_cols` (same column order as this index's
     /// `cols`) — empty when no row's does; an empty key matches every
-    /// row. A binary search per parent row; one-column keys that are
-    /// dense (span fewer than [`DENSE_SPAN`] values per distinct key, as
-    /// dictionary-encoded ids do) are looked up in a direct table
+    /// row. A binary search per parent row ([`FlatRelation::search`]);
+    /// one-column keys that are dense (span fewer than [`DENSE_SPAN`]
+    /// values per distinct key) are looked up in a direct table
     /// instead, one read per parent row.
     pub(crate) fn ranges(&self, parent: &FlatRelation, parent_cols: &[usize]) -> Vec<[u32; 2]> {
-        debug_assert_eq!(parent_cols.len(), self.k);
+        debug_assert_eq!(parent_cols.len(), self.keys.arity());
         let range =
             |run: Option<usize>| run.map_or([0, 0], |j| [self.starts[j], self.starts[j + 1]]);
-        let keys = &self.keys;
-        if let [c] = *parent_cols {
-            let a = parent.arity();
-            let probes = (0..parent.rows).map(|i| parent.data[i * a + c]);
-            let (min, span) = match (keys.first(), keys.last()) {
-                (Some(&min), Some(&max)) => (min, max - min),
-                _ => return vec![[0, 0]; parent.rows],
-            };
-            if span >= DENSE_SPAN * keys.len() as u64 {
-                return probes.map(|v| range(keys.binary_search(&v).ok())).collect();
+        let keys = self.keys.data();
+        if let ([c], Some(&min), Some(&max)) = (parent_cols, keys.first(), keys.last()) {
+            let span = max - min;
+            if span < DENSE_SPAN * keys.len() as u64 {
+                let mut run_of = vec![u32::MAX; span as usize + 1];
+                for (j, &key) in keys.iter().enumerate() {
+                    run_of[(key - min) as usize] = j as u32;
+                }
+                let run = |v: u64| match v.checked_sub(min).and_then(|d| run_of.get(d as usize)) {
+                    Some(&j) if j != u32::MAX => Some(j as usize),
+                    _ => None,
+                };
+                return parent.iter().map(|row| range(run(row[*c]))).collect();
             }
-            let mut run_of = vec![u32::MAX; span as usize + 1];
-            for (j, &key) in keys.iter().enumerate() {
-                run_of[(key - min) as usize] = j as u32;
-            }
-            let run = |v: u64| match v.checked_sub(min).and_then(|d| run_of.get(d as usize)) {
-                Some(&j) if j != u32::MAX => Some(j as usize),
-                _ => None,
-            };
-            return probes.map(|v| range(run(v))).collect();
         }
-        let (k, runs) = (self.k, self.starts.len() - 1);
-        let at = |j: usize| &keys[j * k..j * k + k];
-        let mut key = Vec::with_capacity(k);
+        let mut key = Vec::with_capacity(parent_cols.len());
         (parent.iter())
             .map(|row| {
                 pack_key(&mut key, row, parent_cols);
-                let j = partition_point(0, runs, |j| at(j) < &key[..]);
-                range((j < runs && at(j) == &key[..]).then_some(j))
+                range(self.keys.search(&key).ok())
             })
             .collect()
     }
@@ -699,21 +676,6 @@ impl KeyRuns {
 /// at most `4 × DENSE_SPAN` bytes per key, built and dropped with the
 /// ranges.
 const DENSE_SPAN: u64 = 16;
-
-/// The first index in `lo..hi` where `before` turns false (`before`
-/// must hold on a prefix of the range) — `slice::partition_point` over
-/// row indices.
-fn partition_point(mut lo: usize, mut hi: usize, before: impl Fn(usize) -> bool) -> usize {
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if before(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
 
 /// Pack the key columns of `row` into `scratch` (cleared first).
 fn pack_key(scratch: &mut Vec<u64>, row: &[u64], pos: &[usize]) {
@@ -1002,7 +964,8 @@ mod tests {
             vec![vec![4, 1], vec![2, 3], vec![1, 5], vec![3, 5]]
         );
         let runs = KeyRuns::of(&by_second, &[1]).unwrap();
-        assert_eq!((runs.keys, runs.starts), (vec![1, 3, 5], vec![0, 1, 2, 4]));
+        assert_eq!(runs.keys.data(), [1, 3, 5]);
+        assert_eq!(runs.starts, vec![0, 1, 2, 4]);
         let runs = KeyRuns::of(&r.sorted_by(&[1, 0]), &[1, 0]).unwrap();
         assert_eq!(runs.starts, vec![0, 1, 2, 3, 4]);
     }

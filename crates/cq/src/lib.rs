@@ -26,9 +26,9 @@
 //!   node — walked by one level loop, one non-mutating pass per problem:
 //!   bottom-up semijoins for **BCQ** (Prop. 2.2), the junction-tree DP
 //!   for **#CQ** (Prop. 4.14; it carries per-row counts, never row
-//!   copies), two-way reduction then constant-delay enumeration. Bag
-//!   materialization parallelizes over the decomposition's bags on large
-//!   databases.
+//!   copies), two-way reduction then constant-delay enumeration. One
+//!   query's evaluation is one sequential pass; threads are the callers'
+//!   business.
 //! - [`hom`]: homomorphisms between queries, cores, Boolean equivalence,
 //!   and semantic generalized hypertree width (`ghw` of the core,
 //!   Section 4.3).
@@ -53,8 +53,8 @@ pub use database::{BulkLoadError, Database};
 pub use delta::{DatabaseDelta, DeltaApplied, DeltaError, RelationDelta};
 pub use eval::{
     bcq_auto, bcq_auto_with, bcq_naive, bcq_via_ghd, count_auto, count_auto_with, count_naive,
-    count_via_ghd, enumerate_naive, enumerate_via_ghd, with_sequential_bags, EvalError,
-    GhdEnumerator, MaterializedBags, PassStats,
+    count_via_ghd, enumerate_naive, enumerate_via_ghd, EvalError, GhdEnumerator, MaterializedBags,
+    PassStats,
 };
 pub use flat::FlatRelation;
 pub use hom::{core_of, find_homomorphism, semantic_ghw};

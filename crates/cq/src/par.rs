@@ -1,7 +1,7 @@
-//! Minimal scoped-thread fan-out: the one worker-pool shape used by both
-//! the evaluator's bag materialization and the serving engine's batch
-//! executor (an atomic work cursor over `0..n` with per-slot result
-//! cells, so no ordering pass is needed afterwards).
+//! Minimal scoped-thread fan-out: the worker-pool shape of the serving
+//! engine's batch executor (an atomic work cursor over `0..n` with
+//! per-slot result cells, so no ordering pass is needed afterwards).
+//! Evaluation itself never spawns threads; this runs whole requests.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

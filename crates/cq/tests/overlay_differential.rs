@@ -9,15 +9,14 @@
 
 use cqd2_cq::generate::random_database;
 use cqd2_cq::{
-    bcq_naive, count_naive, enumerate_naive, with_sequential_bags, ConjunctiveQuery, Database,
-    MaterializedBags, PassStats,
+    bcq_naive, count_naive, enumerate_naive, ConjunctiveQuery, Database, MaterializedBags,
+    PassStats, VRelation,
 };
 use cqd2_decomp::{Ghd, TreeDecomposition};
 use cqd2_hypergraph::VertexId;
 
 /// The bushy fixture: 7 atoms, hand-rooted GHD with two internal
-/// mid-level nodes (so per-level tree passes have real parallelism to
-/// exercise once the row threshold is crossed).
+/// mid-level nodes (so a tree pass visits a level of several nodes).
 ///
 /// ```text
 ///            A(a,b)
@@ -236,47 +235,49 @@ fn concurrent_enumerators_share_one_tree() {
 }
 
 #[test]
-fn parallel_passes_match_sequential() {
+fn rewriting_passes_match_a_row_store_join() {
     let (q, ghd) = bushy();
-    // Big enough that the per-level parallel branch actually engages
-    // (> 2^15 rows across the tree, two internal mid nodes), with a
-    // domain that makes the semijoins genuinely filter — the parallel
-    // pass must agree with the sequential one on REWRITING runs, not
-    // just the all-survive fast path.
-    // Domain ≫ rows per relation: each side's join-column values cover
-    // only a fraction of the domain, so the semijoins drop real rows
-    // (while dedup leaves the relations near full size).
+    // Tens of thousands of rows across the tree, with a domain that makes
+    // the semijoins genuinely filter — the passes must be right on
+    // REWRITING runs, not just the all-survive fast path. Domain ≫ rows
+    // per relation: each side's join-column values cover only a fraction
+    // of the domain, so the semijoins drop real rows (while dedup leaves
+    // the relations near full size).
     let db = random_database(&q, 20_000, 10_000, 5);
     let bags = MaterializedBags::build(&q, &db, &ghd).expect("bag tree materializes");
     assert!(
         bags.total_rows() > (1 << 15),
-        "fixture must cross the parallel-pass threshold (got {} rows)",
+        "fixture must hold tens of thousands of rows (got {})",
         bags.total_rows()
     );
-    let (par_bool, bool_stats) = bags.bcq_with_stats();
+    let (boolean, bool_stats) = bags.bcq_with_stats();
     assert!(
         bool_stats.rewritten > 0,
-        "fixture must actually rewrite bags to exercise the parallel pass"
+        "fixture must actually rewrite bags"
     );
-    let (par_count, count_stats) = bags.count_with_stats();
+    let (count, count_stats) = bags.count_with_stats();
     assert_eq!(
         (count_stats.rewritten, count_stats.total),
         (0, bags.num_bags()),
         "the count pass copies nothing on the tree the Boolean pass rewrites"
     );
-    let par_tuples: Vec<Vec<u64>> = bags.enumerator().collect();
-    // The sequential side gets its own tree: on the shared one it would
-    // read the parallel side's memo and compare nothing.
-    let (seq_bool, seq_count, seq_tuples) = with_sequential_bags(|| {
-        let bags = MaterializedBags::build(&q, &db, &ghd).expect("bag tree materializes");
-        let b = bags.bcq();
-        let n = bags.count();
-        let t: Vec<Vec<u64>> = bags.enumerator().collect();
-        (b, n, t)
-    });
-    assert_eq!(par_bool, seq_bool);
-    assert_eq!(par_count, seq_count);
-    assert_eq!(par_tuples, seq_tuples);
+    let mut tuples: Vec<Vec<u64>> = bags.enumerator().collect();
+    tuples.sort_unstable();
+    // The oracle shares no code with the bag-tree passes: the reference
+    // row store's hash join over every atom, in atom order (each atom
+    // meets an earlier one, so no intermediate is a cross product), its
+    // columns put in variable order as the enumerator writes them.
+    let mut joined = VRelation::unit();
+    for atom in &q.atoms {
+        joined = joined.join(&VRelation::bind(atom, &db));
+    }
+    let mut order = joined.vars.clone();
+    order.sort_by_key(|v| v.idx());
+    let mut expected = joined.project(&order).tuples;
+    expected.sort_unstable();
+    assert_eq!(boolean, !expected.is_empty());
+    assert_eq!(count, expected.len() as u128);
+    assert_eq!(tuples, expected);
 }
 
 #[test]

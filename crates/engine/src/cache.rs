@@ -85,11 +85,6 @@ struct CacheEntry {
     /// Logical timestamp of the last hit (or the insertion), driving LRU
     /// eviction.
     last_used: u64,
-    /// Names of the catalog databases this structure class has been
-    /// prepared against (empty for structure-only planning). This is
-    /// the plan spill's per-name invalidation attribution: a record is
-    /// stale only when a database *it* served has moved epochs.
-    dbs: std::collections::BTreeSet<String>,
 }
 
 /// Fingerprint-bucketed store of planned structures with per-entry LRU
@@ -125,14 +120,6 @@ impl PlanCache {
     /// translated into `h`'s coordinates and the entry's LRU stamp is
     /// refreshed. Counts a miss otherwise.
     pub fn lookup(&mut self, h: &Hypergraph) -> Option<CachedPlan> {
-        self.lookup_in(h, None)
-    }
-
-    /// [`PlanCache::lookup`], additionally attributing the hit to the
-    /// named database (the prepare path passes the pinned snapshot's
-    /// name; structure-only planning passes `None`). The attribution
-    /// set drives the plan spill's per-name staleness.
-    pub fn lookup_in(&mut self, h: &Hypergraph, db: Option<&str>) -> Option<CachedPlan> {
         self.tick += 1;
         let key = fingerprint(h);
         if let Some(bucket) = self.buckets.get_mut(&key) {
@@ -140,11 +127,6 @@ impl PlanCache {
                 if let Some(iso) = find_isomorphism(&entry.representative, h) {
                     self.hits += 1;
                     entry.last_used = self.tick;
-                    if let Some(name) = db {
-                        if !entry.dbs.contains(name) {
-                            entry.dbs.insert(name.to_string());
-                        }
-                    }
                     let ghd = entry.structure.ghd.as_ref().map(|g| translate_ghd(g, &iso));
                     return Some(CachedPlan {
                         structure: Arc::clone(&entry.structure),
@@ -162,18 +144,6 @@ impl PlanCache {
     /// class representative. At capacity, the least-recently-used entry
     /// across all fingerprint buckets is evicted first.
     pub fn insert(&mut self, h: &Hypergraph, structure: PlannedStructure) -> Arc<PlannedStructure> {
-        self.insert_in(h, structure, &[])
-    }
-
-    /// [`PlanCache::insert`] with database attribution: `dbs` seeds the
-    /// entry's attribution set (one name from the prepare path, or a
-    /// spilled record's full set on preload).
-    pub fn insert_in(
-        &mut self,
-        h: &Hypergraph,
-        structure: PlannedStructure,
-        dbs: &[String],
-    ) -> Arc<PlannedStructure> {
         while self.capacity > 0 && self.entries >= self.capacity {
             self.evict_lru();
         }
@@ -186,7 +156,6 @@ impl PlanCache {
                 representative: h.clone(),
                 structure: Arc::clone(&structure),
                 last_used: self.tick,
-                dbs: dbs.iter().cloned().collect(),
             });
         self.entries += 1;
         structure
@@ -237,27 +206,11 @@ impl PlanCache {
     /// consumer keeps the hottest classes last-written). This is the
     /// plan store's spill surface; counters are untouched.
     pub fn export(&self) -> Vec<(Hypergraph, PlannedStructure)> {
-        self.export_attributed()
-            .into_iter()
-            .map(|(h, s, _)| (h, s))
-            .collect()
-    }
-
-    /// [`PlanCache::export`] with each entry's database-attribution set
-    /// (sorted names; empty = structure-only planning). The plan spill
-    /// persists this so staleness can be judged per name on reload.
-    pub fn export_attributed(&self) -> Vec<(Hypergraph, PlannedStructure, Vec<String>)> {
         let mut entries: Vec<&CacheEntry> = self.buckets.values().flatten().collect();
         entries.sort_by_key(|e| e.last_used);
         entries
             .iter()
-            .map(|e| {
-                (
-                    e.representative.clone(),
-                    (*e.structure).clone(),
-                    e.dbs.iter().cloned().collect(),
-                )
-            })
+            .map(|e| (e.representative.clone(), (*e.structure).clone()))
             .collect()
     }
 

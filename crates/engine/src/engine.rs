@@ -19,7 +19,6 @@
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use cqd2_cq::eval::with_sequential_bags;
 use cqd2_cq::stats::DatabaseStats;
 use cqd2_cq::{ConjunctiveQuery, Database, PassStats};
 
@@ -274,21 +273,8 @@ impl Engine {
         &self,
         h: &cqd2_hypergraph::Hypergraph,
     ) -> (crate::planner::PlannedStructure, bool) {
-        self.structure_for_in(h, None)
-    }
-
-    /// [`Engine::structure_for`], attributing the cache entry to the
-    /// named catalog database. The prepare path passes the pinned
-    /// snapshot's name so the plan spill can invalidate per name: a
-    /// delta that bumps one database's epoch only stales the spilled
-    /// plans that were actually prepared against it.
-    pub fn structure_for_in(
-        &self,
-        h: &cqd2_hypergraph::Hypergraph,
-        db: Option<&str>,
-    ) -> (crate::planner::PlannedStructure, bool) {
         let mut cache = cqd2_cq::sync::lock_or_poison(&self.inner.cache);
-        if let Some(hit) = cache.lookup_in(h, db) {
+        if let Some(hit) = cache.lookup(h) {
             // Rebuild the analysis around the *translated* GHD.
             let mut structure = (*hit.structure).clone();
             structure.ghd = hit.ghd;
@@ -299,8 +285,7 @@ impl Engine {
         // batch executor's parallelism comes from execution, which
         // dominates planning for warm workloads.
         let structure = self.inner.planner.plan_structure(h);
-        let dbs: Vec<String> = db.map(str::to_string).into_iter().collect();
-        let stored = cache.insert_in(h, structure, &dbs);
+        let stored = cache.insert(h, structure);
         ((*stored).clone(), false)
     }
 
@@ -370,7 +355,7 @@ impl Engine {
     /// provenance reports the planning and — inside `execution` — the
     /// preprocessing this call paid.
     pub fn serve_with_stats(&self, req: &Request<'_>, stats: &DatabaseStats) -> Response {
-        PreparedCore::one_shot(self, req.query, req.db, stats, None, req.workload)
+        PreparedCore::one_shot(self, req.query, req.db, stats, req.workload)
             // cqd2-lint: allow(panic-in-hot-path, reason = "infallible shim API: prepare on a query's own plan only fails on an engine bug; Session::prepare is the fallible surface")
             .expect("prepared plan is valid for its own query")
     }
@@ -426,9 +411,6 @@ impl Engine {
     /// per-slot cells, so no ordering pass is needed.
     pub fn execute_batch(&self, requests: &[Request<'_>]) -> Vec<Response> {
         let n = requests.len();
-        if n == 0 {
-            return Vec::new();
-        }
         let workers = self.effective_workers().min(n);
         // One statistics snapshot per *distinct* database (batches
         // typically share a handful of databases across many requests),
@@ -441,17 +423,8 @@ impl Engine {
                 .or_insert_with(|| r.db.stats());
         }
         let stats_for = |r: &Request<'_>| &stats_by_db[&(std::ptr::from_ref(r.db) as usize)];
-        if workers <= 1 {
-            // Inline serving keeps intra-query bag parallelism available.
-            return requests
-                .iter()
-                .map(|r| self.serve_with_stats(r, stats_for(r)))
-                .collect();
-        }
-        // The batch already saturates the worker pool: disable nested
-        // intra-query bag parallelism inside each worker.
         cqd2_cq::par::scoped_map(n, workers, |i| {
-            with_sequential_bags(|| self.serve_with_stats(&requests[i], stats_for(&requests[i])))
+            self.serve_with_stats(&requests[i], stats_for(&requests[i]))
         })
     }
 
@@ -472,19 +445,6 @@ impl Engine {
         cqd2_cq::sync::lock_or_poison(&self.inner.cache).export()
     }
 
-    /// [`Engine::export_plans`] with each entry's database-attribution
-    /// set (see [`PlanCache::export_attributed`]) — the plan store's
-    /// per-name-invalidation spill surface.
-    pub fn export_plans_attributed(
-        &self,
-    ) -> Vec<(
-        cqd2_hypergraph::Hypergraph,
-        crate::planner::PlannedStructure,
-        Vec<String>,
-    )> {
-        cqd2_cq::sync::lock_or_poison(&self.inner.cache).export_attributed()
-    }
-
     /// Seed the plan cache with a previously exported analysis, keyed by
     /// its representative hypergraph. Returns `false` (and stores
     /// nothing) when the structure class is already cached — preloading
@@ -495,23 +455,11 @@ impl Engine {
         representative: &cqd2_hypergraph::Hypergraph,
         structure: crate::planner::PlannedStructure,
     ) -> bool {
-        self.preload_plan_for(representative, structure, &[])
-    }
-
-    /// [`Engine::preload_plan`] with database attribution preserved:
-    /// `dbs` seeds the entry's attribution set, so a spill → load →
-    /// spill round-trip keeps per-name staleness intact.
-    pub fn preload_plan_for(
-        &self,
-        representative: &cqd2_hypergraph::Hypergraph,
-        structure: crate::planner::PlannedStructure,
-        dbs: &[String],
-    ) -> bool {
         let mut cache = cqd2_cq::sync::lock_or_poison(&self.inner.cache);
         if cache.contains(representative) {
             return false;
         }
-        cache.insert_in(representative, structure, dbs);
+        cache.insert(representative, structure);
         true
     }
 

@@ -351,13 +351,10 @@ impl Server {
         } else {
             config.workers
         };
-        // When several workers share the machine, nested intra-query
-        // parallelism under each tree pass would oversubscribe it.
-        let sequential_bags = workers > 1;
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let queue = &queue;
-                scope.spawn(move || worker::worker_loop(queue, sequential_bags));
+                scope.spawn(move || worker::worker_loop(queue));
             }
             let ctx = ConnCtx {
                 engine,

@@ -10,7 +10,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cqd2_cq::eval::with_sequential_bags;
 use cqd2_cq::sync::lock_or_poison;
 use cqd2_cq::ConjunctiveQuery;
 
@@ -58,9 +57,9 @@ pub(super) struct Job<'e> {
     pub(super) trace: bool,
 }
 
-pub(super) fn worker_loop(queue: &JobQueue<Job<'_>>, sequential_bags: bool) {
+pub(super) fn worker_loop(queue: &JobQueue<Job<'_>>) {
     while let Some(job) = queue.pop() {
-        execute_job(job, sequential_bags);
+        execute_job(job);
     }
 }
 
@@ -75,7 +74,7 @@ pub(super) fn worker_loop(queue: &JobQueue<Job<'_>>, sequential_bags: bool) {
 /// carried `@trace`, a [`QueryTrace`] is assembled per query from
 /// disjoint phase sub-intervals (so the span sum never exceeds
 /// `server_micros`) and appended to the `Result` payload.
-fn execute_job(job: Job<'_>, sequential_bags: bool) {
+fn execute_job(job: Job<'_>) {
     let (reply, cache, db_metrics) = (&job.reply, &job.db.prepared, &job.db.metrics);
     let queue_wait = job.enqueued_at.elapsed();
     let epoch = job.session.epoch();
@@ -138,21 +137,10 @@ fn execute_job(job: Job<'_>, sequential_bags: bool) {
             t.record_with(Phase::Plan, plan, provenance);
             t.record(Phase::Materialize, materialize);
         }
-        // Only the run is pinned sequential — which matters for a
-        // handle's first run of a workload kind, the one that computes
-        // the tree pass (later runs read the bag tree's memo and spawn
-        // nothing either way). A prepared-cache miss above still
-        // materializes its bags in parallel, which is what keeps the
-        // first read after a delta short.
         rows.clear();
         let enumerate = matches!(workload, Workload::Enumerate { .. });
-        let mut run =
-            || prepared.run_rows(workload, enumerate.then_some(&mut rows), trace.as_mut());
-        let (mut resp, drained) = if sequential_bags {
-            with_sequential_bags(run)
-        } else {
-            run()
-        };
+        let (mut resp, drained) =
+            prepared.run_rows(workload, enumerate.then_some(&mut rows), trace.as_mut());
         // Planning is paid at prepare time, so it belongs to this reply
         // only when this request prepared the handle.
         if !prepared_hit {

@@ -146,15 +146,6 @@ impl Session {
         self.snapshot.stats()
     }
 
-    /// The catalog name this session's snapshot was published under,
-    /// or `None` for detached sessions ([`Engine::session`] pins an
-    /// unnamed snapshot). Feeds plan-cache attribution so the plan
-    /// store can invalidate spilled plans per database name.
-    fn db_name(&self) -> Option<&str> {
-        let name = self.snapshot.name();
-        (!name.is_empty()).then_some(name)
-    }
-
     /// The pinned snapshot's epoch (0 for detached sessions opened via
     /// [`Engine::session`]).
     pub fn epoch(&self) -> u64 {
@@ -201,7 +192,7 @@ impl Session {
     /// # Ok::<(), cqd2_engine::EngineError>(())
     /// ```
     pub fn prepare(&self, q: &ConjunctiveQuery) -> Result<PreparedQuery, EngineError> {
-        let core = PreparedCore::build(&self.engine, q, self.db(), self.stats(), self.db_name())?;
+        let core = PreparedCore::build(&self.engine, q, self.db(), self.stats())?;
         Ok(PreparedQuery {
             snapshot: Arc::clone(&self.snapshot),
             core,
@@ -214,14 +205,7 @@ impl Session {
     /// [`PreparedQuery::run`], with the planning and preprocessing this
     /// call pays folded back into the response's provenance.
     pub fn run(&self, q: &ConjunctiveQuery, workload: Workload) -> Result<Response, EngineError> {
-        PreparedCore::one_shot(
-            &self.engine,
-            q,
-            self.db(),
-            self.stats(),
-            self.db_name(),
-            workload,
-        )
+        PreparedCore::one_shot(&self.engine, q, self.db(), self.stats(), workload)
     }
 }
 
@@ -254,11 +238,10 @@ impl PreparedCore {
         q: &ConjunctiveQuery,
         db: &Database,
         stats: &DatabaseStats,
-        db_name: Option<&str>,
     ) -> Result<PreparedCore, EngineError> {
         let start = Instant::now();
         let h = q.hypergraph();
-        let (structure, cache_hit) = engine.structure_for_in(&h, db_name);
+        let (structure, cache_hit) = engine.structure_for(&h);
         // Bounded-width structures get their plan refined by data: on
         // small databases the per-bag setup dominates and the estimate
         // flips the plan back to the naive join, with the numbers kept
@@ -315,10 +298,9 @@ impl PreparedCore {
         q: &ConjunctiveQuery,
         db: &Database,
         stats: &DatabaseStats,
-        db_name: Option<&str>,
         workload: Workload,
     ) -> Result<Response, EngineError> {
-        let core = PreparedCore::build(engine, q, db, stats, db_name)?;
+        let core = PreparedCore::build(engine, q, db, stats)?;
         let mut resp = core.run(db, workload);
         resp.provenance.planning = core.planning;
         resp.provenance.execution += core.preprocessing;
@@ -437,7 +419,10 @@ impl PreparedCore {
         let (inner, pass) = match &self.bags {
             // Nothing to yield: do not reduce the tree for it.
             Some(bags) if limit == Some(0) => (
-                CursorInner::Buffered(Vec::new().into_iter()),
+                CursorInner::Buffered {
+                    rows: Vec::new(),
+                    next: 0,
+                },
                 Some(PassStats {
                     rewritten: 0,
                     total: bags.num_bags(),
@@ -448,7 +433,10 @@ impl PreparedCore {
                 (CursorInner::Streaming(e), Some(s))
             }
             None => (
-                CursorInner::Buffered(enumerate_naive_limit(&self.query, db, limit).into_iter()),
+                CursorInner::Buffered {
+                    rows: enumerate_naive_limit(&self.query, db, limit),
+                    next: 0,
+                },
                 None,
             ),
         };
@@ -544,23 +532,14 @@ impl PreparedQuery {
         self.core.run(self.snapshot.db(), workload)
     }
 
-    /// Execute like [`PreparedQuery::run`], additionally recording an
+    /// The serve path's run: [`PreparedQuery::run`], recording an
     /// `execute` span — annotated with the strategy that ran — into
-    /// `trace`. This is the engine-level half of the serve path's
-    /// per-query tracing; the span is built from provenance the run
-    /// already measures, so the instrumentation adds only a `Vec` push
-    /// (the benchmark ledger's `metrics.trace_overhead_pct` prices the
-    /// whole traced request against the untraced one).
-    pub fn run_traced(&self, workload: Workload, trace: &mut QueryTrace) -> Response {
-        self.run_rows(workload, None, Some(trace)).0
-    }
-
-    /// The serve path's run: [`PreparedQuery::run`], tracing the
-    /// `execute` span into `trace` when given (as
-    /// [`PreparedQuery::run_traced`] does), and with `rows` as where an
-    /// `Enumerate` drains its answers row-major — the answer is then an
-    /// empty [`Answer::Tuples`] standing in for them, and the second
-    /// value is how many rows were drained. The drain is the execution.
+    /// `trace` when given, and with `rows` as where an `Enumerate`
+    /// drains its answers row-major — the answer is then an empty
+    /// [`Answer::Tuples`] standing in for them, and the second value is
+    /// how many rows were drained. The drain is the execution. The span
+    /// is built from provenance the run already measures, so tracing
+    /// adds only a `Vec` push.
     pub(crate) fn run_rows(
         &self,
         workload: Workload,
@@ -672,8 +651,8 @@ enum CursorInner {
     /// Constant-delay streaming over a semijoin-reduced GHD bag tree.
     Streaming(GhdEnumerator),
     /// Pre-materialized answers (naive plans; empty for a zero limit),
-    /// drained on demand.
-    Buffered(std::vec::IntoIter<Vec<u64>>),
+    /// drained on demand from index `next`.
+    Buffered { rows: Vec<Vec<u64>>, next: usize },
 }
 
 /// A streaming handle over the answers of a prepared `Enumerate`
@@ -687,14 +666,35 @@ pub struct AnswerCursor {
 }
 
 impl AnswerCursor {
+    /// The one step of the cursor: the next answer, borrowed from the
+    /// enumerator's assignment (or the buffer), counted against the
+    /// limit — `None` once the limit or the answers run out.
+    fn step(&mut self) -> Option<&[u64]> {
+        let AnswerCursor { inner, remaining } = self;
+        if *remaining == Some(0) {
+            return None;
+        }
+        let row = match inner {
+            CursorInner::Streaming(e) => e.advance(),
+            CursorInner::Buffered { rows, next } => {
+                let row = rows.get(*next)?;
+                *next += 1;
+                Some(row.as_slice())
+            }
+        }?;
+        if let Some(r) = remaining {
+            *r -= 1;
+        }
+        Some(row)
+    }
+
     /// Drain the cursor's remaining answers (up to its limit) onto `out`,
     /// row-major — answer after answer, each `q.num_vars()` values in
     /// `Var` id order, the layout of a `FlatRelation` — and return how
     /// many were appended (a nullary query's answer appends no values
-    /// but still counts). On the GHD route each answer is copied
-    /// straight from the enumerator's assignment, so the drain allocates
-    /// nothing per answer: `out` grows, nothing is freed. It shares the
-    /// walk ([`GhdEnumerator::advance`]) with [`Iterator::next`].
+    /// but still counts). Each answer is copied straight from the step's
+    /// borrowed row, so the drain allocates nothing per answer: `out`
+    /// grows, nothing is freed. [`Iterator::next`] takes the same step.
     ///
     /// ```
     /// use cqd2_engine::Engine;
@@ -716,18 +716,9 @@ impl AnswerCursor {
     /// ```
     pub fn drain_rows(&mut self, out: &mut Vec<u64>) -> usize {
         let mut drained = 0;
-        while self.remaining.is_none_or(|r| drained < r) {
-            let more = match &mut self.inner {
-                CursorInner::Streaming(e) => e.advance().map(|row| out.extend_from_slice(row)),
-                CursorInner::Buffered(b) => b.next().map(|row| out.extend_from_slice(&row)),
-            };
-            if more.is_none() {
-                break;
-            }
+        while let Some(row) = self.step() {
+            out.extend_from_slice(row);
             drained += 1;
-        }
-        if let Some(r) = &mut self.remaining {
-            *r -= drained;
         }
         drained
     }
@@ -737,22 +728,15 @@ impl Iterator for AnswerCursor {
     type Item = Vec<u64>;
 
     fn next(&mut self) -> Option<Vec<u64>> {
-        if self.remaining == Some(0) {
-            return None;
-        }
-        let item = match &mut self.inner {
-            CursorInner::Streaming(e) => e.next(),
-            CursorInner::Buffered(b) => b.next(),
-        }?;
-        if let Some(r) = &mut self.remaining {
-            *r -= 1;
-        }
-        Some(item)
+        self.step().map(<[u64]>::to_vec)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match (&self.inner, self.remaining) {
-            (CursorInner::Buffered(b), None) => b.size_hint(),
+            (CursorInner::Buffered { rows, next }, None) => {
+                let left = rows.len() - next;
+                (left, Some(left))
+            }
             (_, Some(r)) => (0, Some(r)),
             (CursorInner::Streaming(_), None) => (0, None),
         }

@@ -22,16 +22,10 @@
 //!   [`swap_snapshot`]).
 //! - `save_plans` / `load_plans` *(requires the `serde` feature)*:
 //!   spill the engine's isomorphism-keyed plan cache to JSON and
-//!   preload it on the next start. Each record carries the catalog
-//!   names it was prepared against, and the spill stamps the catalog's
-//!   `name → epoch` map at save time; at load, staleness is judged
-//!   **per record** — a record is skipped only when a database *it*
-//!   names has moved to a different epoch (or vanished), so a delta
-//!   to one database keeps every other database's warm plans.
-//!   Unattributed records fall back to the conservative all-epochs
-//!   rule (plans are structure-only, but the epoch stamps guarantee
-//!   the warm cache corresponds to the data generation it was
-//!   observed against).
+//!   preload it on the next start. A record is the structure analysis
+//!   of its representative hypergraph and nothing else, so it never
+//!   goes stale across epochs; every record is validated against its
+//!   representative before any enters the cache.
 //!
 //! Every way a file can be wrong — bad magic, future version, flipped
 //! byte, truncation, oversized length field, unsorted tuples — is a
@@ -618,7 +612,6 @@ pub fn swap_snapshot(
 
 #[cfg(feature = "serde")]
 mod plans {
-    use std::collections::BTreeMap;
     use std::path::Path;
     use std::time::Duration;
 
@@ -626,14 +619,14 @@ mod plans {
     use cqd2_hypergraph::Hypergraph;
 
     use super::StoreError;
-    use crate::catalog::Catalog;
     use crate::engine::Engine;
     use crate::planner::PlannedStructure;
 
     /// Spill-format version (independent of the `.cqds` binary format).
-    /// v2 added per-record database attribution (`PlanRecord::dbs`),
-    /// replacing v1's whole-file epoch token with per-record staleness.
-    const PLAN_SPILL_VERSION: u64 = 2;
+    /// v3 dropped the catalog epochs and the per-record database names:
+    /// a record is a function of its hypergraph alone, so it never goes
+    /// stale.
+    const PLAN_SPILL_VERSION: u64 = 3;
 
     /// One cached structure class, flattened for JSON. The
     /// representative hypergraph *is* the isomorphism-invariant key:
@@ -652,38 +645,38 @@ mod plans {
         num_edges: usize,
         notes: Vec<String>,
         planning_micros: u64,
-        /// Catalog names this structure class was prepared against
-        /// (sorted). Staleness is judged per record: the record loads
-        /// iff every named database is still published at the epoch
-        /// the spill stamped for it. Empty = structure-only planning
-        /// with no database attribution, judged against *all* epochs
-        /// (the conservative v1 rule).
-        dbs: Vec<String>,
     }
 
-    /// The spill file: a version stamp, the catalog epochs observed at
-    /// save time (the per-record staleness reference — each record's
-    /// `dbs` names are checked against these stamps at load), and the
-    /// plans.
+    impl PlanRecord {
+        /// Check the record against its own representative: the file is
+        /// outside input with no checksum, and a GHD that does not fit
+        /// would be translated onto every isomorphic query.
+        fn validate(&self, index: usize) -> Result<(), StoreError> {
+            let edges = self.representative.num_edges();
+            if self.num_edges != edges {
+                return Err(StoreError::corrupt(
+                    0,
+                    format!(
+                        "plan spill record {index}: num_edges {} but the representative has {edges}",
+                        self.num_edges
+                    ),
+                ));
+            }
+            if let Some(ghd) = &self.ghd {
+                ghd.validate(&self.representative).map_err(|e| {
+                    StoreError::corrupt(0, format!("plan spill record {index}: {e}"))
+                })?;
+            }
+            Ok(())
+        }
+    }
+
+    /// The spill file: a version stamp and the plans.
     #[derive(Debug, Clone)]
     #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
     struct PlanSpill {
         version: u64,
-        epochs: BTreeMap<String, u64>,
         plans: Vec<PlanRecord>,
-    }
-
-    /// What [`load_plans`] did.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct PlanLoad {
-        /// Structures preloaded into the cache (already-cached
-        /// isomorphs are skipped, not double-counted).
-        pub loaded: usize,
-        /// Records skipped because a database they were prepared
-        /// against has moved on (epoch drift or unpublished). A delta
-        /// to one database stales only that database's plans; the
-        /// rest of the spill still loads.
-        pub stale: usize,
     }
 
     /// Minimal first-pass decode of a spill file: just the version
@@ -695,24 +688,13 @@ mod plans {
         version: u64,
     }
 
-    /// Spill the engine's plan cache to `path` as JSON, stamping the
-    /// current epochs of every database in `catalog` as the
-    /// invalidation token. Returns the number of plans written.
-    pub fn save_plans(
-        path: impl AsRef<Path>,
-        engine: &Engine,
-        catalog: &Catalog,
-    ) -> Result<usize, StoreError> {
-        let path = path.as_ref();
-        let epochs: BTreeMap<String, u64> = catalog
-            .snapshots()
-            .iter()
-            .map(|s| (s.name().to_string(), s.epoch()))
-            .collect();
+    /// Spill the engine's plan cache to `path` as JSON. Returns the
+    /// number of plans written.
+    pub fn save_plans(path: impl AsRef<Path>, engine: &Engine) -> Result<usize, StoreError> {
         let plans: Vec<PlanRecord> = engine
-            .export_plans_attributed()
+            .export_plans()
             .into_iter()
-            .map(|(representative, s, dbs)| PlanRecord {
+            .map(|(representative, s)| PlanRecord {
                 representative,
                 ghd: s.ghd,
                 ghd_exact: s.ghd_exact,
@@ -722,33 +704,24 @@ mod plans {
                 num_edges: s.num_edges,
                 notes: s.notes,
                 planning_micros: s.planning_time.as_micros() as u64,
-                dbs,
             })
             .collect();
         let count = plans.len();
         let spill = PlanSpill {
             version: PLAN_SPILL_VERSION,
-            epochs,
             plans,
         };
-        super::write_atomic(path, serde::json::to_string(&spill).as_bytes())?;
+        super::write_atomic(path.as_ref(), serde::json::to_string(&spill).as_bytes())?;
         Ok(count)
     }
 
     /// Load a plan spill from `path` and preload the engine's cache.
-    /// Staleness is judged **per record** against the epochs stamped
-    /// at save time: a record loads iff every database it was prepared
-    /// against is still published at its stamped epoch. Unattributed
-    /// records (empty `dbs`) fall back to the conservative rule — they
-    /// load only when *every* stamped epoch still matches the catalog.
-    /// Skipped records are counted in [`PlanLoad::stale`]; the rest of
-    /// the spill still loads, so a delta to one database no longer
-    /// discards every other database's warm plans.
-    pub fn load_plans(
-        path: impl AsRef<Path>,
-        engine: &Engine,
-        catalog: &Catalog,
-    ) -> Result<PlanLoad, StoreError> {
+    /// Every record is checked against its representative before any
+    /// is inserted: one that does not fit makes the whole file
+    /// [`StoreError::Corrupt`] and preloads nothing. Returns the number
+    /// of structures preloaded (already-cached isomorphs are skipped,
+    /// not double-counted).
+    pub fn load_plans(path: impl AsRef<Path>, engine: &Engine) -> Result<usize, StoreError> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, &e))?;
         let probe: SpillVersionProbe = serde::json::from_str(&text)
@@ -761,29 +734,11 @@ mod plans {
         }
         let spill: PlanSpill = serde::json::from_str(&text)
             .map_err(|e| StoreError::corrupt(0, format!("plan spill: {e}")))?;
-        let current: BTreeMap<String, u64> = catalog
-            .snapshots()
-            .iter()
-            .map(|s| (s.name().to_string(), s.epoch()))
-            .collect();
-        let all_epochs_match = spill.epochs == current;
+        for (index, rec) in spill.plans.iter().enumerate() {
+            rec.validate(index)?;
+        }
         let mut loaded = 0;
-        let mut stale = 0;
         for rec in spill.plans {
-            let fresh = if rec.dbs.is_empty() {
-                all_epochs_match
-            } else {
-                rec.dbs.iter().all(|name| {
-                    spill
-                        .epochs
-                        .get(name)
-                        .is_some_and(|stamped| current.get(name) == Some(stamped))
-                })
-            };
-            if !fresh {
-                stale += 1;
-                continue;
-            }
             let structure = PlannedStructure {
                 ghd: rec.ghd,
                 ghd_exact: rec.ghd_exact,
@@ -793,16 +748,16 @@ mod plans {
                 notes: rec.notes,
                 planning_time: Duration::from_micros(rec.planning_micros),
             };
-            if engine.preload_plan_for(&rec.representative, structure, &rec.dbs) {
+            if engine.preload_plan(&rec.representative, structure) {
                 loaded += 1;
             }
         }
-        Ok(PlanLoad { loaded, stale })
+        Ok(loaded)
     }
 }
 
 #[cfg(feature = "serde")]
-pub use plans::{load_plans, save_plans, PlanLoad};
+pub use plans::{load_plans, save_plans};
 
 #[cfg(test)]
 mod tests {
@@ -966,100 +921,93 @@ mod tests {
 
     #[cfg(feature = "serde")]
     #[test]
-    fn plan_spill_invalidates_per_database_name() {
+    fn plan_spill_saved_after_a_delta_loads_whole() {
         use cqd2_cq::ConjunctiveQuery;
         let path = std::env::temp_dir().join(format!(
-            "cqd2-plan-spill-per-name-{}.json",
+            "cqd2-plan-spill-after-delta-{}.json",
             std::process::id()
         ));
-
-        let catalog = Catalog::new();
-        catalog.publish_str("a", "R(1, 2)\nS(2, 3)\n").unwrap();
-        catalog
-            .publish_str("b", "R(1, 2)\nS(2, 3)\nT(3, 4)\n")
-            .unwrap();
-        let engine = crate::engine::Engine::default();
-
-        // Distinct hypergraph shapes → distinct cache entries, each
-        // attributed to the database its session was pinned to.
         let q_a = ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])]);
         let q_b = ConjunctiveQuery::parse(&[
             ("R", &["?x", "?y"]),
             ("S", &["?y", "?z"]),
             ("T", &["?z", "?w"]),
         ]);
-        engine
-            .session_in(&catalog, "a")
-            .unwrap()
-            .prepare(&q_a)
-            .unwrap();
-        engine
-            .session_in(&catalog, "b")
-            .unwrap()
-            .prepare(&q_b)
-            .unwrap();
-        assert_eq!(save_plans(&path, &engine, &catalog).unwrap(), 2);
+        let facts = "R(1, 2)\nS(2, 3)\nT(3, 4)\n";
 
-        // Delta one database: only its plans go stale on reload.
+        let catalog = Catalog::new();
+        catalog.publish_str("a", facts).unwrap();
+        let engine = crate::engine::Engine::default();
+        let session = engine.session_in(&catalog, "a").unwrap();
+        session.prepare(&q_a).unwrap();
+        session.prepare(&q_b).unwrap();
+        // The database moves on before the spill is written.
         crate::delta::apply_delta_text(&catalog, "a", "@insert\nR(7, 8)\n").unwrap();
+        assert_eq!(save_plans(&path, &engine).unwrap(), 2);
 
+        // A fresh process: a new engine, the catalog back at epoch 0.
+        let restarted = Catalog::new();
+        restarted.publish_str("a", facts).unwrap();
         let fresh = crate::engine::Engine::default();
-        let load = load_plans(&path, &fresh, &catalog).unwrap();
-        assert_eq!(
-            load,
-            PlanLoad {
-                loaded: 1,
-                stale: 1
-            }
-        );
-        // The survivor is b's entry, attribution intact — so a second
-        // spill → load round-trip still invalidates per name.
-        let kept = fresh.export_plans_attributed();
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].2, vec!["b".to_string()]);
+        assert_eq!(load_plans(&path, &fresh).unwrap(), 2);
+        let session = fresh.session_in(&restarted, "a").unwrap();
+        for q in [&q_a, &q_b] {
+            assert!(session.prepare(q).unwrap().cache_hit(), "{q:?}");
+        }
+        assert_eq!(fresh.cache_stats().misses, 0);
+        // And the next spill writes them all again.
+        assert_eq!(save_plans(&path, &fresh).unwrap(), 2);
         let _ = std::fs::remove_file(&path);
     }
 
     #[cfg(feature = "serde")]
     #[test]
-    fn plan_spill_unattributed_records_use_the_conservative_rule() {
+    fn plan_spill_with_an_invalid_ghd_is_corrupt_and_preloads_nothing() {
+        use crate::engine::Workload;
         use cqd2_cq::ConjunctiveQuery;
         let path = std::env::temp_dir().join(format!(
-            "cqd2-plan-spill-unattributed-{}.json",
+            "cqd2-plan-spill-invalid-{}.json",
             std::process::id()
         ));
-
-        let catalog = Catalog::new();
-        catalog.publish_str("a", "R(1, 2)\nS(2, 3)\n").unwrap();
+        // A chain R(x,y), S(y,z) whose one record is fine, then a
+        // triangle whose first bag lost vertex 0: edge R#0 = {x, y}
+        // fits in no bag.
+        let chain = "{\"representative\":{\"vertex_names\":[\"?x\",\"?y\",\"?z\"],\"edge_names\":[\"R#0\",\"S#1\"],\"edges\":[[[0],[1]],[[1],[2]]],\"incidence\":[[[0]],[[0],[1]],[[1]]]},\"ghd\":{\"td\":{\"bags\":[[[0],[1]],[[1],[2]]],\"tree\":[[0,1]]},\"covers\":[[[0]],[[1]]]},\"ghd_exact\":true,\"jigsaw_dilution\":null,\"jigsaw_n\":0,\"hard_regime\":false,\"num_edges\":2,\"notes\":[],\"planning_micros\":1}";
+        let triangle = "{\"representative\":{\"vertex_names\":[\"?x\",\"?y\",\"?z\"],\"edge_names\":[\"R#0\",\"S#1\",\"T#2\"],\"edges\":[[[0],[1]],[[1],[2]],[[0],[2]]],\"incidence\":[[[0],[2]],[[0],[1]],[[1],[2]]]},\"ghd\":{\"td\":{\"bags\":[[[1],[2]],[[1],[2]],[[2]]],\"tree\":[[0,1],[1,2]]},\"covers\":[[[0],[1]],[[1]],[[1]]]},\"ghd_exact\":true,\"jigsaw_dilution\":null,\"jigsaw_n\":0,\"hard_regime\":false,\"num_edges\":3,\"notes\":[],\"planning_micros\":1}";
         let engine = crate::engine::Engine::default();
-        // A detached session pins an unnamed snapshot → the cached
-        // structure carries no attribution.
-        let q = ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])]);
-        let db = catalog.snapshot("a").unwrap().db().clone();
-        engine.session(&db).prepare(&q).unwrap();
-        assert_eq!(save_plans(&path, &engine, &catalog).unwrap(), 1);
-
-        // All stamped epochs still match → the record loads.
-        let fresh = crate::engine::Engine::default();
-        assert_eq!(
-            load_plans(&path, &fresh, &catalog).unwrap(),
-            PlanLoad {
-                loaded: 1,
-                stale: 0
+        for (plans, what) in [
+            (format!("{chain},{triangle}"), "invalid ghd"),
+            (
+                chain.replace("\"num_edges\":2", "\"num_edges\":3"),
+                "edge count",
+            ),
+        ] {
+            let text = format!("{{\"version\":3,\"plans\":[{plans}]}}");
+            std::fs::write(&path, text).unwrap();
+            match load_plans(&path, &engine) {
+                Err(StoreError::Corrupt { .. }) => {}
+                other => panic!("{what}: {other:?}"),
             }
-        );
+            assert_eq!(engine.cache_stats().entries, 0, "{what}");
+        }
 
-        // Any epoch drift stales an unattributed record (it could have
-        // been observed against any of the served databases).
-        crate::delta::apply_delta_text(&catalog, "a", "@insert\nR(9, 9)\n").unwrap();
-        let fresh2 = crate::engine::Engine::default();
-        assert_eq!(
-            load_plans(&path, &fresh2, &catalog).unwrap(),
-            PlanLoad {
-                loaded: 0,
-                stale: 1
-            }
-        );
+        // The next prepare of the triangle plans fresh and answers.
+        let catalog = Catalog::new();
+        catalog
+            .publish_str("a", "R(1, 2)\nS(2, 3)\nT(3, 1)\nR(4, 5)\n")
+            .unwrap();
+        let q = ConjunctiveQuery::parse(&[
+            ("R", &["?x", "?y"]),
+            ("S", &["?y", "?z"]),
+            ("T", &["?z", "?x"]),
+        ]);
+        let prepared = engine
+            .session_in(&catalog, "a")
+            .unwrap()
+            .prepare(&q)
+            .unwrap();
+        assert!(!prepared.cache_hit());
+        assert_eq!(prepared.run(Workload::Count).answer.as_count(), Some(1));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1070,15 +1018,17 @@ mod tests {
             "cqd2-plan-spill-version-{}.json",
             std::process::id()
         ));
-        std::fs::write(&path, "{\"version\": 1, \"epochs\": {}, \"plans\": []}").unwrap();
-        let catalog = Catalog::new();
         let engine = crate::engine::Engine::default();
-        match load_plans(&path, &engine, &catalog) {
-            Err(StoreError::Version {
-                found: 1,
-                supported: 2,
-            }) => {}
-            other => panic!("{other:?}"),
+        for old in [1, 2] {
+            let text = format!("{{\"version\": {old}, \"epochs\": {{}}, \"plans\": []}}");
+            std::fs::write(&path, text).unwrap();
+            match load_plans(&path, &engine) {
+                Err(StoreError::Version {
+                    found,
+                    supported: 3,
+                }) if found == old => {}
+                other => panic!("{other:?}"),
+            }
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -75,9 +75,9 @@ code. Finish the implementation, return a typed error, or delete the dead branch
         summary: "no std::thread::spawn outside scoped helpers and tests",
         explain: "Detached threads outlive the data they borrow from (forcing 'static \
 bounds and Arc churn) and are invisible to graceful shutdown. Use std::thread::scope — \
-the engine's batch executor, the server's worker pool, and the parallel bag kernels all \
-run scoped — so threads provably join before their data goes away. Daemon-lifetime \
-threads in binaries are the one legitimate exception; annotate them with \
+the engine's batch executor and the server's worker pool both run scoped — so threads \
+provably join before their data goes away. Daemon-lifetime threads in binaries are the \
+one legitimate exception; annotate them with \
 `// cqd2-lint: allow(unscoped-spawn, reason = \"...\")`.",
     },
     Lint {
