@@ -177,9 +177,7 @@ fn bench(c: &mut Criterion) {
     // Correctness gate: the warm-rebased handle answers exactly like a
     // fresh prepare on the post-delta snapshot, and says it crossed the
     // epoch warm.
-    let (warm, pass) = prepared
-        .rebase(&out.snapshot, &out.touched)
-        .expect("GHD handle rebases warm");
+    let (warm, pass) = prepared.rebase(&out.snapshot, &out.touched);
     assert_eq!(warm.maintenance(), Some(MaintenanceClass::WarmOverlay));
     assert!(
         pass.rewritten >= 1 && pass.rewritten < pass.total,
@@ -215,7 +213,7 @@ fn bench(c: &mut Criterion) {
     catalog.swap("live", db.clone()).expect("restore");
     let out = catalog.apply_delta("live", &delta).expect("applies");
     g.bench_function("maintenance/warm_rebase", |b| {
-        b.iter(|| black_box(prepared.rebase(&out.snapshot, &out.touched).expect("warm")));
+        b.iter(|| black_box(prepared.rebase(&out.snapshot, &out.touched)));
     });
     g.bench_function("maintenance/re_prepare", |b| {
         b.iter(|| {

@@ -311,12 +311,11 @@ fn run_eval(args: &[String]) {
                 for line in resp.provenance.planned.explain().lines() {
                     println!("      {line}");
                 }
-                if let Some(bags) = &resp.provenance.bags {
-                    println!(
-                        "      tree pass: {}/{} bags rewritten",
-                        bags.rewritten, bags.total,
-                    );
-                }
+                let bags = &resp.provenance.bags;
+                println!(
+                    "      tree pass: {}/{} bags rewritten",
+                    bags.rewritten, bags.total,
+                );
             }
             if json {
                 print_plan_json(resp);

@@ -4,7 +4,9 @@
 //!
 //! - [`bcq_naive`] / [`enumerate_naive`] / [`count_naive`]: backtracking
 //!   join — correct for every CQ, exponential in general. The baseline the
-//!   paper's lower bounds are about.
+//!   paper's lower bounds are about, and the oracle the differential tests
+//!   check against; the serving engine runs a naive-join plan as the
+//!   GHD route over the one-bag [`Ghd::trivial`].
 //! - [`bcq_via_ghd`]: Prop. 2.2 — materialize one relation per GHD bag
 //!   (joining the `λ` cover and the atoms assigned to the bag), then run a
 //!   Yannakakis semijoin pass over the decomposition tree. Polynomial
@@ -139,26 +141,6 @@ pub fn enumerate_naive(q: &ConjunctiveQuery, db: &Database) -> Vec<Vec<u64>> {
         true
     });
     out.sort_unstable();
-    out
-}
-
-/// Enumerate up to `limit` solutions (`None` = all) in backtracking
-/// search order, **unsorted**, stopping the search as soon as the limit
-/// is reached. The engine's naive-plan fallback for `Enumerate`
-/// workloads; [`enumerate_naive`] remains the sorted reference.
-pub fn enumerate_naive_limit(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    limit: Option<usize>,
-) -> Vec<Vec<u64>> {
-    if limit == Some(0) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    backtrack(q, db, &mut |sol| {
-        out.push(sol.to_vec());
-        limit.is_none_or(|l| out.len() < l)
-    });
     out
 }
 

@@ -160,17 +160,28 @@ impl FlatRelation {
     /// sorted-distinct order (a stored relation's): `Ok(row)` when
     /// present, else `Err(row)` with the row index that keeps the order
     /// — `slice::binary_search`'s contract, over row slices.
+    ///
+    /// The loop halves the window with one `<=` row compare per step and
+    /// no early exit, and takes the step as a select: a random probe's
+    /// three-way branch is one the predictor misses half the time. One
+    /// three-way compare at the end decides `Ok` or `Err`.
     pub(crate) fn search(&self, tuple: &[u64]) -> Result<usize, usize> {
-        let (mut lo, mut hi) = (0, self.rows);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.row(mid).cmp(tuple) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(mid),
-            }
+        if self.rows == 0 {
+            return Err(0);
         }
-        Err(lo)
+        // `base` is the last row ≤ `tuple` found so far (or row 0).
+        let (mut base, mut size) = (0, self.rows);
+        while size > 1 {
+            let half = size / 2;
+            let mid = base + half;
+            base = std::hint::select_unpredictable(self.row(mid) <= tuple, mid, base);
+            size -= half;
+        }
+        match self.row(base).cmp(tuple) {
+            std::cmp::Ordering::Equal => Ok(base),
+            std::cmp::Ordering::Less => Err(base + 1),
+            std::cmp::Ordering::Greater => Err(base),
+        }
     }
 
     /// Insert `tuple` (of this relation's arity) as row `at`: one
@@ -713,6 +724,38 @@ mod tests {
         let mut t = r.to_tuples();
         t.sort_unstable();
         t
+    }
+
+    #[test]
+    fn search_matches_slice_binary_search() {
+        for arity in 0..=3u32 {
+            // Every tuple over 0..8 in lexicographic order: the probes.
+            let mut probes: Vec<Vec<u64>> = vec![Vec::new()];
+            for _ in 0..arity {
+                probes = probes
+                    .iter()
+                    .flat_map(|p| (0..8).map(move |x| [p.as_slice(), &[x]].concat()))
+                    .collect();
+            }
+            // Rows on even values only, so odd values probe before,
+            // between and after them.
+            let rows: Vec<Vec<u64>> = probes
+                .iter()
+                .filter(|t| t.iter().all(|x| x % 2 == 0) && t.iter().sum::<u64>() % 4 == 0)
+                .cloned()
+                .collect();
+            let vars: Vec<Var> = (0..arity).map(v).collect();
+            for r in [
+                FlatRelation::empty(vars.clone()),
+                FlatRelation::from_rows(vars, &rows),
+            ] {
+                let tuples = r.to_tuples();
+                assert!(tuples.windows(2).all(|w| w[0] < w[1]), "sorted-distinct");
+                for p in &probes {
+                    assert_eq!(r.search(p), tuples.binary_search(p), "arity {arity}: {p:?}");
+                }
+            }
+        }
     }
 
     #[test]

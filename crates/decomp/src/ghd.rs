@@ -72,6 +72,39 @@ impl Ghd {
         Ok(())
     }
 
+    /// The trivial GHD: [`TreeDecomposition::trivial`]'s one bag of every
+    /// vertex, with `λ` = every edge, so its width is `|E|`. Every
+    /// hypergraph has it, and Prop. 2.2 over it is the naive join.
+    ///
+    /// `λ` lists the edges in connected order: each edge shares a vertex
+    /// with an earlier one wherever its connected component allows, so a
+    /// join folded in cover order meets a cross product only between
+    /// components.
+    pub fn trivial(h: &Hypergraph) -> Ghd {
+        let mut order: Vec<EdgeId> = Vec::with_capacity(h.num_edges());
+        let mut placed = vec![false; h.num_edges()];
+        let mut seen = vec![false; h.num_vertices()];
+        loop {
+            let mut unplaced = h.edge_ids().filter(|e| !placed[e.idx()]);
+            let Some(first) = unplaced.next() else {
+                break;
+            };
+            let next = std::iter::once(first)
+                .chain(unplaced)
+                .find(|&e| h.edge(e).iter().any(|v| seen[v.idx()]))
+                .unwrap_or(first);
+            placed[next.idx()] = true;
+            for v in h.edge(next) {
+                seen[v.idx()] = true;
+            }
+            order.push(next);
+        }
+        Ghd {
+            td: TreeDecomposition::trivial(h),
+            covers: vec![order],
+        }
+    }
+
     /// Equip a tree decomposition with minimum-cardinality covers
     /// (exact per-bag set cover). The GHD's width is then the `ρ`-width of
     /// the given decomposition.
@@ -111,6 +144,64 @@ mod tests {
         let td = TreeDecomposition { bags, tree };
         let ghd = Ghd::from_td_exact(&h, td);
         ghd.validate(&h).unwrap();
+        assert_eq!(ghd.width(), 1);
+    }
+
+    #[test]
+    fn trivial_ghd_is_valid_full_width_and_connected_per_component() {
+        // Two components, {5,6} and the path 0-1-2-3-4 listed out of
+        // order, plus the empty edge a ground atom makes.
+        let h = Hypergraph::new(
+            7,
+            &[
+                vec![5, 6],
+                vec![0, 1],
+                vec![],
+                vec![3, 4],
+                vec![1, 2],
+                vec![2, 3],
+            ],
+        )
+        .unwrap();
+        let ghd = Ghd::trivial(&h);
+        ghd.validate(&h).unwrap();
+        crate::verify::verify_ghd(&h, &ghd).unwrap();
+        assert_eq!(ghd.width(), h.num_edges());
+        assert_eq!(ghd.td.bags, vec![h.vertices().collect::<Vec<_>>()]);
+        let cover = &ghd.covers[0];
+        let mut sorted = cover.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, h.edge_ids().collect::<Vec<_>>());
+        // An edge that shares no vertex with an earlier one opens a
+        // component no earlier edge touched.
+        let components = h.connected_components();
+        let component = |v: VertexId| components.iter().position(|c| c.contains(&v));
+        for (i, &e) in cover.iter().enumerate() {
+            let earlier: Vec<VertexId> = cover[..i]
+                .iter()
+                .flat_map(|&f| h.edge(f))
+                .copied()
+                .collect();
+            if h.edge(e).iter().any(|v| earlier.contains(v)) {
+                continue;
+            }
+            for v in h.edge(e) {
+                assert!(
+                    earlier.iter().all(|&w| component(w) != component(*v)),
+                    "λ = {cover:?} leaves its component at {e:?}"
+                );
+            }
+        }
+        assert_eq!(
+            cover.iter().map(|e| e.0).collect::<Vec<_>>(),
+            [0, 1, 4, 5, 3, 2]
+        );
+
+        // No vertices at all: a query of ground atoms only.
+        let ground = Hypergraph::new(0, &[vec![]]).unwrap();
+        let ghd = Ghd::trivial(&ground);
+        ghd.validate(&ground).unwrap();
+        crate::verify::verify_ghd(&ground, &ghd).unwrap();
         assert_eq!(ghd.width(), 1);
     }
 

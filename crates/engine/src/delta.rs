@@ -25,11 +25,10 @@
 //!   nodes whose source relations the delta touched
 //!   ([`cqd2_cq::MaterializedBags::refresh`]); clean bags — and their
 //!   filled probe-table caches — are shared with the old tree by `Arc`.
-//!   Responses from a maintained handle carry a [`MaintenanceClass`] in
-//!   their provenance: [`MaintenanceClass::WarmOverlay`] when the bag
-//!   tree was refreshed in place, [`MaintenanceClass::RePrepared`] when
-//!   the server had to fall back to a full prepare (naive-join plans
-//!   have no tree to refresh).
+//!   Every handle has a bag tree (a naive-join plan's is the trivial
+//!   GHD's one bag), so every handle migrates this way. Responses from
+//!   a maintained handle carry [`MaintenanceClass::WarmOverlay`] in
+//!   their provenance.
 //!
 //! The wire format of a delta batch is the textio delta script
 //! ([`crate::textio::parse_delta`]): `@insert` / `@delete` section
@@ -54,8 +53,8 @@
 //! assert!(outcome.shares_relation_with_previous("T"));
 //! assert!(!outcome.shares_relation_with_previous("S"));
 //! // The old handle keeps answering at its pinned epoch; a fresh
-//! // session sees the delta. (On GHD plans, `PreparedQuery::rebase`
-//! // migrates the old handle warm instead.)
+//! // session sees the delta. (`PreparedQuery::rebase` migrates the
+//! // old handle warm instead.)
 //! assert_eq!(prepared.run(Workload::Count).answer.as_count(), Some(1));
 //! let fresh = engine.session_in(&catalog, "main")?.prepare(&q)?;
 //! assert_eq!(fresh.run(Workload::Count).answer.as_count(), Some(2));
@@ -77,19 +76,14 @@ pub enum MaintenanceClass {
     /// the bags reading a touched relation were re-materialized, clean
     /// bags and their probe-table caches were shared by `Arc`.
     WarmOverlay,
-    /// The handle was rebuilt from scratch (full plan resolution + bag
-    /// materialization) — the fallback when there is no bag tree to
-    /// refresh (naive-join plans) or the warm path was declined.
-    RePrepared,
 }
 
 impl MaintenanceClass {
-    /// Stable lower-case label (`warm-overlay` / `re-prepared`), used
-    /// by provenance rendering and the wire layer.
+    /// Stable lower-case label (`warm-overlay`), used by provenance
+    /// rendering and the wire layer.
     pub fn name(self) -> &'static str {
         match self {
             MaintenanceClass::WarmOverlay => "warm-overlay",
-            MaintenanceClass::RePrepared => "re-prepared",
         }
     }
 }
@@ -238,9 +232,6 @@ mod tests {
 
     #[test]
     fn prepared_handles_rebase_warm_across_a_delta() {
-        // Large enough that the data estimate keeps the GHD plan (tiny
-        // databases flip to the naive join, which has no tree to
-        // refresh — that fallback is covered below).
         let q = cqd2_cq::ConjunctiveQuery::parse(&[
             ("R", &["?x", "?y"]),
             ("S", &["?y", "?z"]),
@@ -274,9 +265,7 @@ mod tests {
             .row(0)[1];
         let outcome =
             apply_delta_text(&catalog, "main", &format!("@insert\nU({z}, 999999)\n")).unwrap();
-        let (warm, pass) = prepared
-            .rebase(&outcome.snapshot, &outcome.touched)
-            .expect("a 400-tuple chain runs on the GHD route");
+        let (warm, pass) = prepared.rebase(&outcome.snapshot, &outcome.touched);
         assert!(pass.rewritten >= 1 && pass.rewritten < pass.total);
         assert_eq!(warm.epoch(), 1);
         assert_eq!(warm.maintenance(), Some(MaintenanceClass::WarmOverlay));
@@ -293,20 +282,13 @@ mod tests {
             prepared.run(Workload::Count).answer.as_count(),
             Some(before)
         );
-
-        // A cold re-prepare marked as such reports the other class.
-        let mut fresh = engine
+        // A fresh prepare on the new snapshot crossed no delta.
+        let fresh = engine
             .session_pinned(Arc::clone(&outcome.snapshot))
             .prepare(&q)
             .unwrap();
-        fresh.mark_re_prepared();
-        let resp = fresh.run(Workload::Count);
-        assert_eq!(
-            resp.provenance.maintenance,
-            Some(MaintenanceClass::RePrepared)
-        );
+        assert_eq!(fresh.run(Workload::Count).provenance.maintenance, None);
         assert_eq!(MaintenanceClass::WarmOverlay.name(), "warm-overlay");
-        assert_eq!(MaintenanceClass::RePrepared.name(), "re-prepared");
     }
 
     #[test]

@@ -175,18 +175,17 @@ pub struct PlanProvenance {
     pub planning: Duration,
     /// Time spent executing the plan against the database.
     pub execution: Duration,
-    /// Sparsity of the bag tree's reduction (`None` on naive plans,
-    /// which have no tree): how many nodes it had to filter. The
-    /// reduction runs once per tree, so every run of a handle reports
+    /// Sparsity of the bag tree's reduction: how many nodes it had to
+    /// filter. The reduction runs once per tree, so every run of a
+    /// handle reports
     /// the same value. `rewritten = 0` means no semijoin dropped a row —
     /// join-consistent data — and is what every count run reports (the
     /// counting DP never rewrites a bag). One-shot calls report it too —
     /// same pass, over a tree they just built.
-    pub bags: Option<PassStats>,
+    pub bags: PassStats,
     /// How this handle crossed the most recent delta epoch, if it was
-    /// maintained rather than freshly prepared: `warm-overlay` when the
-    /// bag tree was refreshed in place ([`crate::PreparedQuery::rebase`]),
-    /// `re-prepared` when the server fell back to a full prepare.
+    /// maintained rather than freshly prepared: `warm-overlay`, the bag
+    /// tree refreshed in place ([`crate::PreparedQuery::rebase`]).
     /// `None` on handles that never crossed a delta.
     pub maintenance: Option<crate::delta::MaintenanceClass>,
 }
@@ -290,9 +289,9 @@ impl Engine {
     }
 
     /// Plan `q` (from cache when its structure class is known) without
-    /// executing anything. Structure-only: no database is consulted, so
-    /// the choice reflects exponents alone (see [`Engine::plan_with_db`]
-    /// for the statistics-refined plan).
+    /// executing anything. Structure-only: no database is consulted (see
+    /// [`Engine::plan_with_db`] for the same plan with a data estimate
+    /// attached).
     pub fn plan(&self, q: &ConjunctiveQuery, workload: Workload) -> (PlannedQuery, bool, Duration) {
         let start = Instant::now();
         let (structure, cache_hit) = self.structure_for(&q.hypergraph());
@@ -304,10 +303,10 @@ impl Engine {
     }
 
     /// Plan `q` against a concrete database: the cached structural
-    /// analysis is refined with [`DataEstimate`]s from the database's
-    /// statistics, so the naive-vs-GHD choice follows the data, not just
-    /// the structural exponent. This is the planning path [`Engine::serve`]
-    /// uses.
+    /// plan, with a [`DataEstimate`] from the database's statistics
+    /// attached (`explain()` prints it as its `stats:` line). The
+    /// estimate informs; it does not change the strategy, which is the
+    /// structure's. This is the planning path [`Engine::serve`] uses.
     pub fn plan_with_db(
         &self,
         q: &ConjunctiveQuery,

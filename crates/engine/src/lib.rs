@@ -25,8 +25,8 @@
 //!   (only touched relations rebuilt and re-scanned for statistics,
 //!   everything else `Arc`-carried), and [`PreparedQuery::rebase`]
 //!   migrates warm handles across the epoch by re-materializing only
-//!   the dirty bag spine; the achieved [`MaintenanceClass`]
-//!   (`warm-overlay` / `re-prepared`) lands in plan provenance.
+//!   the dirty bag spine; the [`MaintenanceClass`] (`warm-overlay`)
+//!   lands in plan provenance.
 //! - [`session`]: the **owned, handle-based serving API** —
 //!   [`Engine::session_in`] pins a catalog snapshot ([`Engine::session`]
 //!   is the `&Database` convenience shim); [`Session::prepare`] resolves

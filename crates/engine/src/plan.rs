@@ -5,8 +5,7 @@
 //! choice explainable and lets callers predict scaling before touching a
 //! database. When a database is in hand, a [`DataEstimate`] (computed
 //! from [`cqd2_cq::stats::DatabaseStats`]) adds estimated intermediate
-//! cardinalities, letting the engine choose naive-vs-GHD **by data**
-//! rather than by structural exponent alone.
+//! cardinalities to the explanation.
 
 use cqd2_cq::stats::{estimate_join_rows, estimate_naive_cost, DatabaseStats};
 use cqd2_cq::{Atom, ConjunctiveQuery};
@@ -17,20 +16,22 @@ use cqd2_dilution::DilutionSequence;
 ///
 /// Variants correspond to the algorithmic regimes the paper separates:
 ///
-/// - [`QueryPlan::NaiveJoin`] — backtracking join, the only fully general
-///   strategy (exponential in query size).
+/// - [`QueryPlan::NaiveJoin`] — no GHD narrower than the atom count;
+///   runs on the one-bag GHD ([`Ghd::trivial`]), whose bag is the full
+///   join (exponential in query size).
 /// - [`QueryPlan::GhdYannakakis`] — Prop. 2.2: bag materialization plus a
 ///   Yannakakis semijoin pass over a GHD; `O(‖D‖^width)`.
 /// - [`QueryPlan::CountingDp`] — Prop. 4.14: the junction-tree counting
 ///   DP over a GHD, for full-CQ answer counting without enumeration.
 /// - [`QueryPlan::JigsawReduce`] — Theorem 4.7 evidence of hardness: a
-///   verified dilution sequence to an `n × n` jigsaw. Evaluation still
-///   falls back to the naive join, but the plan certifies *why* no
-///   bounded-width strategy exists for this structure class.
+///   verified dilution sequence to an `n × n` jigsaw. Evaluation runs on
+///   the best GHD the structure analysis found (the one-bag GHD when it
+///   found none); the plan certifies *why* no bounded-width strategy
+///   exists for this structure class.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QueryPlan {
-    /// Backtracking join over all atoms.
+    /// No GHD narrower than the atom count; runs on the one-bag GHD.
     NaiveJoin,
     /// GHD-guided Boolean evaluation (Prop. 2.2).
     GhdYannakakis {
@@ -46,7 +47,7 @@ pub enum QueryPlan {
     },
     /// Theorem 4.7 hardness certificate: the structure dilutes to the
     /// `n × n` jigsaw, so ghw grows with `n` across the whole
-    /// isomorphism class; evaluation uses the naive join.
+    /// isomorphism class; evaluation uses the structure's best GHD.
     JigsawReduce {
         /// The verified dilution sequence (in the coordinates of the
         /// plan-cache representative of this structure class).
@@ -80,14 +81,13 @@ impl QueryPlan {
 /// `(query, database)` pair.
 ///
 /// Units are "tuple touches": the naive side is the product of atom
-/// cardinalities (what the backtracker can visit with no pruning); the
-/// GHD side sums, per bag, a fixed per-bag setup charge
+/// cardinalities (what a join with no pruning can visit); the GHD side
+/// sums, per bag, a fixed per-bag setup charge
 /// ([`DataEstimate::BAG_SETUP_COST`], modelling hash-table builds and
 /// buffer allocation), the bag's input cardinality, and the
-/// selectivity-estimated cardinality of the materialized bag join. On
-/// small databases the setup charges dominate and the naive join wins;
-/// on large ones the `‖D‖^k` naive product explodes and the GHD route
-/// wins — exactly the crossover the exponent-only model cannot see.
+/// selectivity-estimated cardinality of the materialized bag join. The
+/// estimate explains a plan (`explain()`'s `stats:` line); it does not
+/// choose one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataEstimate {
@@ -155,12 +155,6 @@ impl DataEstimate {
             ghd_cost,
             max_bag_rows,
         }
-    }
-
-    /// `Some(true)` when the data says the naive join is no worse than
-    /// the GHD route; `None` when there is no GHD estimate to compare.
-    pub fn naive_beats_ghd(&self) -> Option<bool> {
-        self.ghd_cost.map(|g| self.naive_cost <= g)
     }
 }
 
@@ -281,18 +275,18 @@ mod tests {
 
         let q = canonical_query(&hypercycle(6, 2));
         let ghd = ghw_decomposition(&q.hypergraph()).expect("cycle decomposes");
-        // Tiny database: per-bag setup charges dominate, naive wins.
+        // Tiny database: per-bag setup charges dominate the GHD side.
         let small = random_database(&q, 3, 2, 1).stats();
         let est = DataEstimate::compute(&q, Some(&ghd), &small);
-        assert_eq!(est.naive_beats_ghd(), Some(true), "{est:?}");
-        // Big database: the ‖D‖^6 naive product explodes, the GHD wins.
+        assert!(est.naive_cost <= est.ghd_cost.unwrap(), "{est:?}");
+        // Big database: the ‖D‖^6 naive product explodes.
         let big = random_database(&q, 500, 400, 2).stats();
         let est = DataEstimate::compute(&q, Some(&ghd), &big);
-        assert_eq!(est.naive_beats_ghd(), Some(false), "{est:?}");
+        assert!(est.naive_cost > est.ghd_cost.unwrap(), "{est:?}");
         assert!(est.max_bag_rows.is_some());
-        // No GHD: nothing to compare against.
+        // No GHD: no GHD side.
         let est = DataEstimate::compute(&q, None, &big);
-        assert_eq!(est.naive_beats_ghd(), None);
+        assert_eq!(est.ghd_cost, None);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct PlannerConfig {
     pub exact_vertex_cap: usize,
     /// Beyond the exact budget, fall back to certified heuristic GHDs
     /// (min-fill / dual-route). When `false`, large structures plan as
-    /// naive joins.
+    /// naive joins, which run on the one-bag GHD.
     pub use_heuristic_ghd: bool,
     /// Largest jigsaw dimension the Theorem 4.7 extraction searches for.
     /// `0` disables jigsaw certificates entirely.
@@ -108,15 +108,14 @@ impl PlannedStructure {
         self.derive_plan(true, None)
     }
 
-    /// Derive the Boolean-evaluation plan, refined with data statistics:
-    /// when the estimate says the naive join is no worse than the GHD
-    /// route (small databases, where per-bag setup dominates), the plan
-    /// flips to [`QueryPlan::NaiveJoin`] and records why.
+    /// Derive the Boolean-evaluation plan with a data estimate attached
+    /// to its cost (`explain()` prints it); the strategy is the
+    /// structure's, whatever the data.
     pub fn bool_plan_with(&self, data: Option<&DataEstimate>) -> PlannedQuery {
         self.derive_plan(false, data)
     }
 
-    /// Derive the counting plan, refined with data statistics (see
+    /// Derive the counting plan with a data estimate attached (see
     /// [`PlannedStructure::bool_plan_with`]).
     pub fn count_plan_with(&self, data: Option<&DataEstimate>) -> PlannedQuery {
         self.derive_plan(true, data)
@@ -154,26 +153,6 @@ impl PlannedStructure {
         match &self.ghd {
             Some(ghd) if (ghd.width() as f64) < naive_exponent => {
                 let width = ghd.width();
-                // Structure says GHD — but on small data the per-bag
-                // setup costs can exceed the whole naive search; the
-                // statistics-based estimate decides.
-                // The numbers themselves live in `cost.data` and are
-                // rendered by `explain()`; the note records only the
-                // decision.
-                if data.and_then(DataEstimate::naive_beats_ghd) == Some(true) {
-                    notes.push(format!(
-                        "stats: small data favors the naive join — overriding the width-{width} ghd plan"
-                    ));
-                    return PlannedQuery {
-                        plan: QueryPlan::NaiveJoin,
-                        cost: CostEstimate {
-                            db_exponent: naive_exponent,
-                            planning_units: 0.0,
-                            data: data.copied(),
-                        },
-                        notes,
-                    };
-                }
                 let cost = CostEstimate {
                     db_exponent: width.max(1) as f64,
                     planning_units: ghd.td.bags.len() as f64,

@@ -106,13 +106,8 @@ pub(super) fn handle_delta(reply: Reply<'_>, f: &Frame) {
         Err(e) => return reply.reject_engine(&e),
     };
     // Migrate the warm handles instead of purging them: only bags whose
-    // relations the delta touched are re-materialized; naive-plan
-    // handles re-prepare (cheap — the plan cache still holds their
-    // structure analysis) and are marked `re-prepared`.
-    let refresh = lock_or_poison(&db.prepared).refresh_after_delta(&outcome, |q| {
-        let session = ctx.engine.session_in(ctx.catalog, &db.name).ok()?;
-        session.prepare(q).ok()
-    });
+    // relations the delta touched are re-materialized.
+    let refresh = lock_or_poison(&db.prepared).refresh_after_delta(&outcome);
     db.metrics.delta_batches.inc();
     db.metrics.facts_inserted.add(outcome.inserted as u64);
     db.metrics.facts_deleted.add(outcome.deleted as u64);
@@ -127,7 +122,8 @@ pub(super) fn handle_delta(reply: Reply<'_>, f: &Frame) {
             relations_touched: outcome.touched.clone(),
             facts: outcome.snapshot.db().size() as u64,
             prepared_warm: refresh.warm,
-            prepared_reprepared: refresh.reprepared,
+            // Every handle migrates warm; the field stays on the wire.
+            prepared_reprepared: 0,
             bags_remat: refresh.bags_remat,
             server_micros,
         }

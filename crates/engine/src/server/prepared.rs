@@ -5,8 +5,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use cqd2_cq::ConjunctiveQuery;
-
 use crate::session::PreparedQuery;
 
 /// Per-database cache of warm, **owned** [`PreparedQuery`] handles,
@@ -90,45 +88,24 @@ impl PreparedCache {
     /// pre-delta epoch are rebased warm ([`PreparedQuery::rebase`]:
     /// only the bags whose relations the delta touched are
     /// re-materialized; the clean spine keeps its `Arc`s and probe
-    /// caches). Handles that cannot rebase (naive-plan cores carry no
-    /// bag tree) are re-prepared via `reprepare` and marked
-    /// `re-prepared`; entries from even older epochs are dropped as in
+    /// caches). Entries from even older epochs are dropped as in
     /// [`PreparedCache::purge_stale`].
     pub(super) fn refresh_after_delta(
         &mut self,
         outcome: &crate::delta::DeltaOutcome,
-        reprepare: impl Fn(&ConjunctiveQuery) -> Option<PreparedQuery>,
     ) -> DeltaCacheRefresh {
         let mut refresh = DeltaCacheRefresh::default();
         let previous = outcome.previous.epoch();
-        let mut dropped: Vec<String> = Vec::new();
-        for (key, entry) in self.map.iter_mut() {
-            if entry.epoch() > previous {
-                continue; // already at (or past) the new epoch
+        self.map.retain(|_, entry| {
+            if entry.epoch() == previous {
+                let (warm, pass) = entry.rebase(&outcome.snapshot, &outcome.touched);
+                *entry = Arc::new(warm);
+                refresh.warm += 1;
+                refresh.bags_remat += pass.rewritten as u64;
             }
-            if entry.epoch() < previous {
-                dropped.push(key.clone()); // was stale before this delta
-                continue;
-            }
-            match entry.rebase(&outcome.snapshot, &outcome.touched) {
-                Some((warm, pass)) => {
-                    *entry = Arc::new(warm);
-                    refresh.warm += 1;
-                    refresh.bags_remat += pass.rewritten as u64;
-                }
-                None => match reprepare(entry.query()) {
-                    Some(mut fresh) => {
-                        fresh.mark_re_prepared();
-                        *entry = Arc::new(fresh);
-                        refresh.reprepared += 1;
-                    }
-                    None => dropped.push(key.clone()),
-                },
-            }
-        }
-        for key in &dropped {
-            self.map.remove(key);
-        }
+            // Older entries were stale before this delta.
+            entry.epoch() >= previous
+        });
         let map = &self.map;
         self.order.retain(|k| map.contains_key(k));
         refresh
@@ -142,8 +119,6 @@ impl PreparedCache {
 pub(super) struct DeltaCacheRefresh {
     /// Handles migrated warm (dirty-spine refresh, `warm-overlay`).
     pub(super) warm: u64,
-    /// Handles re-prepared from scratch (`re-prepared`).
-    pub(super) reprepared: u64,
     /// Bag nodes re-materialized across all warm migrations.
     pub(super) bags_remat: u64,
 }

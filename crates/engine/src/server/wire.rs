@@ -296,8 +296,8 @@ pub struct WireDeltaApplied {
     /// Prepared-query cache entries migrated warm across the epoch
     /// (dirty-spine refresh; provenance `warm-overlay`).
     pub prepared_warm: u64,
-    /// Prepared-query cache entries that fell back to a full re-prepare
-    /// (naive-plan handles; provenance `re-prepared`).
+    /// Always 0: every prepared handle has a bag tree and migrates warm.
+    /// The field stays so clients that read it keep decoding the frame.
     pub prepared_reprepared: u64,
     /// Bag-tree nodes re-materialized across all warm migrations (the
     /// dirty spines; every other bag was `Arc`-shared).

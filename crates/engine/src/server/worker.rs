@@ -150,10 +150,9 @@ fn execute_job(job: Job<'_>) {
         // tree the reduction behind this answer had to filter (0
         // rewritten = no semijoin dropped a row, which is what a count
         // always reports).
-        if let Some(pass) = &resp.provenance.bags {
-            db_metrics.bags_rewritten.add(pass.rewritten as u64);
-            db_metrics.bags_total.add(pass.total as u64);
-        }
+        let pass = &resp.provenance.bags;
+        db_metrics.bags_rewritten.add(pass.rewritten as u64);
+        db_metrics.bags_total.add(pass.total as u64);
         // The one encode of this frame: everything but the two fields
         // only the send can know. It is the `serialize` span; the reply
         // path stamps `server_micros` after it (all phases are then

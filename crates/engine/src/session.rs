@@ -21,12 +21,16 @@
 //!   planning duration — which is what makes repeated-query serving
 //!   cheap (`session.prepare_us` and `eval.first_run_us` against
 //!   `eval.bcq_us` in the benchmark ledger).
-//! - [`AnswerCursor`] streams `Enumerate` answers on demand: on the GHD
-//!   route the handle's first cursor runs the two-way semijoin reduction
-//!   over the already-materialized bag tree, every later one shares its
-//!   result, and each answer — the first included — arrives with
-//!   constant delay (Durand & Grandjean / Carmeli & Kröll's enumeration
-//!   regime).
+//! - [`AnswerCursor`] streams `Enumerate` answers on demand: the
+//!   handle's first cursor runs the two-way semijoin reduction over the
+//!   already-materialized bag tree, every later one shares its result,
+//!   and each answer — the first included — arrives with constant delay
+//!   (Durand & Grandjean / Carmeli & Kröll's enumeration regime).
+//!
+//! Every plan runs on a bag tree. A naive-join plan's tree is the
+//! trivial GHD's single bag ([`Ghd::trivial`]): the same passes over one
+//! bag holding the full join, so one executor serves every plan and
+//! every handle can cross a delta warm.
 //!
 //! All three handles are **owned and lifetime-free**: a session holds a
 //! cheap clone of its [`Engine`] and an `Arc` pin on its snapshot, so
@@ -37,14 +41,14 @@
 //! `execute_batch` and [`Session::run`] are thin one-shot shims over the
 //! same machinery: build the prepared state, run it once.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cqd2_cq::eval::{
-    bcq_naive, count_naive, enumerate_naive_limit, GhdEnumerator, MaterializedBags,
-};
+use cqd2_cq::eval::{GhdEnumerator, MaterializedBags};
 use cqd2_cq::stats::DatabaseStats;
 use cqd2_cq::{ConjunctiveQuery, Database, PassStats};
+use cqd2_decomp::Ghd;
 
 use crate::catalog::{Catalog, DatabaseSnapshot};
 use crate::engine::{Answer, Engine, PlanProvenance, Response, Workload};
@@ -153,12 +157,11 @@ impl Session {
     }
 
     /// Prepare `q` for repeated execution: resolve the structure
-    /// analysis (cache-amortized), refine it with the pinned snapshot's
-    /// statistics, derive the plan for every workload kind, and — on
-    /// GHD plans — run the `O(‖D‖^width)` bag-materialization
-    /// preprocessing, pinning the materialized bag tree in the handle
-    /// (sound because the handle also pins the immutable snapshot it
-    /// was built from). This is the only place planning or
+    /// analysis (cache-amortized), attach the pinned snapshot's data
+    /// estimate, derive the plan for every workload kind, and run the
+    /// `O(‖D‖^width)` bag-materialization preprocessing, pinning the
+    /// materialized bag tree in the handle (sound because the handle
+    /// also pins the immutable snapshot it was built from). This is the only place planning or
     /// materialization happens. No tree pass runs here: the handle's
     /// first run of each workload kind pays that pass, once, and later
     /// runs read its memoized result.
@@ -210,8 +213,8 @@ impl Session {
 }
 
 /// The engine-internal prepared state: plans derived for every
-/// workload and (on GHD plans) the materialized bag tree. This is the
-/// shared machinery under both the owned [`PreparedQuery`] handle
+/// workload and the materialized bag tree. This is the shared
+/// machinery under both the owned [`PreparedQuery`] handle
 /// (which pairs it with a snapshot pin) and the one-shot
 /// `Engine::serve` / [`Session::run`] entry points (which build it
 /// against a borrowed database and run it once — no snapshot, no copy).
@@ -220,8 +223,8 @@ pub(crate) struct PreparedCore {
     /// `Arc`'d: every response's provenance shares them.
     bool_plan: Arc<PlannedQuery>,
     count_plan: Arc<PlannedQuery>,
-    /// The materialized bag tree (`None` = the plan is the naive join).
-    bags: Option<MaterializedBags>,
+    /// The materialized bag tree every workload runs on.
+    bags: MaterializedBags,
     cache_hit: bool,
     /// How the core crossed the most recent delta epoch (`None` =
     /// freshly prepared); surfaced in every response's provenance.
@@ -231,8 +234,8 @@ pub(crate) struct PreparedCore {
 }
 
 impl PreparedCore {
-    /// Plan `q` against `db` (with `stats` driving the naive-vs-GHD
-    /// choice) and materialize the execution GHD's bag tree.
+    /// Plan `q` against `db` (with `stats` feeding the plans' data
+    /// estimate) and materialize the execution GHD's bag tree.
     fn build(
         engine: &Engine,
         q: &ConjunctiveQuery,
@@ -242,24 +245,23 @@ impl PreparedCore {
         let start = Instant::now();
         let h = q.hypergraph();
         let (structure, cache_hit) = engine.structure_for(&h);
-        // Bounded-width structures get their plan refined by data: on
-        // small databases the per-bag setup dominates and the estimate
-        // flips the plan back to the naive join, with the numbers kept
-        // in provenance.
+        // The data estimate rides along in provenance (`--explain`
+        // prints it); it does not change the plan.
         let est = DataEstimate::compute(q, structure.ghd.as_ref(), stats);
         let bool_plan = structure.bool_plan_with(Some(&est));
         let count_plan = structure.count_plan_with(Some(&est));
         // Which decomposition actually drives evaluation: the plan's own
-        // GHD, or — for a jigsaw hardness certificate — the best GHD the
+        // GHD; for a jigsaw hardness certificate, the best GHD the
         // structure analysis found (the certificate classifies the
-        // structure; it never means "skip a usable decomposition"). The
-        // flip decision is workload-independent, so one GHD serves all
-        // three workloads.
+        // structure; it never means "skip a usable decomposition");
+        // otherwise — a naive-join plan — the trivial one-bag GHD, no
+        // wider than the atom count. The Boolean and count plans carry
+        // the same GHD, so one tree serves all three workloads.
         let exec_ghd = match &bool_plan.plan {
-            QueryPlan::GhdYannakakis { .. } | QueryPlan::CountingDp { .. } => bool_plan.plan.ghd(),
             QueryPlan::JigsawReduce { .. } => structure.ghd.as_ref(),
-            QueryPlan::NaiveJoin => None,
-        };
+            plan => plan.ghd(),
+        }
+        .map_or_else(|| Cow::Owned(Ghd::trivial(&h)), Cow::Borrowed);
         // Strict verification: audit every plan this prepare derived
         // (and the decomposition evaluation will actually use) against
         // the paper's structural invariants — once, here, never per
@@ -268,16 +270,11 @@ impl PreparedCore {
         if engine.strict_verify() {
             crate::verify::verify_planned(&h, &bool_plan)?;
             crate::verify::verify_planned(&h, &count_plan)?;
-            if let Some(ghd) = exec_ghd {
-                cqd2_decomp::verify::verify_ghd(&h, ghd)?;
-            }
+            cqd2_decomp::verify::verify_ghd(&h, &exec_ghd)?;
         }
         let planning = start.elapsed();
         let preprocess_start = Instant::now();
-        let bags = match exec_ghd {
-            Some(ghd) => Some(MaterializedBags::build(q, db, ghd)?),
-            None => None,
-        };
+        let bags = MaterializedBags::build(q, db, &exec_ghd)?;
         Ok(PreparedCore {
             query: q.clone(),
             bool_plan: Arc::new(bool_plan),
@@ -301,7 +298,7 @@ impl PreparedCore {
         workload: Workload,
     ) -> Result<Response, EngineError> {
         let core = PreparedCore::build(engine, q, db, stats)?;
-        let mut resp = core.run(db, workload);
+        let mut resp = core.run(workload);
         resp.provenance.planning = core.planning;
         resp.provenance.execution += core.preprocessing;
         Ok(resp)
@@ -312,26 +309,21 @@ impl PreparedCore {
     /// read a relation in `touched` and sharing everything else (bag
     /// relations *and* filled probe-table caches) with `self` by `Arc`.
     /// No pass runs here; unless the delta missed every bag, the first
-    /// read of the refreshed core re-reduces its tree. `None` when there
-    /// is no bag tree to refresh (naive-join plans) — the caller should
-    /// fall back to a full prepare.
-    fn rebase_warm(&self, db: &Database, touched: &[String]) -> Option<(PreparedCore, PassStats)> {
-        let bags = self.bags.as_ref()?;
+    /// read of the refreshed core re-reduces its tree.
+    fn rebase_warm(&self, db: &Database, touched: &[String]) -> (PreparedCore, PassStats) {
         let refresh_start = Instant::now();
-        let (refreshed, pass) = bags.refresh(&self.query, db, touched);
-        Some((
-            PreparedCore {
-                query: self.query.clone(),
-                bool_plan: Arc::clone(&self.bool_plan),
-                count_plan: Arc::clone(&self.count_plan),
-                bags: Some(refreshed),
-                cache_hit: self.cache_hit,
-                maintenance: Some(crate::delta::MaintenanceClass::WarmOverlay),
-                planning: Duration::ZERO,
-                preprocessing: refresh_start.elapsed(),
-            },
-            pass,
-        ))
+        let (bags, pass) = self.bags.refresh(&self.query, db, touched);
+        let core = PreparedCore {
+            query: self.query.clone(),
+            bool_plan: Arc::clone(&self.bool_plan),
+            count_plan: Arc::clone(&self.count_plan),
+            bags,
+            cache_hit: self.cache_hit,
+            maintenance: Some(crate::delta::MaintenanceClass::WarmOverlay),
+            planning: Duration::ZERO,
+            preprocessing: refresh_start.elapsed(),
+        };
+        (core, pass)
     }
 
     fn plan(&self, workload: Workload) -> &Arc<PlannedQuery> {
@@ -343,13 +335,12 @@ impl PreparedCore {
         }
     }
 
-    /// Execute for `workload` against `db` (which must be the database
-    /// the core was built from): ask the bag tree, which runs the
+    /// Execute for `workload`: ask the bag tree, which runs the
     /// workload's pass if this is the first time anyone asks and reads
     /// its memo otherwise. Provenance reports the sparsity of the tree's
     /// reduction (how many nodes it had to filter; none for a count).
-    fn run(&self, db: &Database, workload: Workload) -> Response {
-        self.execute(db, workload, None).0
+    fn run(&self, workload: Workload) -> Response {
+        self.execute(workload, None).0
     }
 
     /// [`PreparedCore::run`], with `rows` as where an `Enumerate` puts its
@@ -358,31 +349,20 @@ impl PreparedCore {
     /// and answers with an empty `Answer::Tuples` in their place. Also
     /// returns the number of rows drained (0 otherwise). The drain is
     /// inside the measured execution.
-    fn execute(
-        &self,
-        db: &Database,
-        workload: Workload,
-        rows: Option<&mut Vec<u64>>,
-    ) -> (Response, usize) {
+    fn execute(&self, workload: Workload, rows: Option<&mut Vec<u64>>) -> (Response, usize) {
         let exec_start = Instant::now();
         let mut drained = 0;
         let (answer, pass) = match workload {
-            Workload::Boolean => match &self.bags {
-                Some(bags) => {
-                    let (b, s) = bags.bcq_with_stats();
-                    (Answer::Bool(b), Some(s))
-                }
-                None => (Answer::Bool(bcq_naive(&self.query, db)), None),
-            },
-            Workload::Count => match &self.bags {
-                Some(bags) => {
-                    let (c, s) = bags.count_with_stats();
-                    (Answer::Count(c), Some(s))
-                }
-                None => (Answer::Count(count_naive(&self.query, db)), None),
-            },
+            Workload::Boolean => {
+                let (b, s) = self.bags.bcq_with_stats();
+                (Answer::Bool(b), s)
+            }
+            Workload::Count => {
+                let (c, s) = self.bags.count_with_stats();
+                (Answer::Count(c), s)
+            }
             Workload::Enumerate { limit } => {
-                let (mut cursor, pass) = self.cursor_with_stats(db, limit);
+                let (mut cursor, pass) = self.cursor_with_stats(limit);
                 let tuples = match rows {
                     Some(out) => {
                         drained = cursor.drain_rows(out);
@@ -409,51 +389,30 @@ impl PreparedCore {
         (resp, drained)
     }
 
-    /// Open a cursor plus — on the GHD route — the reduction's sparsity
-    /// (`None` on the naive route).
-    fn cursor_with_stats(
-        &self,
-        db: &Database,
-        limit: Option<usize>,
-    ) -> (AnswerCursor, Option<PassStats>) {
-        let (inner, pass) = match &self.bags {
+    /// Open a cursor plus the reduction's sparsity.
+    fn cursor_with_stats(&self, limit: Option<usize>) -> (AnswerCursor, PassStats) {
+        let (enumerator, pass) = if limit == Some(0) {
             // Nothing to yield: do not reduce the tree for it.
-            Some(bags) if limit == Some(0) => (
-                CursorInner::Buffered {
-                    rows: Vec::new(),
-                    next: 0,
-                },
-                Some(PassStats {
-                    rewritten: 0,
-                    total: bags.num_bags(),
-                }),
-            ),
-            Some(bags) => {
-                let (e, s) = bags.enumerator_with_stats();
-                (CursorInner::Streaming(e), Some(s))
-            }
-            None => (
-                CursorInner::Buffered {
-                    rows: enumerate_naive_limit(&self.query, db, limit),
-                    next: 0,
-                },
-                None,
-            ),
+            let untouched = PassStats {
+                rewritten: 0,
+                total: self.bags.num_bags(),
+            };
+            (None, untouched)
+        } else {
+            let (e, s) = self.bags.enumerator_with_stats();
+            (Some(e), s)
         };
-        (
-            AnswerCursor {
-                inner,
-                remaining: limit,
-            },
-            pass,
-        )
+        let cursor = AnswerCursor {
+            enumerator,
+            remaining: limit,
+        };
+        (cursor, pass)
     }
 }
 
 /// A query prepared on a [`Session`]: structure analysis resolved (via
-/// the plan cache), plans derived for every workload, and — on GHD
-/// plans — the bag tree materialized, all exactly once at
-/// [`Session::prepare`].
+/// the plan cache), plans derived for every workload, and the bag tree
+/// materialized, all exactly once at [`Session::prepare`].
 ///
 /// The handle is owned and lifetime-free: it pins the session's
 /// [`DatabaseSnapshot`], so it stays valid — and keeps answering
@@ -504,8 +463,7 @@ impl PreparedQuery {
         self.core.planning
     }
 
-    /// Time spent materializing the bag tree at [`Session::prepare`]
-    /// (zero for naive-join plans).
+    /// Time spent materializing the bag tree at [`Session::prepare`].
     pub fn preprocessing_time(&self) -> Duration {
         self.core.preprocessing
     }
@@ -518,9 +476,9 @@ impl PreparedQuery {
     /// Execute the prepared plan for `workload`. No planning happens
     /// here — provenance carries the resolved plan with a zero planning
     /// duration (see [`PreparedQuery::planning_time`] for the cost paid
-    /// at prepare time). On GHD plans the tree pass behind the answer
-    /// runs **once per handle**: the first run of a workload kind pays
-    /// it, later runs (from any thread) read the memoized result.
+    /// at prepare time). The tree pass behind the answer runs **once per
+    /// handle**: the first run of a workload kind pays it, later runs
+    /// (from any thread) read the memoized result.
     /// Provenance's `bags` field reports how many nodes the tree's
     /// reduction had to filter — the same value on every run; none on
     /// join-consistent data, and none for a count.
@@ -529,7 +487,7 @@ impl PreparedQuery {
     /// [`Answer::Tuples`]; use [`PreparedQuery::cursor`] to stream
     /// instead.
     pub fn run(&self, workload: Workload) -> Response {
-        self.core.run(self.snapshot.db(), workload)
+        self.core.run(workload)
     }
 
     /// The serve path's run: [`PreparedQuery::run`], recording an
@@ -546,7 +504,7 @@ impl PreparedQuery {
         rows: Option<&mut Vec<u64>>,
         trace: Option<&mut QueryTrace>,
     ) -> (Response, usize) {
-        let (resp, drained) = self.core.execute(self.snapshot.db(), workload, rows);
+        let (resp, drained) = self.core.execute(workload, rows);
         if let Some(trace) = trace {
             trace.record_with(
                 Phase::Execute,
@@ -560,18 +518,15 @@ impl PreparedQuery {
     /// Open a streaming [`AnswerCursor`] over `q(D)`, yielding at most
     /// `limit` answers (`None` = all).
     ///
-    /// On the GHD route the handle's first cursor runs the two-way
-    /// semijoin reduction over the already-materialized bag tree now;
-    /// the tree keeps the result (bags the reduction leaves whole stay
-    /// the handle's own `Arc`s, not copies) and every later cursor is an
-    /// `Arc` bump on it — any number of concurrent cursors pin one tree.
-    /// Answers then arrive with constant delay, the first included. A
-    /// `limit` of 0 yields nothing and reduces nothing. On the naive
-    /// route the backtracking search runs eagerly (stopping at `limit`)
-    /// and the cursor drains the buffer. Either way the cursor is
-    /// self-contained: it stays valid (and keeps streaming the pinned
-    /// epoch's answers) after the handle is dropped or the catalog entry
-    /// is swapped.
+    /// The handle's first cursor runs the two-way semijoin reduction
+    /// over the already-materialized bag tree now; the tree keeps the
+    /// result (bags the reduction leaves whole stay the handle's own
+    /// `Arc`s, not copies) and every later cursor is an `Arc` bump on it
+    /// — any number of concurrent cursors pin one tree. Answers then
+    /// arrive with constant delay, the first included. A `limit` of 0
+    /// yields nothing and reduces nothing. The cursor is self-contained:
+    /// it stays valid (and keeps streaming the pinned epoch's answers)
+    /// after the handle is dropped or the catalog entry is swapped.
     ///
     /// ```
     /// use cqd2_engine::Engine;
@@ -594,7 +549,7 @@ impl PreparedQuery {
     /// # Ok::<(), cqd2_engine::EngineError>(())
     /// ```
     pub fn cursor(&self, limit: Option<usize>) -> AnswerCursor {
-        self.core.cursor_with_stats(self.snapshot.db(), limit).0
+        self.core.cursor_with_stats(limit).0
     }
 
     /// **Warm migration across a delta epoch**: produce a handle pinned
@@ -608,36 +563,25 @@ impl PreparedQuery {
     /// carried tables) unless the delta missed every bag, in which case
     /// it shares this handle's memoized answers too.
     ///
-    /// Returns the migrated handle plus the maintenance sparsity (how
-    /// many bags were rewritten out of the total, and recorded as
-    /// [`crate::MaintenanceClass::WarmOverlay`] in every subsequent
-    /// response's provenance). `None` when this handle has no bag tree
-    /// (naive-join plans): prepare a fresh handle on the new snapshot
-    /// instead and tag it with [`PreparedQuery::mark_re_prepared`].
+    /// Returns the migrated handle — every subsequent response's
+    /// provenance records [`crate::MaintenanceClass::WarmOverlay`] —
+    /// plus the maintenance sparsity: how many bags were rewritten out
+    /// of the total. Every handle has a bag tree, so every handle
+    /// migrates this way.
     ///
-    /// This handle is untouched either way — it keeps answering at its
-    /// pinned epoch, so open cursors stay consistent.
+    /// This handle is untouched — it keeps answering at its pinned
+    /// epoch, so open cursors stay consistent.
     pub fn rebase(
         &self,
         snapshot: &Arc<DatabaseSnapshot>,
         touched: &[String],
-    ) -> Option<(PreparedQuery, PassStats)> {
-        let (core, pass) = self.core.rebase_warm(snapshot.db(), touched)?;
-        Some((
-            PreparedQuery {
-                snapshot: Arc::clone(snapshot),
-                core,
-            },
-            pass,
-        ))
-    }
-
-    /// Tag this handle as the product of a full re-prepare after a
-    /// delta (the fallback when [`PreparedQuery::rebase`] returned
-    /// `None`): subsequent responses carry
-    /// [`crate::MaintenanceClass::RePrepared`] in their provenance.
-    pub fn mark_re_prepared(&mut self) {
-        self.core.maintenance = Some(crate::delta::MaintenanceClass::RePrepared);
+    ) -> (PreparedQuery, PassStats) {
+        let (core, pass) = self.core.rebase_warm(snapshot.db(), touched);
+        let migrated = PreparedQuery {
+            snapshot: Arc::clone(snapshot),
+            core,
+        };
+        (migrated, pass)
     }
 
     /// How this handle crossed the most recent delta epoch (`None` =
@@ -647,41 +591,31 @@ impl PreparedQuery {
     }
 }
 
-enum CursorInner {
-    /// Constant-delay streaming over a semijoin-reduced GHD bag tree.
-    Streaming(GhdEnumerator),
-    /// Pre-materialized answers (naive plans; empty for a zero limit),
-    /// drained on demand from index `next`.
-    Buffered { rows: Vec<Vec<u64>>, next: usize },
-}
-
 /// A streaming handle over the answers of a prepared `Enumerate`
 /// workload. Each item is a full assignment in `Var` id order (the
 /// layout [`cqd2_cq::eval::enumerate_naive`] uses); the iteration order
 /// is unspecified. The cursor stops after the `limit` it was opened
 /// with. Owned and lifetime-free, like the handles that open it.
 pub struct AnswerCursor {
-    inner: CursorInner,
+    /// Constant-delay walk over the semijoin-reduced bag tree; `None`
+    /// for a zero limit, which opens nothing.
+    enumerator: Option<GhdEnumerator>,
     remaining: Option<usize>,
 }
 
 impl AnswerCursor {
     /// The one step of the cursor: the next answer, borrowed from the
-    /// enumerator's assignment (or the buffer), counted against the
-    /// limit — `None` once the limit or the answers run out.
+    /// enumerator's assignment, counted against the limit — `None` once
+    /// the limit or the answers run out.
     fn step(&mut self) -> Option<&[u64]> {
-        let AnswerCursor { inner, remaining } = self;
+        let AnswerCursor {
+            enumerator,
+            remaining,
+        } = self;
         if *remaining == Some(0) {
             return None;
         }
-        let row = match inner {
-            CursorInner::Streaming(e) => e.advance(),
-            CursorInner::Buffered { rows, next } => {
-                let row = rows.get(*next)?;
-                *next += 1;
-                Some(row.as_slice())
-            }
-        }?;
+        let row = enumerator.as_mut()?.advance()?;
         if let Some(r) = remaining {
             *r -= 1;
         }
@@ -732,21 +666,14 @@ impl Iterator for AnswerCursor {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match (&self.inner, self.remaining) {
-            (CursorInner::Buffered { rows, next }, None) => {
-                let left = rows.len() - next;
-                (left, Some(left))
-            }
-            (_, Some(r)) => (0, Some(r)),
-            (CursorInner::Streaming(_), None) => (0, None),
-        }
+        (0, self.remaining)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqd2_cq::eval::enumerate_naive;
+    use cqd2_cq::eval::{bcq_naive, count_naive, enumerate_naive};
     use cqd2_cq::generate::{canonical_query, planted_database, random_database};
     use cqd2_hypergraph::generators::{hyperchain, hypercycle};
 
@@ -821,12 +748,8 @@ mod tests {
         assert_eq!(fresh.cursor(Some(0)).count(), 0);
         let resp = fresh.run(Workload::Enumerate { limit: Some(0) });
         assert_eq!(resp.answer.as_tuples().map(<[_]>::len), Some(0));
-        let bags = fresh
-            .core
-            .bags
-            .as_ref()
-            .expect("fixture keeps the GHD plan");
-        assert_eq!(resp.provenance.bags.map(|b| b.total), Some(bags.num_bags()));
+        let bags = &fresh.core.bags;
+        assert_eq!(resp.provenance.bags.total, bags.num_bags());
         assert!(!bags.enumeration_ready(), "limit 0 reduced the tree");
         assert_eq!(fresh.cursor(Some(1)).count(), 1);
         assert!(bags.enumeration_ready());

@@ -67,14 +67,14 @@ fn prepared_overlay_matches_one_shot_serve() {
             workload,
         });
         let session_run = session.run(&q, workload).expect("planning cannot fail");
-        let tree = prepared.run(workload).provenance.bags.expect("GHD plan");
+        let tree = prepared.run(workload).provenance.bags;
 
         // One-shot calls did plan and materialize, and say so.
         for one_shot in [&served, &session_run] {
             let p = &one_shot.provenance;
             assert!(p.planning > Duration::ZERO, "{workload:?}: planning");
             assert!(p.execution > Duration::ZERO, "{workload:?}: execution");
-            let bags = p.bags.expect("GHD plan expected");
+            let bags = p.bags;
             assert!(bags.rewritten <= bags.total);
             assert_eq!(bags.total, tree.total, "{workload:?}: same tree");
         }
@@ -90,7 +90,7 @@ fn prepared_overlay_matches_one_shot_serve() {
         for _ in 0..3 {
             let run = prepared.run(workload);
             assert_eq!(run.provenance.planning, Duration::ZERO);
-            let bags = run.provenance.bags.expect("GHD plan expected");
+            let bags = run.provenance.bags;
             assert!(
                 bags.rewritten <= bags.total,
                 "sparsity out of range: {}/{}",
@@ -156,7 +156,7 @@ fn warm_run_on_join_consistent_data_rewrites_no_bag() {
     for _ in 0..2 {
         let run = prepared.run(Workload::Boolean);
         assert_eq!(run.answer, Answer::Bool(true));
-        let bags = run.provenance.bags.expect("data keeps the GHD plan");
+        let bags = run.provenance.bags;
         assert_eq!(bags.rewritten, 0, "warm run copied {bags:?}");
         assert!(bags.total > 1, "fixture must exercise a real tree");
     }
@@ -186,7 +186,7 @@ fn warm_runs_share_the_plan_and_report_one_reduction() {
         let again = prepared.run(workload).provenance;
         assert!(std::sync::Arc::ptr_eq(&first.planned, &again.planned));
         assert_eq!(*first.planned, *prepared.plan(workload));
-        assert_eq!(first.bags.expect("GHD plan"), again.bags.expect("GHD plan"));
+        assert_eq!(first.bags, again.bags);
     }
 }
 

@@ -509,17 +509,16 @@ fn enumerate_limits_and_rebinding_work_over_the_wire() {
 
 /// The worker drains an enumeration into one row buffer and writes the
 /// rows into the `Result` payload: every limit around the answer count
-/// returns exactly `min(k, |q(D)|)` distinct answers of `q(D)`, on the
-/// GHD route (the bag-tree enumerator) and on the naive route (the
-/// buffered backtracking answers).
+/// returns exactly `min(k, |q(D)|)` distinct answers of `q(D)`, on a
+/// GHD-tagged plan (a bag tree of three bags) and on a `naive-join`
+/// plan (one edge, two atoms: the one-bag tree of the trivial GHD).
 #[test]
 fn enumerate_limits_return_distinct_answers_on_both_routes() {
-    let text = "R(?x, ?y), S(?y, ?z), U(?z, ?w)";
-    let q = textio::parse_query(text).expect("query");
-    // Large enough that the planner keeps the bag tree…
-    let big = planted_database(&q, 60, 400, 5);
-    // …and small enough that it does not.
-    let small = "R(1, 2)\nR(3, 3)\nS(2, 3)\nS(3, 5)\nU(3, 7)\nU(3, 8)\nU(5, 9)\n";
+    let chain = "R(?x, ?y), S(?y, ?z), U(?z, ?w)";
+    let big = planted_database(&textio::parse_query(chain).expect("query"), 60, 400, 5);
+    let one_edge = "U(?z, ?w), V(?w, ?z)";
+    let small = "R(1, 2)\nR(3, 3)\nS(2, 3)\nS(3, 5)\nU(3, 7)\nU(3, 8)\nU(5, 9)\n\
+                 V(7, 3)\nV(8, 3)\nV(9, 9)\n";
     let small = textio::parse_database(small).expect("facts");
     let catalog = Catalog::new();
     catalog.publish("ghd", big.clone()).expect("publish ghd");
@@ -528,8 +527,12 @@ fn enumerate_limits_return_distinct_answers_on_both_routes() {
         .expect("publish naive");
     let ((), _) = with_server(test_config(), &catalog, |addr, _| {
         let mut client = Client::connect(addr).expect("connect");
-        for (name, db, ghd_route) in [("ghd", &big, true), ("naive", &small, false)] {
+        for (name, text, db, ghd_route) in [
+            ("ghd", chain, &big, true),
+            ("naive", one_edge, &small, false),
+        ] {
             client.bind_db(name).expect("bind");
+            let q = textio::parse_query(text).expect("query");
             let expected = enumerate_naive(&q, db);
             let n = expected.len();
             assert!(n >= 2, "{name}: fixture needs answers");
@@ -728,10 +731,9 @@ fn delta_roundtrip_merges_incrementally_and_rejections_leave_epoch_unmoved() {
         );
         assert_eq!(applied.relations_touched, vec!["S".to_string()]);
         assert_eq!(applied.facts, 6);
-        // This fixture is tiny, so its plans are naive joins with no
-        // bag tree to refresh: the cache migrates by re-preparing.
-        assert_eq!(applied.prepared_warm, 0);
-        assert!(applied.prepared_reprepared >= 1, "{applied:?}");
+        // Every handle has a bag tree, so the cache migrates warm.
+        assert_eq!(applied.prepared_warm, 1, "{applied:?}");
+        assert_eq!(applied.prepared_reprepared, 0, "{applied:?}");
 
         // The very next query sees the new data — and unlike a reload,
         // it is still a prepared-cache HIT: the handle was migrated
@@ -846,9 +848,8 @@ fn delta_migrates_ghd_prepared_handles_warm_over_the_wire() {
         assert_eq!(first.answer.as_count(), Some(before));
         let warm = client.query(query_text, Workload::Count).expect("warm");
         assert!(warm.prepared_hit);
-        // Counts route through the counting-DP strategy — still a
-        // GHD-decomposed plan with a bag tree, i.e. warm-overlay
-        // eligible (the point of this test); `naive-join` would not be.
+        // Counts route through the counting-DP strategy: a bag tree of
+        // several bags, so the delta dirties only part of it.
         assert_eq!(warm.strategy, "counting-dp", "{warm:?}");
 
         // Graft a fresh U edge onto a live S endpoint: only U's bag
