@@ -2,8 +2,9 @@
 //! CQs — junction-tree counting DP vs naive enumeration. The DP's cost is
 //! polynomial in `‖D‖` for bounded ghw; enumeration pays for every answer.
 
-use cqd2::cq::eval::{count_naive, count_via_ghd};
+use cqd2::cq::eval::{count_naive, MaterializedBags};
 use cqd2::cq::generate::{canonical_query, planted_database};
+use cqd2::cq::Database;
 use cqd2::decomp::widths::ghw_decomposition;
 use cqd2::hypergraph::generators::hypercycle;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -19,14 +20,15 @@ fn bench(c: &mut Criterion) {
         let db = planted_database(&q, 8, 80, k as u64);
         let ghd = ghw_decomposition(&h).expect("small");
         let naive = count_naive(&q, &db);
-        let via = count_via_ghd(&q, &db, &ghd).unwrap();
+        let ghd_count = |db: &Database| MaterializedBags::build(&q, db, &ghd).unwrap().count();
+        let via = ghd_count(&db);
         assert_eq!(naive, via);
         println!("  {k:>9} | {naive:>7} | {}", ghd.width());
         g.bench_with_input(BenchmarkId::new("naive", k), &db, |b, db| {
             b.iter(|| black_box(count_naive(black_box(&q), black_box(db))))
         });
         g.bench_with_input(BenchmarkId::new("ghd_dp", k), &db, |b, db| {
-            b.iter(|| black_box(count_via_ghd(black_box(&q), black_box(db), &ghd).unwrap()))
+            b.iter(|| black_box(ghd_count(black_box(db))))
         });
     }
     g.finish();

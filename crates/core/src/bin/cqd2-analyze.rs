@@ -293,7 +293,7 @@ fn run_eval(args: &[String]) {
             parsed.db.size(),
             parsed.queries.len()
         );
-        for (i, resp) in responses.iter().enumerate() {
+        for (i, (req, resp)) in requests.iter().zip(&responses).enumerate() {
             println!(
                 "  q{i}: {}  [{} | cache {} | plan {:?} | exec {:?}]",
                 brief_answer(&resp.answer),
@@ -307,8 +307,14 @@ fn run_eval(args: &[String]) {
                 resp.provenance.execution,
             );
             print_tuples(&resp.answer);
+            if !(explain || json) {
+                continue;
+            }
+            // The served plan with the database's data estimate attached
+            // (the `stats:` line); serving itself never computes it.
+            let (planned, _, _) = engine.plan_with_db(req.query, req.db, req.workload);
             if explain {
-                for line in resp.provenance.planned.explain().lines() {
+                for line in planned.explain().lines() {
                     println!("      {line}");
                 }
                 let bags = &resp.provenance.bags;
@@ -318,7 +324,7 @@ fn run_eval(args: &[String]) {
                 );
             }
             if json {
-                print_plan_json(resp);
+                print_plan_json(&planned);
             }
         }
     }
@@ -727,15 +733,12 @@ fn run_client(_args: &[String]) {
 }
 
 #[cfg(feature = "serde")]
-fn print_plan_json(resp: &cqd2::engine::Response) {
-    println!(
-        "{}",
-        serde::json::to_string_pretty(&*resp.provenance.planned)
-    );
+fn print_plan_json(planned: &cqd2::engine::PlannedQuery) {
+    println!("{}", serde::json::to_string_pretty(planned));
 }
 
 #[cfg(not(feature = "serde"))]
-fn print_plan_json(_resp: &cqd2::engine::Response) {
+fn print_plan_json(_planned: &cqd2::engine::PlannedQuery) {
     // Unreachable: run_eval rejects --json on serde-less builds.
 }
 

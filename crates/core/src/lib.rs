@@ -7,23 +7,24 @@
 //! - [`analyze`]: structural analysis of a hypergraph — degree, rank,
 //!   certified ghw interval, and (for degree-2 inputs) the jigsaw dilution
 //!   extracted by the Theorem 4.7 pipeline.
-//! - [`solve_bcq`] / [`count_answers`] / [`enumerate_answers`]: Boolean
-//!   CQ evaluation, full-CQ answer counting, and answer enumeration,
-//!   served through the process-wide [`engine::Engine`]: the query's
-//!   structure is classified once per isomorphism class (Props. 2.2 and
-//!   4.14, Theorem 4.7), the decomposition is cached, and evaluation
-//!   dispatches to the cheapest correct strategy.
 //! - [`reduce_instance`]: the Theorem 3.4 fpt-reduction along a dilution
 //!   sequence.
 //!
-//! Serving workloads should use the handle-based API: open an
-//! [`engine::Session`] per database (statistics snapshotted once),
-//! [`engine::Session::prepare`] each query (structure analysis + plan
-//! resolved once, via the cache), then re-run the
-//! [`engine::PreparedQuery`] — including streaming enumeration through
-//! [`engine::PreparedQuery::cursor`]. Batch serving (many `(query, db)`
-//! requests, worker parallelism, plan provenance) lives on
-//! [`engine::Engine::execute_batch`].
+//! Query evaluation — Boolean CQs, full-CQ answer counting and answer
+//! enumeration — goes through [`engine::Engine`]: the query's structure
+//! is classified once per isomorphism class (Props. 2.2 and 4.14,
+//! Theorem 4.7), the decomposition is cached, and evaluation runs on
+//! the plan's bag tree. A one-shot request is
+//! [`engine::Engine::serve`]; a batch of `(query, db)` requests, with
+//! worker parallelism and plan provenance, is
+//! [`engine::Engine::execute_batch`]. Serving workloads should use the
+//! handle-based API: open an [`engine::Session`] per database,
+//! [`engine::Session::prepare`] each query (structure analysis, plan and
+//! bag tree resolved once), then re-run the [`engine::PreparedQuery`] —
+//! including streaming enumeration through
+//! [`engine::PreparedQuery::cursor`]. The kernel itself is
+//! [`cq::MaterializedBags::build`] along a GHD, then its `bcq`, `count`
+//! or `enumerator` pass.
 //!
 //! ## Crate map
 //!
@@ -49,7 +50,6 @@ pub use cqd2_jigsaw as jigsaw;
 pub use cqd2_minors as minors;
 pub use cqd2_reduction as reduction;
 
-use cqd2_cq::{ConjunctiveQuery, Database};
 use cqd2_hypergraph::Hypergraph;
 
 /// Structural analysis of a hypergraph (the "what does the paper say about
@@ -90,33 +90,6 @@ pub fn analyze(h: &Hypergraph) -> StructureReport {
     }
 }
 
-/// Decide `q(D) ≠ ∅` through the shared serving engine: the structure is
-/// classified once per isomorphism class (Prop. 2.2 GHD route when one
-/// exists), then evaluation dispatches to the planned strategy.
-pub fn solve_bcq(q: &ConjunctiveQuery, db: &Database) -> bool {
-    cqd2_engine::Engine::shared().solve_bcq(q, db)
-}
-
-/// Count `|q(D)|` for a full CQ through the shared serving engine
-/// (Prop. 4.14 counting DP when a GHD exists).
-pub fn count_answers(q: &ConjunctiveQuery, db: &Database) -> u128 {
-    cqd2_engine::Engine::shared().count_answers(q, db)
-}
-
-/// Enumerate up to `limit` answer tuples of `q(D)` (`None` = all)
-/// through the shared serving engine: on bounded-width structures the
-/// bag tree is semijoin-reduced and answers stream with constant delay.
-/// Tuples are full assignments in `Var` id order, in unspecified order.
-/// Serving loops should prefer [`engine::PreparedQuery::cursor`], which
-/// exposes the stream itself.
-pub fn enumerate_answers(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    limit: Option<usize>,
-) -> Vec<Vec<u64>> {
-    cqd2_engine::Engine::shared().enumerate_answers(q, db, limit)
-}
-
 /// Run the Theorem 3.4 reduction of an instance bound to the result of a
 /// dilution sequence back to the sequence's start hypergraph.
 pub fn reduce_instance(
@@ -130,6 +103,8 @@ pub fn reduce_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqd2_cq::{ConjunctiveQuery, Database};
+    use cqd2_engine::{Answer, Engine, Request, Workload};
     use cqd2_hypergraph::generators::{hyperchain, hypercycle};
 
     #[test]
@@ -157,12 +132,23 @@ mod tests {
         let mut db = Database::new();
         db.insert_all("R", &[vec![1, 2]]);
         db.insert_all("S", &[vec![2, 3], vec![2, 4]]);
-        assert!(solve_bcq(&q, &db));
-        assert_eq!(count_answers(&q, &db), 2);
-        let mut tuples = enumerate_answers(&q, &db, None);
+        let serve = |workload| {
+            let req = Request {
+                query: &q,
+                db: &db,
+                workload,
+            };
+            Engine::shared().serve(&req).answer
+        };
+        assert_eq!(serve(Workload::Boolean), Answer::Bool(true));
+        assert_eq!(serve(Workload::Count), Answer::Count(2));
+        let mut tuples = serve(Workload::Enumerate { limit: None })
+            .into_tuples()
+            .unwrap();
         tuples.sort_unstable();
         assert_eq!(tuples, vec![vec![1, 2, 3], vec![1, 2, 4]]);
-        assert_eq!(enumerate_answers(&q, &db, Some(1)).len(), 1);
+        let capped = serve(Workload::Enumerate { limit: Some(1) });
+        assert_eq!(capped.as_tuples().map(<[_]>::len), Some(1));
         let _ = analyze(&hypercycle(4, 2));
     }
 }

@@ -1,34 +1,36 @@
 //! BCQ evaluation, #CQ counting, and answer enumeration.
 //!
-//! Four evaluation strategies:
+//! Two evaluation routes:
 //!
 //! - [`bcq_naive`] / [`enumerate_naive`] / [`count_naive`]: backtracking
 //!   join — correct for every CQ, exponential in general. The baseline the
 //!   paper's lower bounds are about, and the oracle the differential tests
 //!   check against; the serving engine runs a naive-join plan as the
 //!   GHD route over the one-bag [`Ghd::trivial`].
-//! - [`bcq_via_ghd`]: Prop. 2.2 — materialize one relation per GHD bag
-//!   (joining the `λ` cover and the atoms assigned to the bag), then run a
-//!   Yannakakis semijoin pass over the decomposition tree. Polynomial
-//!   `O(‖D‖^k)` for width-`k` GHDs.
-//! - [`count_via_ghd`]: Prop. 4.14 — junction-tree counting DP over the
-//!   bag relations, computing `|q(D)|` for *full* CQs without enumerating.
-//! - [`enumerate_via_ghd`]: answer *enumeration* in the
-//!   preprocessing-then-constant-delay shape of Durand & Grandjean and
-//!   Carmeli & Kröll: semijoin-reduce the bag tree bottom-up **and**
-//!   top-down (so every surviving bag row extends to a full answer), then
-//!   stream answers from a [`GhdEnumerator`] that walks the reduced tree
-//!   top-down — no dead-end backtracking, answers on demand. The plan it
-//!   walks is the Durand–Grandjean pointer structure: each bag's rows are
-//!   ordered by the columns it shares with its parent bag, and every
-//!   parent row holds the `[lo, hi)` range of its compatible child rows,
-//!   found once when the plan is built (a binary search over the child's
-//!   distinct keys, or a direct table when one-column keys are dense). A
-//!   descent is then one array read and an advance is `r + 1`; the walk
-//!   hashes nothing.
+//! - [`MaterializedBags::build`] along a GHD, then one pass over the bag
+//!   tree:
+//!   - [`MaterializedBags::bcq`]: Prop. 2.2 — one relation per GHD bag
+//!     (joining the `λ` cover and the atoms assigned to the bag), then a
+//!     Yannakakis semijoin pass over the decomposition tree. Polynomial
+//!     `O(‖D‖^k)` for width-`k` GHDs.
+//!   - [`MaterializedBags::count`]: Prop. 4.14 — junction-tree counting
+//!     DP over the bag relations, computing `|q(D)|` for *full* CQs
+//!     without enumerating.
+//!   - [`MaterializedBags::enumerator`]: answer *enumeration* in the
+//!     preprocessing-then-constant-delay shape of Durand & Grandjean and
+//!     Carmeli & Kröll: semijoin-reduce the bag tree bottom-up **and**
+//!     top-down (so every surviving bag row extends to a full answer),
+//!     then stream answers from a [`GhdEnumerator`] that walks the
+//!     reduced tree top-down — no dead-end backtracking, answers on
+//!     demand. The plan it walks is the Durand–Grandjean pointer
+//!     structure: each bag's rows are ordered by the columns it shares
+//!     with its parent bag, and every parent row holds the `[lo, hi)`
+//!     range of its compatible child rows, found once when the plan is
+//!     built (a binary search over the child's distinct keys, or a direct
+//!     table when one-column keys are dense). A descent is then one array
+//!     read and an advance is `r + 1`; the walk hashes nothing.
 //!
-//! The three GHD routes are passes over one [`MaterializedBags`], and
-//! everything a pass computes depends only on `(q, D, GHD)` — so each
+//! Everything a pass computes depends only on `(q, D, GHD)` — so each
 //! runs **at most once per tree**: the Boolean answer, the count and the
 //! two-way-reduced enumeration plan are memoized on the tree on first
 //! demand, and every later `bcq` / `count` / `enumerator` call is a
@@ -36,7 +38,7 @@
 //! above: `build` and the first pass are the preprocessing, a warm call
 //! answers.
 //!
-//! GHD-guided entry points return [`EvalError`] (a typed
+//! [`MaterializedBags::build`] returns [`EvalError`] (a typed
 //! `std::error::Error`) when the supplied decomposition does not fit the
 //! query, instead of stringly-typed errors.
 //!
@@ -48,16 +50,12 @@
 //! of one query is one sequential pass over its bag tree, as the paper
 //! prices it; concurrency lives across requests, in the callers' worker
 //! pools.
-//!
-//! `bcq_auto` / `count_auto` pick the GHD route when an exact
-//! decomposition is computable and fall back to naive otherwise.
 
 use crate::database::Database;
 use crate::flat::{FlatRelation, KeyRuns};
 use crate::probe::{AggTable, KeyTable};
 use crate::query::{ConjunctiveQuery, Var};
 use cqd2_decomp::ghd::GhdError;
-use cqd2_decomp::widths::ghw_decomposition;
 use cqd2_decomp::Ghd;
 use cqd2_hypergraph::VertexId;
 use std::sync::{Arc, OnceLock};
@@ -288,8 +286,6 @@ pub struct PassStats {
 /// shrink (sharing every other node's base `Arc`), and the counting DP
 /// carries per-row counts beside the relations and copies nothing. The
 /// bottom-up passes are one sequential level walk, deepest level first.
-/// The one-shot [`bcq_via_ghd`] / [`count_via_ghd`] /
-/// [`enumerate_via_ghd`] wrappers are `build` followed by one such pass.
 ///
 /// ```
 /// use cqd2_cq::eval::MaterializedBags;
@@ -765,7 +761,10 @@ impl MaterializedBags {
     /// call — then constant-delay enumeration). Every enumerator of a
     /// tree shares one immutable plan by `Arc`, so opening one costs an
     /// `Arc` bump plus its cursor vectors, and any number of concurrent
-    /// cursors pin one materialization.
+    /// cursors pin one materialization. The stream yields each answer
+    /// exactly once (bag rows are duplicate-free and an answer determines
+    /// its row in every bag), in an order fixed by the decomposition tree
+    /// — collect and sort to compare against [`enumerate_naive`].
     pub fn enumerator(&self) -> GhdEnumerator {
         self.enumerator_with_stats().0
     }
@@ -983,19 +982,6 @@ impl MaterializedBags {
     }
 }
 
-/// Decide `q(D) ≠ ∅` using a GHD of the query's hypergraph
-/// (Prop. 2.2: polynomial for bounded-width GHDs).
-pub fn bcq_via_ghd(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Result<bool, EvalError> {
-    Ok(MaterializedBags::build(q, db, ghd)?.bcq())
-}
-
-/// Count `|q(D)|` for a full CQ using the junction-tree DP over a GHD
-/// (Prop. 4.14: polynomial for bounded-width GHDs): `build`, then
-/// [`MaterializedBags::count`].
-pub fn count_via_ghd(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Result<u128, EvalError> {
-    Ok(MaterializedBags::build(q, db, ghd)?.count())
-}
-
 // ---------------------------------------------------------------------
 // GHD-guided enumeration (preprocessing + constant-delay streaming).
 // ---------------------------------------------------------------------
@@ -1043,7 +1029,7 @@ struct EnumPlan {
 }
 
 /// A streaming answer enumerator over a semijoin-reduced GHD bag tree
-/// (created by [`MaterializedBags::enumerator`] / [`enumerate_via_ghd`]).
+/// (created by [`MaterializedBags::enumerator`]).
 ///
 /// After the two reduction passes every bag row extends to at least one
 /// full answer, so the top-down walk never backtracks out of a dead end.
@@ -1170,74 +1156,20 @@ impl Iterator for GhdEnumerator {
     }
 }
 
-/// Enumerate `q(D)` through a GHD of the query's hypergraph: materialize
-/// the bag tree, semijoin-reduce it bottom-up *and* top-down (after which
-/// every bag row participates in some answer), then return a
-/// [`GhdEnumerator`] streaming the answers with constant delay.
-///
-/// The stream yields each answer exactly once (bag rows are
-/// duplicate-free and an answer determines its row in every bag), in an
-/// order fixed by the decomposition tree — collect and sort to compare
-/// against [`enumerate_naive`].
-pub fn enumerate_via_ghd(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    ghd: &Ghd,
-) -> Result<GhdEnumerator, EvalError> {
-    Ok(MaterializedBags::build(q, db, ghd)?.enumerator())
-}
-
-/// Decide BCQ, choosing the GHD route when an exact decomposition is
-/// available (small hypergraph) and falling back to naive search.
-pub fn bcq_auto(q: &ConjunctiveQuery, db: &Database) -> bool {
-    bcq_auto_with(q, db, None)
-}
-
-/// [`bcq_auto`] with an optional precomputed GHD: a caller that already
-/// holds a decomposition of `q.hypergraph()` (e.g. a plan cache) skips
-/// the re-decomposition entirely.
-pub fn bcq_auto_with(q: &ConjunctiveQuery, db: &Database, ghd: Option<&Ghd>) -> bool {
-    match auto_bags(q, db, ghd) {
-        Some(bags) => bags.bcq(),
-        None => bcq_naive(q, db),
-    }
-}
-
-/// Count answers, choosing the GHD route when possible.
-pub fn count_auto(q: &ConjunctiveQuery, db: &Database) -> u128 {
-    count_auto_with(q, db, None)
-}
-
-/// [`count_auto`] with an optional precomputed GHD (see [`bcq_auto_with`]).
-pub fn count_auto_with(q: &ConjunctiveQuery, db: &Database, ghd: Option<&Ghd>) -> u128 {
-    match auto_bags(q, db, ghd) {
-        Some(bags) => bags.count(),
-        None => count_naive(q, db),
-    }
-}
-
-/// The bag tree along the supplied GHD, else along a freshly computed
-/// exact one; `None` when no decomposition is computable.
-fn auto_bags(q: &ConjunctiveQuery, db: &Database, ghd: Option<&Ghd>) -> Option<MaterializedBags> {
-    let computed;
-    let ghd = match ghd {
-        Some(g) => g,
-        None => {
-            computed = ghw_decomposition(&q.hypergraph())?;
-            &computed
-        }
-    };
-    // cqd2-lint: allow(panic-in-hot-path, reason = "the GHD was computed from this query's hypergraph, here or by the caller; a mismatch is a caller bug strict verify catches earlier")
-    Some(MaterializedBags::build(q, db, ghd).expect("ghd is valid for this query"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delta::DatabaseDelta;
     use crate::generate::{canonical_query, planted_database, random_database};
+    use cqd2_decomp::widths::ghw_decomposition;
     use cqd2_hypergraph::generators::{hyperchain, hypercycle};
     use std::collections::HashSet;
+
+    /// The bag tree along an exact GHD of `q`'s hypergraph.
+    fn bags(q: &ConjunctiveQuery, db: &Database) -> MaterializedBags {
+        let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
+        MaterializedBags::build(q, db, &ghd).unwrap()
+    }
 
     fn path_query() -> ConjunctiveQuery {
         ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])])
@@ -1272,8 +1204,9 @@ mod tests {
         db.insert_all("R", &[vec![1, 2], vec![4, 5], vec![7, 8]]);
         db.insert_all("S", &[vec![2, 3], vec![5, 6]]);
         let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
-        assert!(bcq_via_ghd(&q, &db, &ghd).unwrap());
-        assert_eq!(count_via_ghd(&q, &db, &ghd).unwrap(), 2);
+        let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        assert!(bags.bcq());
+        assert_eq!(bags.count(), 2);
     }
 
     #[test]
@@ -1285,8 +1218,8 @@ mod tests {
         ]);
         let db = planted_database(&q, 20, 30, 3);
         assert!(bcq_naive(&q, &db));
-        assert!(bcq_auto(&q, &db));
-        assert_eq!(count_auto(&q, &db), count_naive(&q, &db));
+        assert!(bags(&q, &db).bcq());
+        assert_eq!(bags(&q, &db).count(), count_naive(&q, &db));
     }
 
     #[test]
@@ -1300,11 +1233,10 @@ mod tests {
             let q = canonical_query(&h);
             let db = random_database(&q, 6, 25, seed);
             let naive = bcq_naive(&q, &db);
-            let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
-            let via = bcq_via_ghd(&q, &db, &ghd).unwrap();
-            assert_eq!(naive, via, "BCQ mismatch on seed {seed}");
+            let via = bags(&q, &db);
+            assert_eq!(naive, via.bcq(), "BCQ mismatch on seed {seed}");
             let cn = count_naive(&q, &db);
-            let cg = count_via_ghd(&q, &db, &ghd).unwrap();
+            let cg = via.count();
             assert_eq!(cn, cg, "#CQ mismatch on seed {seed}");
         }
     }
@@ -1322,9 +1254,9 @@ mod tests {
             joined = joined.join(&crate::relation::VRelation::bind(atom, &db));
         }
         let expected = joined.tuples.len() as u128;
-        let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
-        assert_eq!(bcq_via_ghd(&q, &db, &ghd).unwrap(), expected > 0);
-        assert_eq!(count_via_ghd(&q, &db, &ghd).unwrap(), expected);
+        let bags = bags(&q, &db);
+        assert_eq!(bags.bcq(), expected > 0);
+        assert_eq!(bags.count(), expected);
     }
 
     #[test]
@@ -1335,7 +1267,7 @@ mod tests {
         db.insert_all("S", &[vec![1, 10], vec![1, 11], vec![4, 12]]);
         assert!(bcq_naive(&q, &db));
         assert_eq!(count_naive(&q, &db), 2); // x=1 with y in {10,11}
-        assert_eq!(count_auto(&q, &db), 2);
+        assert_eq!(bags(&q, &db).count(), 2);
     }
 
     #[test]
@@ -1351,24 +1283,11 @@ mod tests {
         assert!(!bcq_naive(&q, &db2));
     }
 
-    #[test]
-    fn auto_with_precomputed_ghd_matches_recomputed_route() {
-        // The plan-cache entry point: a caller holding a decomposition
-        // (here: freshly computed, in practice translated from a cache
-        // hit) must get the same answers without re-decomposing.
-        let q = canonical_query(&hypercycle(5, 2));
-        let db = planted_database(&q, 7, 18, 4);
-        let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
-        assert_eq!(bcq_auto_with(&q, &db, Some(&ghd)), bcq_auto(&q, &db));
-        assert_eq!(count_auto_with(&q, &db, Some(&ghd)), count_auto(&q, &db));
-        assert_eq!(bcq_auto_with(&q, &db, None), bcq_auto(&q, &db));
-        assert_eq!(count_auto_with(&q, &db, None), count_auto(&q, &db));
-    }
-
     /// Collected-and-sorted view of the streaming enumerator, for
     /// comparisons against `enumerate_naive` (which sorts).
     fn enumerate_ghd_sorted(q: &ConjunctiveQuery, db: &Database, ghd: &Ghd) -> Vec<Vec<u64>> {
-        let mut out: Vec<Vec<u64>> = enumerate_via_ghd(q, db, ghd).unwrap().collect();
+        let bags = MaterializedBags::build(q, db, ghd).unwrap();
+        let mut out: Vec<Vec<u64>> = bags.enumerator().collect();
         out.sort_unstable();
         out
     }
@@ -1391,10 +1310,11 @@ mod tests {
         let q = canonical_query(&hypercycle(5, 2));
         let db = planted_database(&q, 7, 30, 13);
         let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
-        let total = count_via_ghd(&q, &db, &ghd).unwrap();
+        let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        let total = bags.count();
         assert!(total > 0, "planted instance must have answers");
         // A limited pull sees exactly min(limit, total) answers…
-        let mut cursor = enumerate_via_ghd(&q, &db, &ghd).unwrap();
+        let mut cursor = bags.enumerator();
         let first: Vec<_> = cursor.by_ref().take(2).collect();
         assert_eq!(first.len() as u128, total.min(2));
         // …and draining the rest completes the answer set, fused at the end.
@@ -1410,12 +1330,14 @@ mod tests {
         // Entirely empty database.
         let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
         let empty = Database::new();
-        assert_eq!(enumerate_via_ghd(&q, &empty, &ghd).unwrap().count(), 0);
+        let bags = MaterializedBags::build(&q, &empty, &ghd).unwrap();
+        assert_eq!(bags.enumerator().count(), 0);
         // Non-empty relations that do not join.
         let mut db = Database::new();
         db.insert("R", &[1, 2]);
         db.insert("S", &[3, 4]);
-        assert_eq!(enumerate_via_ghd(&q, &db, &ghd).unwrap().count(), 0);
+        let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        assert_eq!(bags.enumerator().count(), 0);
     }
 
     #[test]
@@ -1437,12 +1359,11 @@ mod tests {
         let other = canonical_query(&hypercycle(6, 2));
         let foreign = ghw_decomposition(&other.hypergraph()).unwrap();
         let db = Database::new();
-        let err = enumerate_via_ghd(&q, &db, &foreign).unwrap_err();
+        let err = MaterializedBags::build(&q, &db, &foreign).unwrap_err();
         assert!(matches!(err, EvalError::InvalidGhd(_)), "{err}");
         // The hierarchy is a real `std::error::Error` with a source chain.
         let dyn_err: &dyn std::error::Error = &err;
         assert!(dyn_err.source().is_some());
-        assert_eq!(bcq_via_ghd(&q, &db, &foreign).unwrap_err(), err);
     }
 
     #[test]
@@ -1452,7 +1373,7 @@ mod tests {
         db.insert_all("R", &[vec![1], vec![2], vec![3]]);
         db.insert_all("S", &[vec![7], vec![8]]);
         assert_eq!(count_naive(&q, &db), 6);
-        assert_eq!(count_auto(&q, &db), 6);
+        assert_eq!(bags(&q, &db).count(), 6);
     }
 
     /// Three-atom chain: R–S–T decomposes into a multi-bag tree, so a

@@ -52,9 +52,7 @@ pub mod sync;
 pub use database::{BulkLoadError, Database};
 pub use delta::{DatabaseDelta, DeltaApplied, DeltaError, RelationDelta};
 pub use eval::{
-    bcq_auto, bcq_auto_with, bcq_naive, bcq_via_ghd, count_auto, count_auto_with, count_naive,
-    count_via_ghd, enumerate_naive, enumerate_via_ghd, EvalError, GhdEnumerator, MaterializedBags,
-    PassStats,
+    bcq_naive, count_naive, enumerate_naive, EvalError, GhdEnumerator, MaterializedBags, PassStats,
 };
 pub use flat::FlatRelation;
 pub use hom::{core_of, find_homomorphism, semantic_ghw};

@@ -56,26 +56,9 @@ pub struct DatabaseStats {
 impl DatabaseStats {
     /// Collect statistics from `db` (one pass per relation).
     pub fn collect(db: &Database) -> DatabaseStats {
-        Self::collect_filtered(db, |_| true)
-    }
-
-    /// Collect statistics for only the relations named by `q`'s atoms —
-    /// the ones a cost estimate for `q` can consult. Cost is
-    /// proportional to the data the query can touch, not to unrelated
-    /// relations sharing the database; `total_tuples` covers just the
-    /// collected relations.
-    pub fn collect_for_query(db: &Database, q: &crate::query::ConjunctiveQuery) -> DatabaseStats {
-        let names: HashSet<&str> = q.atoms.iter().map(|a| a.relation.as_str()).collect();
-        Self::collect_filtered(db, |name| names.contains(name))
-    }
-
-    fn collect_filtered(db: &Database, mut include: impl FnMut(&str) -> bool) -> DatabaseStats {
         let mut relations = BTreeMap::new();
         let mut total_tuples = 0;
         for (name, rel) in db.relations() {
-            if !include(name) {
-                continue;
-            }
             total_tuples += rel.tuples.len();
             relations.insert(name.to_string(), RelationStats::collect(rel));
         }
@@ -130,8 +113,7 @@ impl DatabaseStats {
     }
 
     /// Total number of tuples across the collected relations (`‖D‖` up
-    /// to constant factors; for [`DatabaseStats::collect_for_query`]
-    /// snapshots, the tuples visible to that query).
+    /// to constant factors).
     pub fn total_tuples(&self) -> usize {
         self.total_tuples
     }
@@ -277,20 +259,16 @@ mod tests {
     }
 
     #[test]
-    fn query_scoped_collection_skips_unrelated_relations() {
+    fn unrelated_relations_leave_the_join_estimate_unchanged() {
+        let q = ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])]);
+        let before = fixture().stats();
         let mut db = fixture();
         db.insert_all("Huge", &[vec![1], vec![2], vec![3], vec![4]]);
-        let q = ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])]);
-        let scoped = DatabaseStats::collect_for_query(&db, &q);
-        assert!(scoped.relation("R").is_some());
-        assert!(scoped.relation("S").is_some());
-        assert!(scoped.relation("Huge").is_none());
-        assert_eq!(scoped.total_tuples(), 6);
-        // Estimates over the query's atoms agree with the full snapshot.
-        let full = db.stats();
+        let after = db.stats();
+        assert_eq!(after.total_tuples(), before.total_tuples() + 4);
         assert_eq!(
-            estimate_join_rows(q.atoms.iter(), &scoped),
-            estimate_join_rows(q.atoms.iter(), &full)
+            estimate_join_rows(q.atoms.iter(), &after),
+            estimate_join_rows(q.atoms.iter(), &before)
         );
     }
 

@@ -10,17 +10,16 @@
 //! the witness isomorphism into the incoming query's coordinates.
 //!
 //! ```
-//! use cqd2_engine::Engine;
-//! use cqd2_cq::{ConjunctiveQuery, Database};
+//! use cqd2_engine::{Engine, Workload};
+//! use cqd2_cq::ConjunctiveQuery;
 //!
 //! let engine = Engine::default();
-//! let db = Database::new();
 //! // Same shape, different relation and variable names: one structure
 //! // class, analyzed once.
 //! let a = ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])]);
 //! let b = ConjunctiveQuery::parse(&[("T", &["?p", "?q"]), ("U", &["?q", "?r"])]);
-//! engine.solve_bcq(&a, &db);
-//! engine.solve_bcq(&b, &db);
+//! engine.plan(&a, Workload::Boolean);
+//! engine.plan(&b, Workload::Boolean);
 //! let stats = engine.cache_stats();
 //! assert_eq!((stats.misses, stats.hits), (1, 1));
 //! ```

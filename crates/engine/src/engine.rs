@@ -1,25 +1,23 @@
 //! The serving engine: plan-once, execute-many.
 //!
-//! [`Engine`] ties the planner and plan cache together behind the three
-//! operations a workload needs — solve a Boolean CQ, count answers of a
-//! full CQ, enumerate answer tuples — and adds [`Engine::execute_batch`],
-//! which fans a slice of requests out over scoped worker threads. Every
-//! response carries [`PlanProvenance`] so callers can see which regime of
-//! the paper their query landed in and whether planning was amortized.
+//! [`Engine`] ties the planner and plan cache together behind one
+//! one-shot door: [`Engine::serve`] answers a [`Request`] — decide a
+//! Boolean CQ, count answers of a full CQ, or enumerate answer tuples,
+//! as its [`Workload`] says — and [`Engine::execute_batch`] fans a slice
+//! of requests out over scoped worker threads. Every response carries
+//! [`PlanProvenance`] so callers can see which regime of the paper their
+//! query landed in and whether planning was amortized.
 //!
 //! The primary serving surface is the handle-based API in
-//! [`crate::session`]: [`Engine::session`] snapshots a database's
-//! statistics once, `Session::prepare` resolves a query's plan once, and
-//! `PreparedQuery::run` re-executes at zero planning cost.
-//! [`Engine::serve`] / [`Engine::serve_with_stats`] /
-//! [`Engine::execute_batch`] are thin one-shot shims over the same
-//! machinery (build the prepared state against the borrowed database,
-//! run it once).
+//! [`crate::session`]: [`Engine::session`] pins a database snapshot,
+//! `Session::prepare` resolves a query's plan and materializes its bag
+//! tree once, and `PreparedQuery::run` re-executes at zero planning
+//! cost. [`Engine::serve`] runs the same prepared state once against
+//! the borrowed database.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use cqd2_cq::stats::DatabaseStats;
 use cqd2_cq::{ConjunctiveQuery, Database, PassStats};
 
 use crate::cache::{CacheStats, PlanCache};
@@ -306,7 +304,9 @@ impl Engine {
     /// plan, with a [`DataEstimate`] from the database's statistics
     /// attached (`explain()` prints it as its `stats:` line). The
     /// estimate informs; it does not change the strategy, which is the
-    /// structure's. This is the planning path [`Engine::serve`] uses.
+    /// structure's. This is the explain path and the only place an
+    /// estimate is computed: serving ([`Engine::serve`], prepared
+    /// handles) runs the structural plan and never scans statistics.
     pub fn plan_with_db(
         &self,
         q: &ConjunctiveQuery,
@@ -315,91 +315,30 @@ impl Engine {
     ) -> (PlannedQuery, bool, Duration) {
         let start = Instant::now();
         let (structure, cache_hit) = self.structure_for(&q.hypergraph());
-        let est = DataEstimate::compute(q, structure.ghd.as_ref(), &db.stats());
-        let planned = match workload {
-            Workload::Boolean | Workload::Enumerate { .. } => structure.bool_plan_with(Some(&est)),
-            Workload::Count => structure.count_plan_with(Some(&est)),
+        let mut planned = match workload {
+            Workload::Boolean | Workload::Enumerate { .. } => structure.bool_plan(),
+            Workload::Count => structure.count_plan(),
         };
+        planned.cost.data = Some(DataEstimate::compute(
+            q,
+            structure.ghd.as_ref(),
+            &db.stats(),
+        ));
         (planned, cache_hit, start.elapsed())
     }
 
-    /// Serve one request: a one-shot shim that prepares the query
-    /// against query-scoped statistics (only the relations the query's
-    /// atoms name are scanned, so the per-request cost is proportional
-    /// to the data this query can touch) and runs it once, borrowing
-    /// `req.db` for the duration of the call. Callers serving many
-    /// requests against one database should hold a [`Engine::session`]
-    /// (one full statistics snapshot) and re-run
-    /// [`crate::PreparedQuery`] handles instead — that is where the
-    /// planning amortization lives.
+    /// Serve one request: prepare the query against the borrowed
+    /// `req.db` and run it once — the same `build → first pass` route as
+    /// [`crate::Session::prepare`] + [`crate::PreparedQuery::run`], with
+    /// no snapshot cloned or pinned. Provenance reports the planning
+    /// and — inside `execution` — the preprocessing this call paid.
+    /// Callers serving many requests against one database should hold a
+    /// [`Engine::session`] and re-run [`crate::PreparedQuery`] handles
+    /// instead — that is where the planning amortization lives.
     pub fn serve(&self, req: &Request<'_>) -> Response {
-        let scan_start = Instant::now();
-        let stats = DatabaseStats::collect_for_query(req.db, req.query);
-        let scan = scan_start.elapsed();
-        let mut resp = self.serve_with_stats(req, &stats);
-        // The statistics scan is planning-side work this call paid.
-        resp.provenance.planning += scan;
-        resp
-    }
-
-    /// [`Engine::serve`] against a precomputed statistics snapshot of
-    /// `req.db`. The batch executor collects one snapshot per distinct
-    /// database instead of re-scanning per request; single-request
-    /// callers with an unchanging database get the same amortization by
-    /// calling `db.stats()` once and passing it here (or by holding a
-    /// [`crate::Session`], which pins a full snapshot).
-    ///
-    /// The same `build → first pass` route as [`crate::Session::run`],
-    /// borrowing the database directly (no snapshot cloned or pinned);
-    /// provenance reports the planning and — inside `execution` — the
-    /// preprocessing this call paid.
-    pub fn serve_with_stats(&self, req: &Request<'_>, stats: &DatabaseStats) -> Response {
-        PreparedCore::one_shot(self, req.query, req.db, stats, req.workload)
+        PreparedCore::one_shot(self, req.query, req.db, req.workload)
             // cqd2-lint: allow(panic-in-hot-path, reason = "infallible shim API: prepare on a query's own plan only fails on an engine bug; Session::prepare is the fallible surface")
             .expect("prepared plan is valid for its own query")
-    }
-
-    /// Decide `q(D) ≠ ∅` through the engine (planned, cached).
-    pub fn solve_bcq(&self, q: &ConjunctiveQuery, db: &Database) -> bool {
-        let req = Request {
-            query: q,
-            db,
-            workload: Workload::Boolean,
-        };
-        // cqd2-lint: allow(panic-in-hot-path, reason = "a Boolean request always yields Answer::Bool by construction")
-        self.serve(&req).answer.as_bool().expect("boolean workload")
-    }
-
-    /// Count `|q(D)|` through the engine (planned, cached).
-    pub fn count_answers(&self, q: &ConjunctiveQuery, db: &Database) -> u128 {
-        let req = Request {
-            query: q,
-            db,
-            workload: Workload::Count,
-        };
-        // cqd2-lint: allow(panic-in-hot-path, reason = "a Count request always yields Answer::Count by construction")
-        self.serve(&req).answer.as_count().expect("count workload")
-    }
-
-    /// Enumerate up to `limit` answer tuples of `q(D)` (`None` = all)
-    /// through the engine (planned, cached). Tuples are full assignments
-    /// in `Var` id order; the order of tuples is unspecified.
-    pub fn enumerate_answers(
-        &self,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        limit: Option<usize>,
-    ) -> Vec<Vec<u64>> {
-        let req = Request {
-            query: q,
-            db,
-            workload: Workload::Enumerate { limit },
-        };
-        self.serve(&req)
-            .answer
-            .into_tuples()
-            // cqd2-lint: allow(panic-in-hot-path, reason = "an Enumerate request always yields Answer::Tuples by construction")
-            .expect("enumerate workload")
     }
 
     /// Evaluate a batch of requests on scoped worker threads, returning
@@ -411,20 +350,7 @@ impl Engine {
     pub fn execute_batch(&self, requests: &[Request<'_>]) -> Vec<Response> {
         let n = requests.len();
         let workers = self.effective_workers().min(n);
-        // One statistics snapshot per *distinct* database (batches
-        // typically share a handful of databases across many requests),
-        // keyed by address — the borrows outlive the whole batch.
-        let mut stats_by_db: std::collections::HashMap<usize, DatabaseStats> =
-            std::collections::HashMap::new();
-        for r in requests {
-            stats_by_db
-                .entry(std::ptr::from_ref(r.db) as usize)
-                .or_insert_with(|| r.db.stats());
-        }
-        let stats_for = |r: &Request<'_>| &stats_by_db[&(std::ptr::from_ref(r.db) as usize)];
-        cqd2_cq::par::scoped_map(n, workers, |i| {
-            self.serve_with_stats(&requests[i], stats_for(&requests[i]))
-        })
+        cqd2_cq::par::scoped_map(n, workers, |i| self.serve(&requests[i]))
     }
 
     /// Plan-cache counters.
@@ -549,8 +475,13 @@ mod tests {
         let engine = Engine::default();
         let q = canonical_query(&hypercycle(5, 2));
         let db = random_database(&q, 4, 8, 1);
+        let req = Request {
+            query: &q,
+            db: &db,
+            workload: Workload::Boolean,
+        };
         for _ in 0..5 {
-            engine.solve_bcq(&q, &db);
+            engine.serve(&req);
         }
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1);
@@ -575,19 +506,31 @@ mod tests {
         // The shared engine itself keeps working.
         let q = canonical_query(&hyperchain(3, 2));
         let db = random_database(&q, 4, 8, 5);
-        assert_eq!(shared.solve_bcq(&q, &db), bcq_naive(&q, &db));
+        let req = Request {
+            query: &q,
+            db: &db,
+            workload: Workload::Boolean,
+        };
+        assert_eq!(shared.serve(&req).answer, Answer::Bool(bcq_naive(&q, &db)));
     }
 
     #[test]
-    fn enumerate_answers_matches_naive() {
+    fn serve_enumerate_matches_naive() {
         let engine = Engine::default();
         let q = canonical_query(&hyperchain(3, 2));
         let db = planted_database(&q, 6, 18, 8);
-        let mut got = engine.enumerate_answers(&q, &db, None);
+        let tuples = |limit| {
+            let req = Request {
+                query: &q,
+                db: &db,
+                workload: Workload::Enumerate { limit },
+            };
+            engine.serve(&req).answer.into_tuples().expect("tuples")
+        };
+        let mut got = tuples(None);
         got.sort_unstable();
         assert_eq!(got, enumerate_naive(&q, &db));
-        let capped = engine.enumerate_answers(&q, &db, Some(1));
-        assert_eq!(capped.len(), 1.min(got.len()));
+        assert_eq!(tuples(Some(1)).len(), 1.min(got.len()));
     }
 
     #[test]

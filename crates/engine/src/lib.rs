@@ -37,10 +37,10 @@
 //!   lifetime-free: they stay valid across catalog swaps, scope ends,
 //!   and thread moves, answering consistently against their pinned
 //!   epoch.
-//! - [`engine`]: [`Engine::execute_batch`] evaluates batches of
-//!   `(query, db)` requests over shared databases with scoped worker
-//!   threads, returning per-request answers plus plan provenance.
-//!   `Engine::serve` and friends are one-shot shims over the same
+//! - [`engine`]: the one-shot door. [`Engine::serve`] answers one
+//!   `(query, db)` request and [`Engine::execute_batch`] evaluates a
+//!   batch of them over shared databases with scoped worker threads,
+//!   returning per-request answers plus plan provenance — the same
 //!   `build → first pass` route prepared handles run.
 //! - [`server`] *(requires the `serde` feature)*: the **socket serving
 //!   front-end** — a thread-pool TCP server (`cqd2-serve`) framing the
@@ -79,8 +79,8 @@
 //! db.insert_all("S", &[vec![2, 3], vec![2, 4]]);
 //!
 //! let engine = Engine::default();
-//! // Statistics snapshotted once per session, plan resolved once per
-//! // prepared query; runs just execute.
+//! // Database pinned once per session, plan resolved and bag tree
+//! // materialized once per prepared query; runs just execute.
 //! let session = engine.session(&db);
 //! let prepared = session.prepare(&q).unwrap();
 //! assert_eq!(prepared.run(Workload::Boolean).answer.as_bool(), Some(true));

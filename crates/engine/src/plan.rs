@@ -3,9 +3,10 @@
 //! A [`QueryPlan`] names the evaluation strategy the paper's dichotomies
 //! single out for a query's structure; a [`CostEstimate`] makes the
 //! choice explainable and lets callers predict scaling before touching a
-//! database. When a database is in hand, a [`DataEstimate`] (computed
-//! from [`cqd2_cq::stats::DatabaseStats`]) adds estimated intermediate
-//! cardinalities to the explanation.
+//! database. On the explain path ([`crate::Engine::plan_with_db`]) a
+//! [`DataEstimate`] (computed from [`cqd2_cq::stats::DatabaseStats`])
+//! adds estimated intermediate cardinalities to the explanation; serving
+//! never computes one.
 
 use cqd2_cq::stats::{estimate_join_rows, estimate_naive_cost, DatabaseStats};
 use cqd2_cq::{Atom, ConjunctiveQuery};
@@ -160,9 +161,10 @@ impl DataEstimate {
 
 /// A coarse, explainable cost model: evaluation cost is taken to be
 /// `setup + db_size ^ exponent` up to constants. Good enough to rank
-/// strategies and to explain the ranking. When the plan was derived with
-/// a database in hand, [`CostEstimate::data`] carries the estimated
-/// intermediate cardinalities that drove the choice.
+/// strategies and to explain the ranking. On a plan from
+/// [`crate::Engine::plan_with_db`], [`CostEstimate::data`] carries the
+/// estimated intermediate cardinalities; they do not change the
+/// strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostEstimate {
@@ -172,7 +174,8 @@ pub struct CostEstimate {
     /// Structure-only setup cost already paid at planning time, in
     /// arbitrary units (decomposition / extraction work).
     pub planning_units: f64,
-    /// Data-dependent estimates (present when planning saw a database).
+    /// Data-dependent estimates (present only on plans from
+    /// [`crate::Engine::plan_with_db`]).
     pub data: Option<DataEstimate>,
 }
 

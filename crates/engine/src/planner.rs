@@ -22,7 +22,7 @@ use cqd2_dilution::DilutionSequence;
 use cqd2_hypergraph::Hypergraph;
 use cqd2_jigsaw::extract_jigsaw;
 
-use crate::plan::{CostEstimate, DataEstimate, PlannedQuery, QueryPlan};
+use crate::plan::{CostEstimate, PlannedQuery, QueryPlan};
 
 /// Planner knobs. The defaults suit interactive serving; tests and
 /// experiments tighten them to force specific regimes.
@@ -100,28 +100,15 @@ impl PlannedStructure {
 
     /// Derive the Boolean-evaluation plan (structure only).
     pub fn bool_plan(&self) -> PlannedQuery {
-        self.derive_plan(false, None)
+        self.derive_plan(false)
     }
 
     /// Derive the counting plan (structure only).
     pub fn count_plan(&self) -> PlannedQuery {
-        self.derive_plan(true, None)
+        self.derive_plan(true)
     }
 
-    /// Derive the Boolean-evaluation plan with a data estimate attached
-    /// to its cost (`explain()` prints it); the strategy is the
-    /// structure's, whatever the data.
-    pub fn bool_plan_with(&self, data: Option<&DataEstimate>) -> PlannedQuery {
-        self.derive_plan(false, data)
-    }
-
-    /// Derive the counting plan with a data estimate attached (see
-    /// [`PlannedStructure::bool_plan_with`]).
-    pub fn count_plan_with(&self, data: Option<&DataEstimate>) -> PlannedQuery {
-        self.derive_plan(true, data)
-    }
-
-    fn derive_plan(&self, counting: bool, data: Option<&DataEstimate>) -> PlannedQuery {
+    fn derive_plan(&self, counting: bool) -> PlannedQuery {
         let naive_exponent = self.num_edges.max(1) as f64;
         let mut notes = self.notes.clone();
         // Hard regime certified: report the jigsaw plan. Evaluation still
@@ -145,7 +132,7 @@ impl PlannedStructure {
                 cost: CostEstimate {
                     db_exponent: exponent,
                     planning_units: sequence.ops.len() as f64,
-                    data: data.copied(),
+                    data: None,
                 },
                 notes,
             };
@@ -156,7 +143,7 @@ impl PlannedStructure {
                 let cost = CostEstimate {
                     db_exponent: width.max(1) as f64,
                     planning_units: ghd.td.bags.len() as f64,
-                    data: data.copied(),
+                    data: None,
                 };
                 let plan = if counting {
                     QueryPlan::CountingDp { ghd: ghd.clone() }
@@ -179,7 +166,7 @@ impl PlannedStructure {
                     cost: CostEstimate {
                         db_exponent: naive_exponent,
                         planning_units: 0.0,
-                        data: data.copied(),
+                        data: None,
                     },
                     notes,
                 }
@@ -189,7 +176,7 @@ impl PlannedStructure {
                 cost: CostEstimate {
                     db_exponent: naive_exponent,
                     planning_units: 0.0,
-                    data: data.copied(),
+                    data: None,
                 },
                 notes,
             },

@@ -508,12 +508,7 @@ mod tests {
         let expected_by_epoch = |epoch: u64, q: &ConjunctiveQuery| -> u128 {
             let session = catalog_session(&catalog, &engine, "main");
             assert_eq!(session.epoch(), epoch);
-            session
-                .run(q, Workload::Count)
-                .unwrap()
-                .answer
-                .as_count()
-                .unwrap()
+            cqd2_cq::count_naive(q, session.db())
         };
         let expect0: Vec<u128> = queries.iter().map(|q| expected_by_epoch(0, q)).collect();
 

@@ -1,16 +1,15 @@
 //! Sessions and prepared queries: the owned, handle-based serving API.
 //!
 //! The paper's message — and this engine's architecture — is that the
-//! expensive part of query answering is *reusable*: database statistics
-//! depend only on the database, structure analysis only on the query's
-//! hypergraph (up to isomorphism). The original `Engine::serve` surface
-//! re-derived both on every call; this module splits them into handles
-//! that each pay their cost exactly once:
+//! expensive part of query answering is *reusable*: structure analysis
+//! depends only on the query's hypergraph (up to isomorphism), the bag
+//! tree only on the query and the database. A one-shot `Engine::serve`
+//! builds the tree on every call; this module splits the work into
+//! handles that each pay their cost exactly once:
 //!
 //! - [`Session`] pins one [`DatabaseSnapshot`] — the database plus the
 //!   statistics computed for it at publish time. Every query prepared
-//!   on the session reuses the snapshot for its stats-driven plan
-//!   choice.
+//!   on the session materializes against the pinned database.
 //! - [`PreparedQuery`] resolves the structure analysis (through the
 //!   engine's isomorphism-keyed plan cache), derives the per-workload
 //!   plans, and materializes the GHD bag tree **once**, at
@@ -37,9 +36,9 @@
 //! handles outlive the scope that created them, cross threads, and —
 //! crucially — keep answering consistently against their pinned epoch
 //! while a [`crate::Catalog::swap`] hot-reloads the database for new
-//! sessions underneath them. `Engine::serve` / `serve_with_stats` /
-//! `execute_batch` and [`Session::run`] are thin one-shot shims over the
-//! same machinery: build the prepared state, run it once.
+//! sessions underneath them. The one-shot `Engine::serve` /
+//! `Engine::execute_batch` run the same machinery against a borrowed
+//! database: build the prepared state, run it once.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -54,7 +53,7 @@ use crate::catalog::{Catalog, DatabaseSnapshot};
 use crate::engine::{Answer, Engine, PlanProvenance, Response, Workload};
 use crate::error::EngineError;
 use crate::metrics::{Phase, QueryTrace};
-use crate::plan::{DataEstimate, PlannedQuery, QueryPlan};
+use crate::plan::{PlannedQuery, QueryPlan};
 
 /// A serving session over one database snapshot: a cheap clone of the
 /// engine handle plus an `Arc` pin on a [`DatabaseSnapshot`] (database
@@ -157,12 +156,12 @@ impl Session {
     }
 
     /// Prepare `q` for repeated execution: resolve the structure
-    /// analysis (cache-amortized), attach the pinned snapshot's data
-    /// estimate, derive the plan for every workload kind, and run the
-    /// `O(‖D‖^width)` bag-materialization preprocessing, pinning the
-    /// materialized bag tree in the handle (sound because the handle
-    /// also pins the immutable snapshot it was built from). This is the only place planning or
-    /// materialization happens. No tree pass runs here: the handle's
+    /// analysis (cache-amortized), derive the plan for every workload
+    /// kind, and run the `O(‖D‖^width)` bag-materialization
+    /// preprocessing, pinning the materialized bag tree in the handle
+    /// (sound because the handle also pins the immutable snapshot it was
+    /// built from). This is the only place planning or materialization
+    /// happens. No tree pass runs here: the handle's
     /// first run of each workload kind pays that pass, once, and later
     /// runs read its memoized result.
     ///
@@ -195,20 +194,11 @@ impl Session {
     /// # Ok::<(), cqd2_engine::EngineError>(())
     /// ```
     pub fn prepare(&self, q: &ConjunctiveQuery) -> Result<PreparedQuery, EngineError> {
-        let core = PreparedCore::build(&self.engine, q, self.db(), self.stats())?;
+        let core = PreparedCore::build(&self.engine, q, self.db())?;
         Ok(PreparedQuery {
             snapshot: Arc::clone(&self.snapshot),
             core,
         })
-    }
-
-    /// Prepare-and-run in one call (one-shot convenience; serving loops
-    /// should hold the [`PreparedQuery`] instead): the same
-    /// `build → first pass` route as [`Session::prepare`] +
-    /// [`PreparedQuery::run`], with the planning and preprocessing this
-    /// call pays folded back into the response's provenance.
-    pub fn run(&self, q: &ConjunctiveQuery, workload: Workload) -> Result<Response, EngineError> {
-        PreparedCore::one_shot(&self.engine, q, self.db(), self.stats(), workload)
     }
 }
 
@@ -216,8 +206,8 @@ impl Session {
 /// workload and the materialized bag tree. This is the shared
 /// machinery under both the owned [`PreparedQuery`] handle
 /// (which pairs it with a snapshot pin) and the one-shot
-/// `Engine::serve` / [`Session::run`] entry points (which build it
-/// against a borrowed database and run it once — no snapshot, no copy).
+/// `Engine::serve` (which builds it against a borrowed database and
+/// runs it once — no snapshot, no copy).
 pub(crate) struct PreparedCore {
     query: ConjunctiveQuery,
     /// `Arc`'d: every response's provenance shares them.
@@ -234,22 +224,18 @@ pub(crate) struct PreparedCore {
 }
 
 impl PreparedCore {
-    /// Plan `q` against `db` (with `stats` feeding the plans' data
-    /// estimate) and materialize the execution GHD's bag tree.
+    /// Plan `q` (structure only: no statistics are read) and
+    /// materialize the execution GHD's bag tree against `db`.
     fn build(
         engine: &Engine,
         q: &ConjunctiveQuery,
         db: &Database,
-        stats: &DatabaseStats,
     ) -> Result<PreparedCore, EngineError> {
         let start = Instant::now();
         let h = q.hypergraph();
         let (structure, cache_hit) = engine.structure_for(&h);
-        // The data estimate rides along in provenance (`--explain`
-        // prints it); it does not change the plan.
-        let est = DataEstimate::compute(q, structure.ghd.as_ref(), stats);
-        let bool_plan = structure.bool_plan_with(Some(&est));
-        let count_plan = structure.count_plan_with(Some(&est));
+        let bool_plan = structure.bool_plan();
+        let count_plan = structure.count_plan();
         // Which decomposition actually drives evaluation: the plan's own
         // GHD; for a jigsaw hardness certificate, the best GHD the
         // structure analysis found (the certificate classifies the
@@ -294,10 +280,9 @@ impl PreparedCore {
         engine: &Engine,
         q: &ConjunctiveQuery,
         db: &Database,
-        stats: &DatabaseStats,
         workload: Workload,
     ) -> Result<Response, EngineError> {
-        let core = PreparedCore::build(engine, q, db, stats)?;
+        let core = PreparedCore::build(engine, q, db)?;
         let mut resp = core.run(workload);
         resp.provenance.planning = core.planning;
         resp.provenance.execution += core.preprocessing;
@@ -756,12 +741,16 @@ mod tests {
     }
 
     #[test]
-    fn session_one_shot_run_reports_planning() {
+    fn one_shot_serve_reports_planning() {
         let engine = Engine::default();
         let q = canonical_query(&hyperchain(4, 2));
         let db = random_database(&q, 5, 12, 9);
-        let session = engine.session(&db);
-        let resp = session.run(&q, Workload::Count).unwrap();
+        let req = crate::Request {
+            query: &q,
+            db: &db,
+            workload: Workload::Count,
+        };
+        let resp = engine.serve(&req);
         assert_eq!(resp.answer.as_count(), Some(count_naive(&q, &db)));
         assert!(resp.provenance.planning > Duration::ZERO);
     }

@@ -1,6 +1,7 @@
 //! Engine-level differential tests for memoized prepared re-execution:
-//! every entry point — one-shot [`Engine::serve`] and `Session::run`,
-//! warm `PreparedQuery::run` — runs the same `build → first pass`
+//! every entry point — one-shot [`Engine::serve`] and
+//! `Engine::execute_batch`, warm `PreparedQuery::run` — runs the same
+//! `build → first pass`
 //! route (a warm handle then reads the pass's memoized result), so they
 //! must agree with each other and with the naive oracle, report the
 //! same bag tree in provenance, and support concurrent cursors
@@ -12,9 +13,9 @@ use cqd2_cq::generate::planted_database;
 use cqd2_cq::{bcq_naive, count_naive, enumerate_naive, ConjunctiveQuery};
 use cqd2_engine::{Answer, Engine, Request, Workload};
 
-/// A 7-atom acyclic degree-2 query with enough data that the planner's
-/// data estimate keeps the GHD plan (so runs actually exercise the bag
-/// tree, not the naive join).
+/// A 7-atom acyclic degree-2 query: its plan is a multi-bag GHD, so
+/// runs exercise the tree passes across bags, not one bag holding the
+/// whole join.
 fn fixture() -> (ConjunctiveQuery, cqd2_cq::Database) {
     let q = ConjunctiveQuery::parse(&[
         ("A", &["?a", "?b"]),
@@ -26,8 +27,7 @@ fn fixture() -> (ConjunctiveQuery, cqd2_cq::Database) {
         ("C3", &["?f", "?j"]),
     ]);
     // Sparse (domain ≫ matches per value) so the full answer set stays
-    // small enough to materialize, planted so it is never empty; big
-    // enough that the data estimate keeps the GHD plan.
+    // small enough to materialize, planted so it is never empty.
     let db = planted_database(&q, 500, 300, 3);
     (q, db)
 }
@@ -61,16 +61,17 @@ fn prepared_overlay_matches_one_shot_serve() {
             Workload::Count => Answer::Count(count_naive(&q, &db)),
             Workload::Enumerate { .. } => Answer::Tuples(enumerate_naive(&q, &db)),
         };
-        let served = engine.serve(&Request {
+        let req = Request {
             query: &q,
             db: &db,
             workload,
-        });
-        let session_run = session.run(&q, workload).expect("planning cannot fail");
+        };
+        let served = engine.serve(&req);
+        let batched = engine.execute_batch(&[req]).remove(0);
         let tree = prepared.run(workload).provenance.bags;
 
         // One-shot calls did plan and materialize, and say so.
-        for one_shot in [&served, &session_run] {
+        for one_shot in [&served, &batched] {
             let p = &one_shot.provenance;
             assert!(p.planning > Duration::ZERO, "{workload:?}: planning");
             assert!(p.execution > Duration::ZERO, "{workload:?}: execution");
@@ -80,9 +81,9 @@ fn prepared_overlay_matches_one_shot_serve() {
         }
         assert_eq!(canonical(served.answer), oracle, "serve, {workload:?}");
         assert_eq!(
-            canonical(session_run.answer),
+            canonical(batched.answer),
             oracle,
-            "Session::run, {workload:?}"
+            "execute_batch, {workload:?}"
         );
 
         // Repeated warm runs: same answer every time, zero planning,
@@ -120,11 +121,15 @@ fn one_shot_execution_includes_preprocessing() {
     // five warm runs is a noise-proof lower bar.
     let (q, db) = fixture();
     let engine = Engine::default();
-    let session = engine.session(&db);
-    let one_shot = session
-        .run(&q, Workload::Boolean)
+    let one_shot = engine.serve(&Request {
+        query: &q,
+        db: &db,
+        workload: Workload::Boolean,
+    });
+    let warm = engine
+        .session(&db)
+        .prepare(&q)
         .expect("planning cannot fail");
-    let warm = session.prepare(&q).expect("planning cannot fail");
     let warm_pass = (0..5)
         .map(|_| warm.run(Workload::Boolean).provenance.execution)
         .min()

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example counting`
 
-use cqd2::cq::eval::{count_naive, count_via_ghd};
+use cqd2::cq::eval::{count_naive, MaterializedBags};
 use cqd2::cq::generate::{canonical_query, planted_database};
 use cqd2::decomp::widths::ghw_decomposition;
 use cqd2::hypergraph::generators::hypercycle;
@@ -23,7 +23,9 @@ fn main() {
         let t_naive = t0.elapsed();
 
         let t1 = Instant::now();
-        let via = count_via_ghd(&q, &db, &ghd).expect("valid GHD");
+        let via = MaterializedBags::build(&q, &db, &ghd)
+            .expect("valid GHD")
+            .count();
         let t_ghd = t1.elapsed();
 
         assert_eq!(naive, via, "the two counters must agree");

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use cqd2::cq::{ConjunctiveQuery, Database};
+use cqd2::cq::{ConjunctiveQuery, Database, MaterializedBags};
 use cqd2::decomp::widths::{ghw_decomposition, ghw_exact};
+use cqd2::engine::{Engine, Request, Workload};
 
 fn main() {
     // A degree-2 cyclic query: R(x,y) ∧ S(y,z) ∧ T(z,w) ∧ U(w,x).
@@ -43,14 +44,24 @@ fn main() {
     // Evaluate three ways and cross-check.
     let naive = cqd2::cq::eval::bcq_naive(&q, &db);
     let ghd = ghw_decomposition(&h).expect("small query");
-    let via_ghd = cqd2::cq::eval::bcq_via_ghd(&q, &db, &ghd).expect("valid GHD");
-    let count = cqd2::count_answers(&q, &db);
+    let via_ghd = MaterializedBags::build(&q, &db, &ghd)
+        .expect("valid GHD")
+        .bcq();
+    let req = Request {
+        query: &q,
+        db: &db,
+        workload: Workload::Count,
+    };
+    let count = Engine::shared().serve(&req).answer.as_count();
     println!("BCQ naive:  {naive}");
     println!(
         "BCQ GHD:    {via_ghd} (width-{} decomposition)",
         ghd.width()
     );
-    println!("#CQ:        {count}");
+    println!(
+        "#CQ:        {} (served by the engine)",
+        count.expect("count workload")
+    );
     assert_eq!(naive, via_ghd);
 
     // Semantic width: add a redundant atom and watch the core shrink.

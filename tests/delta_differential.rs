@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use cqd2::cq::eval::{bcq_naive, count_naive, count_via_ghd, enumerate_naive};
+use cqd2::cq::eval::{bcq_naive, count_naive, enumerate_naive, MaterializedBags};
 use cqd2::cq::generate::{canonical_query, planted_database};
 use cqd2::cq::{ConjunctiveQuery, Database, DatabaseDelta, FlatRelation, Var};
 use cqd2::decomp::widths::ghw_decomposition;
@@ -159,7 +159,7 @@ proptest! {
         prop_assert_eq!(enumerate_naive(&q, live.db()), enumerate_naive(&q, &rebuilt));
         let ghd = ghw_decomposition(&q.hypergraph()).expect("chain decomposes");
         prop_assert_eq!(
-            count_via_ghd(&q, live.db(), &ghd).unwrap(),
+            MaterializedBags::build(&q, live.db(), &ghd).unwrap().count(),
             count_naive(&q, &rebuilt)
         );
     }

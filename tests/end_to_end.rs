@@ -94,18 +94,14 @@ fn bcq_solving_end_to_end_on_jigsaw_queries() {
     let q = cqd2::cq::generate::canonical_query(&j);
     let ghd = cqd2::decomp::widths::ghw_decomposition(&j).expect("small");
     assert!(ghd.width() <= 3);
+    let bags = |db: &cqd2::cq::Database| cqd2::cq::MaterializedBags::build(&q, db, &ghd).unwrap();
     for seed in 0..4 {
         let db = planted_database(&q, 5, 15, seed);
-        assert!(cqd2::cq::eval::bcq_via_ghd(&q, &db, &ghd).unwrap());
+        assert!(bags(&db).bcq());
         let db2 = random_database(&q, 4, 6, seed);
-        assert_eq!(
-            cqd2::cq::eval::bcq_naive(&q, &db2),
-            cqd2::cq::eval::bcq_via_ghd(&q, &db2, &ghd).unwrap(),
-        );
-        assert_eq!(
-            cqd2::cq::eval::count_naive(&q, &db2),
-            cqd2::cq::eval::count_via_ghd(&q, &db2, &ghd).unwrap(),
-        );
+        let via = bags(&db2);
+        assert_eq!(cqd2::cq::eval::bcq_naive(&q, &db2), via.bcq());
+        assert_eq!(cqd2::cq::eval::count_naive(&q, &db2), via.count());
     }
 }
 

@@ -113,9 +113,17 @@ fn plan_cache_hits_isomorphic_renamed_queries() {
     let engine = Engine::default();
     let base = canonical_query(&hypercycle(6, 2));
     let base_db = planted_database(&base, 8, 20, 42);
+    let serve_bool = |query: &ConjunctiveQuery, db: &cqd2::cq::Database| {
+        let resp = engine.serve(&Request {
+            query,
+            db,
+            workload: Workload::Boolean,
+        });
+        resp.answer.as_bool().expect("boolean workload")
+    };
 
     // Cold: one miss.
-    assert!(engine.solve_bcq(&base, &base_db));
+    assert!(serve_bool(&base, &base_db));
     let after_first = engine.cache_stats();
     assert_eq!((after_first.hits, after_first.misses), (0, 1));
 
@@ -124,7 +132,7 @@ fn plan_cache_hits_isomorphic_renamed_queries() {
     for i in 1..=10 {
         let q = renamed_copy(&base, i, &format!("v{i}"));
         let db = renamed_db(&base, &base_db, &format!("v{i}"));
-        assert_eq!(engine.solve_bcq(&q, &db), bcq_naive(&q, &db));
+        assert_eq!(serve_bool(&q, &db), bcq_naive(&q, &db));
     }
     let warm = engine.cache_stats();
     assert_eq!(warm.misses, 1, "renamings must not re-plan");
@@ -134,7 +142,7 @@ fn plan_cache_hits_isomorphic_renamed_queries() {
     // A structurally different query is a miss.
     let other = canonical_query(&hyperchain(6, 2));
     let other_db = random_database(&other, 5, 10, 3);
-    engine.solve_bcq(&other, &other_db);
+    serve_bool(&other, &other_db);
     assert_eq!(engine.cache_stats().misses, 2);
 }
 
@@ -310,29 +318,22 @@ fn stats_estimate_is_recorded_and_small_data_keeps_the_ghd() {
         matches!(counted.plan, QueryPlan::CountingDp { .. }),
         "{counted:?}"
     );
-    // Serving runs that GHD, with correct answers.
-    let resp = engine.serve(&Request {
+    // Serving runs that GHD, with correct answers — and never computes
+    // the estimate: one-shot, batch and prepared responses carry none.
+    let req = Request {
         query: &q,
         db: &small_db,
         workload: Workload::Boolean,
-    });
+    };
+    let resp = engine.serve(&req);
     assert_eq!(resp.provenance.planned.plan.strategy(), "ghd-yannakakis");
     assert_eq!(resp.answer.as_bool().unwrap(), bcq_naive(&q, &small_db));
-    assert!(resp.provenance.planned.cost.data.is_some());
-}
-
-#[test]
-fn facade_delegates_to_shared_engine() {
-    let q = canonical_query(&hypercycle(4, 2));
-    let db = planted_database(&q, 5, 9, 11);
-    assert_eq!(cqd2::solve_bcq(&q, &db), bcq_naive(&q, &db));
-    assert_eq!(cqd2::count_answers(&q, &db), count_naive(&q, &db));
-    // The shared engine now knows this structure class.
-    let before = Engine::shared().cache_stats();
-    cqd2::solve_bcq(&q, &db);
-    let after = Engine::shared().cache_stats();
-    assert_eq!(after.hits, before.hits + 1);
-    assert_eq!(after.misses, before.misses);
+    let batch = engine.execute_batch(&[req]).remove(0);
+    let prepared = engine.session(&small_db).prepare(&q).unwrap();
+    for resp in [resp, batch, prepared.run(Workload::Boolean)] {
+        assert_eq!(resp.answer.as_bool().unwrap(), bcq_naive(&q, &small_db));
+        assert!(resp.provenance.planned.cost.data.is_none());
+    }
 }
 
 #[test]

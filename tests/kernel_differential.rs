@@ -13,9 +13,7 @@
 //!    `hyperchain` / `hypercycle` / `planted_database` instances,
 //!    constants, repeated variables, and empty-relation edge cases.
 
-use cqd2::cq::eval::{
-    bcq_naive, bcq_via_ghd, count_naive, count_via_ghd, enumerate_naive, enumerate_via_ghd,
-};
+use cqd2::cq::eval::{bcq_naive, count_naive, enumerate_naive, MaterializedBags};
 use cqd2::cq::generate::{canonical_query, planted_database, random_database};
 use cqd2::cq::{ConjunctiveQuery, Database, FlatRelation, VRelation, Var};
 use cqd2::decomp::widths::ghw_decomposition;
@@ -148,15 +146,18 @@ fn reference_count(q: &ConjunctiveQuery, db: &Database) -> u128 {
     joined.tuples.len() as u128
 }
 
+/// The bag tree of `q` over `db` along `ghd`.
+fn bags(q: &ConjunctiveQuery, db: &Database, ghd: &cqd2::decomp::Ghd) -> MaterializedBags {
+    MaterializedBags::build(q, db, ghd).expect("ghd fits its own query")
+}
+
 /// Collected-and-sorted view of the streaming GHD enumerator.
 fn enumerate_ghd_sorted(
     q: &ConjunctiveQuery,
     db: &Database,
     ghd: &cqd2::decomp::Ghd,
 ) -> Vec<Vec<u64>> {
-    let mut out: Vec<Vec<u64>> = enumerate_via_ghd(q, db, ghd)
-        .expect("ghd fits its own query")
-        .collect();
+    let mut out: Vec<Vec<u64>> = bags(q, db, ghd).enumerator().collect();
     out.sort_unstable();
     out
 }
@@ -183,10 +184,7 @@ fn ghd_enumeration_agrees_with_naive_on_randomized_instances() {
             "enumeration mismatch on seed {seed}"
         );
         // The stream is duplicate-free and exactly |q(D)| long.
-        assert_eq!(
-            expected.len() as u128,
-            count_via_ghd(&q, &db, &ghd).unwrap()
-        );
+        assert_eq!(expected.len() as u128, bags(&q, &db, &ghd).count());
     }
 }
 
@@ -258,7 +256,7 @@ fn ghd_route_agrees_with_naive_and_reference_on_generated_instances() {
         let ghd = ghw_decomposition(&q.hypergraph()).expect("fixture decomposes");
         let expected = reference_count(&q, &db);
         assert_eq!(
-            count_via_ghd(&q, &db, &ghd).unwrap(),
+            bags(&q, &db, &ghd).count(),
             expected,
             "count mismatch on seed {seed}"
         );
@@ -268,7 +266,7 @@ fn ghd_route_agrees_with_naive_and_reference_on_generated_instances() {
             "naive count mismatch on seed {seed}"
         );
         assert_eq!(
-            bcq_via_ghd(&q, &db, &ghd).unwrap(),
+            bags(&q, &db, &ghd).bcq(),
             expected > 0,
             "bcq mismatch on seed {seed}"
         );
@@ -292,15 +290,11 @@ fn ghd_route_agrees_on_constants_and_repeated_variables() {
         db.insert("S", &[1, 9]);
         let ghd = ghw_decomposition(&q.hypergraph()).expect("decomposes");
         assert_eq!(
-            count_via_ghd(&q, &db, &ghd).unwrap(),
+            bags(&q, &db, &ghd).count(),
             count_naive(&q, &db),
             "seed {seed}"
         );
-        assert_eq!(
-            bcq_via_ghd(&q, &db, &ghd).unwrap(),
-            bcq_naive(&q, &db),
-            "seed {seed}"
-        );
+        assert_eq!(bags(&q, &db, &ghd).bcq(), bcq_naive(&q, &db), "seed {seed}");
     }
 }
 
@@ -310,13 +304,13 @@ fn ghd_route_agrees_on_empty_and_missing_relations() {
     let ghd = ghw_decomposition(&q.hypergraph()).expect("decomposes");
     // Entirely empty database: every relation missing.
     let empty = Database::new();
-    assert!(!bcq_via_ghd(&q, &empty, &ghd).unwrap());
-    assert_eq!(count_via_ghd(&q, &empty, &ghd).unwrap(), 0);
+    assert!(!bags(&q, &empty, &ghd).bcq());
+    assert_eq!(bags(&q, &empty, &ghd).count(), 0);
     assert!(!bcq_naive(&q, &empty));
     // One relation present, the others missing.
     let mut partial = Database::new();
     partial.insert("R0", &[1, 2]);
-    assert!(!bcq_via_ghd(&q, &partial, &ghd).unwrap());
-    assert_eq!(count_via_ghd(&q, &partial, &ghd).unwrap(), 0);
+    assert!(!bags(&q, &partial, &ghd).bcq());
+    assert_eq!(bags(&q, &partial, &ghd).count(), 0);
     assert_eq!(count_naive(&q, &partial), 0);
 }

@@ -5,6 +5,7 @@
 use cqd2::cq::Database;
 use cqd2::dilution::ops::check_step_invariants;
 use cqd2::dilution::{DilutionOp, DilutionSequence};
+use cqd2::engine::{Answer, Engine, Request, Workload};
 use cqd2::hypergraph::generators::random_degree_bounded;
 use cqd2::hypergraph::{Hypergraph, VertexId};
 use cqd2::reduction::{reduce_along, verify_reduction, Instance};
@@ -74,12 +75,14 @@ proptest! {
         prop_assume!(h.num_edges() > 0);
         let q = cqd2::cq::generate::canonical_query(&h);
         let db = cqd2::cq::generate::random_database(&q, 4, 10, seed);
+        let serve = |workload| {
+            let req = Request { query: &q, db: &db, workload };
+            Engine::shared().serve(&req).answer
+        };
         let naive = cqd2::cq::eval::bcq_naive(&q, &db);
-        let auto = cqd2::solve_bcq(&q, &db);
-        prop_assert_eq!(naive, auto);
+        prop_assert_eq!(serve(Workload::Boolean), Answer::Bool(naive));
         let cn = cqd2::cq::eval::count_naive(&q, &db);
-        let ca = cqd2::count_answers(&q, &db);
-        prop_assert_eq!(cn, ca);
+        prop_assert_eq!(serve(Workload::Count), Answer::Count(cn));
     }
 
     #[test]

@@ -820,9 +820,9 @@ fn delta_requires_authorization() {
 
 #[test]
 fn delta_migrates_ghd_prepared_handles_warm_over_the_wire() {
-    // A planted fixture large enough that the data estimate keeps the
-    // GHD plan: the server-side cache migration must go through the
-    // warm-overlay path (dirty-spine refresh), not a re-prepare.
+    // A planted chain on a multi-bag GHD plan: the server-side cache
+    // migration goes through the warm-overlay path (dirty-spine
+    // refresh) and re-materializes only the bags the delta touched.
     let q = cqd2::cq::ConjunctiveQuery::parse(&[
         ("R", &["?x", "?y"]),
         ("S", &["?y", "?z"]),
