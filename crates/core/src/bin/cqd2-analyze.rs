@@ -288,6 +288,9 @@ fn run_eval(args: &[String]) {
             })
             .collect();
         let responses = engine.execute_batch(&requests);
+        // The explain path's data estimate reads these: one scan per
+        // file, shared by every query it explains.
+        let stats = (explain || json).then(|| parsed.db.stats());
         println!(
             "{path}: {} facts, {} queries",
             parsed.db.size(),
@@ -307,12 +310,12 @@ fn run_eval(args: &[String]) {
                 resp.provenance.execution,
             );
             print_tuples(&resp.answer);
-            if !(explain || json) {
+            let Some(stats) = &stats else {
                 continue;
-            }
+            };
             // The served plan with the database's data estimate attached
             // (the `stats:` line); serving itself never computes it.
-            let (planned, _, _) = engine.plan_with_db(req.query, req.db, req.workload);
+            let (planned, _, _) = engine.plan_with_db(req.query, stats, req.workload);
             if explain {
                 for line in planned.explain().lines() {
                     println!("      {line}");

@@ -262,6 +262,19 @@ pub struct PassStats {
     pub total: usize,
 }
 
+/// Which of a [`MaterializedBags`] tree's passes have run and memoized
+/// their answer ([`MaterializedBags::memoized`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Memoized {
+    /// The Boolean verdict (by [`MaterializedBags::bcq`], or as a
+    /// by-product of a count or of the enumeration's reduction).
+    pub boolean: bool,
+    /// The count.
+    pub count: bool,
+    /// The two-way reduction behind [`MaterializedBags::enumerator`].
+    pub enumeration: bool,
+}
+
 /// The materialized bag tree of a `(query, database, GHD)` triple: one
 /// relation per bag (the `λ` cover joined with the bag's assigned
 /// atoms), rooted and ordered for tree passes.
@@ -701,11 +714,15 @@ impl MaterializedBags {
         &self.relations[u]
     }
 
-    /// Whether the two-way reduction behind [`MaterializedBags::enumerator`]
-    /// has run on this tree — the witness tests use to assert that
-    /// nothing forces it before an answer is asked for.
-    pub fn enumeration_ready(&self) -> bool {
-        self.memo.plan.get().is_some()
+    /// Which passes have memoized their answer on this tree — the
+    /// witness tests use to assert that nothing forces a pass before an
+    /// answer is asked for, and that a warm-up ran the passes it meant to.
+    pub fn memoized(&self) -> Memoized {
+        Memoized {
+            boolean: self.memo.boolean.get().is_some(),
+            count: self.memo.count.get().is_some(),
+            enumeration: self.memo.plan.get().is_some(),
+        }
     }
 
     /// Decide `q(D) ≠ ∅` (Prop. 2.2 bottom-up semijoins, run on the
@@ -714,7 +731,8 @@ impl MaterializedBags {
         self.bcq_with_stats().0
     }
 
-    /// [`MaterializedBags::bcq`] plus the bottom-up reduction's sparsity.
+    /// [`MaterializedBags::bcq`] plus the bottom-up reduction's sparsity
+    /// (the count's, rewriting nothing, when a count decided it first).
     pub fn bcq_with_stats(&self) -> (bool, PassStats) {
         *self.memo.boolean.get_or_init(|| {
             let mut ov = BagOverlay::new(self);
@@ -736,7 +754,14 @@ impl MaterializedBags {
             rewritten: 0,
             total: self.relations.len(),
         };
-        (*self.memo.count.get_or_init(|| self.count_dp()), stats)
+        let count = *self.memo.count.get_or_init(|| {
+            let count = self.count_dp();
+            // The count decides the Boolean too: a later `bcq` must not
+            // reduce for it.
+            let _ = self.memo.boolean.set((count > 0, stats));
+            count
+        });
+        (count, stats)
     }
 
     /// The counting DP over the whole tree.
@@ -1834,13 +1859,18 @@ mod tests {
         let mut db = dangling_database();
         db.insert_all("Unrelated", &[vec![8]]);
         let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
-        assert!(!bags.enumeration_ready(), "build runs no pass");
+        assert_eq!(bags.memoized(), Memoized::default(), "build runs no pass");
         assert!(bags.bcq());
         assert_eq!(bags.count(), 12);
         assert_eq!(bags.enumerator().count(), 12);
-        let memo = &bags.memo;
-        assert!(memo.boolean.get().is_some() && memo.count.get().is_some());
-        assert!(bags.enumeration_ready());
+        assert_eq!(
+            bags.memoized(),
+            Memoized {
+                boolean: true,
+                count: true,
+                enumeration: true
+            }
+        );
 
         // A delta that gives a dangling `B0` row its `C0` partner grows
         // the *reduced* form of clean bags too: the memo must go.
@@ -1850,9 +1880,7 @@ mod tests {
         let (warm, stats) = bags.refresh(&q, &applied.db, &applied.touched);
         assert_eq!(stats.rewritten, 1);
         assert!(!Arc::ptr_eq(&bags.memo, &warm.memo));
-        let memo = &warm.memo;
-        assert!(memo.boolean.get().is_none() && memo.count.get().is_none());
-        assert!(!warm.enumeration_ready(), "refresh runs no pass");
+        assert_eq!(warm.memoized(), Memoized::default(), "refresh runs no pass");
         let fresh = MaterializedBags::build(&q, &applied.db, &ghd).unwrap();
         assert_eq!(warm.bcq_with_stats(), fresh.bcq_with_stats());
         assert_eq!(warm.count(), 12 + 2 * 2);

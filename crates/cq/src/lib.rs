@@ -52,7 +52,8 @@ pub mod sync;
 pub use database::{BulkLoadError, Database};
 pub use delta::{DatabaseDelta, DeltaApplied, DeltaError, RelationDelta};
 pub use eval::{
-    bcq_naive, count_naive, enumerate_naive, EvalError, GhdEnumerator, MaterializedBags, PassStats,
+    bcq_naive, count_naive, enumerate_naive, EvalError, GhdEnumerator, MaterializedBags, Memoized,
+    PassStats,
 };
 pub use flat::FlatRelation;
 pub use hom::{core_of, find_homomorphism, semantic_ghw};

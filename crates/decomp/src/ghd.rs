@@ -72,6 +72,48 @@ impl Ghd {
         Ok(())
     }
 
+    /// Drop every bag contained in a neighbouring bag, hanging its other
+    /// neighbours on that neighbour, until no such bag is left. The
+    /// result is still a GHD of the same hypergraph — each edge lies in
+    /// the containing bag, and each vertex's bag set stays connected
+    /// through it — and it is no wider: the remaining bags keep their
+    /// `λ`. Evaluation materializes one relation per bag, so a
+    /// contained bag only costs a projection, a dedup and one more node
+    /// in every tree pass. A chain `e_1, …, e_k` from an elimination
+    /// order, for one, ends in the leaf `{v_k} ⊆ e_k`.
+    pub fn drop_contained_bags(mut self) -> Ghd {
+        let contained = |bags: &[Vec<VertexId>], u: usize, w: usize| {
+            bags[u].iter().all(|v| bags[w].binary_search(v).is_ok())
+        };
+        while let Some((u, w)) = self
+            .td
+            .tree
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .find(|&(u, w)| contained(&self.td.bags, u, w))
+        {
+            self.td
+                .tree
+                .retain(|&edge| edge != (u, w) && edge != (w, u));
+            self.td.bags.remove(u);
+            self.covers.remove(u);
+            // `u`'s other neighbours move to `w`; nodes above `u` shift
+            // down one.
+            let renumber = |x: usize| {
+                let x = if x == u { w } else { x };
+                if x > u {
+                    x - 1
+                } else {
+                    x
+                }
+            };
+            for edge in &mut self.td.tree {
+                *edge = (renumber(edge.0), renumber(edge.1));
+            }
+        }
+        self
+    }
+
     /// The trivial GHD: [`TreeDecomposition::trivial`]'s one bag of every
     /// vertex, with `λ` = every edge, so its width is `|E|`. Every
     /// hypergraph has it, and Prop. 2.2 over it is the naive join.
@@ -203,6 +245,36 @@ mod tests {
         ghd.validate(&ground).unwrap();
         crate::verify::verify_ghd(&ground, &ghd).unwrap();
         assert_eq!(ghd.width(), 1);
+    }
+
+    #[test]
+    fn contained_bags_are_dropped_and_their_neighbours_rehung() {
+        // Path 0-1-2-3 plus a hub edge {1, 4}; bags {1} and {2} sit
+        // between their supersets, {3} hangs off {2, 3}.
+        let h = Hypergraph::new(5, &[vec![0, 1], vec![1, 2], vec![2, 3], vec![1, 4]]).unwrap();
+        let bags: Vec<Vec<VertexId>> = [&[1][..], &[0, 1], &[1, 2], &[2], &[2, 3], &[3], &[1, 4]]
+            .iter()
+            .map(|b| b.iter().map(|&v| vid(v)).collect())
+            .collect();
+        let tree = vec![(0, 1), (0, 2), (2, 3), (3, 4), (4, 5), (0, 6)];
+        let ghd = Ghd::from_td_exact(&h, TreeDecomposition { bags, tree });
+        ghd.validate(&h).unwrap();
+        let width = ghd.width();
+        let normal = ghd.drop_contained_bags();
+        normal.validate(&h).unwrap();
+        crate::verify::verify_ghd(&h, &normal).unwrap();
+        assert_eq!(normal.width(), width);
+        let mut bags = normal.td.bags.clone();
+        bags.sort();
+        let edges: Vec<Vec<VertexId>> = h.edge_ids().map(|e| h.edge(e).to_vec()).collect();
+        let mut expected = edges.clone();
+        expected.sort();
+        assert_eq!(bags, expected, "one bag per edge is left");
+        // Nothing left to drop: normalizing again changes nothing.
+        assert_eq!(normal.clone().drop_contained_bags(), normal);
+        // A single bag and the trivial GHD stay as they are.
+        let trivial = Ghd::trivial(&h);
+        assert_eq!(trivial.clone().drop_contained_bags(), trivial);
     }
 
     #[test]

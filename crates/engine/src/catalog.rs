@@ -166,16 +166,17 @@ impl Catalog {
     }
 
     /// The one publication routine — the only place that takes the
-    /// write lock and the only place that assigns an epoch. Callers
-    /// compute `stats` *before* calling, so the lock is held for the map
-    /// update alone. `Ok(None)` is a lost [`Slot::ReplaceIf`] race:
-    /// nothing was published.
+    /// write lock and the only place that publishes an epoch. Callers
+    /// compute the statistics *before* calling, so the lock is held for
+    /// the map update alone; `snapshot` builds the published record
+    /// from the epoch the slot grants (a staged delta already carries
+    /// it). `Ok(None)` is a lost [`Slot::ReplaceIf`] race: nothing was
+    /// published.
     fn install(
         &self,
         name: &str,
         slot: Slot<'_>,
-        db: Database,
-        stats: DatabaseStats,
+        snapshot: impl FnOnce(u64) -> Arc<DatabaseSnapshot>,
     ) -> Result<Option<Arc<DatabaseSnapshot>>, EngineError> {
         let mut entries = write_or_poison(&self.entries);
         let epoch = match (entries.get(name), slot) {
@@ -187,12 +188,13 @@ impl Catalog {
             }
             (Some(live), _) => live.epoch + 1,
         };
-        let snapshot = Arc::new(DatabaseSnapshot::with_stats(name, epoch, db, stats));
+        let snapshot = snapshot(epoch);
         entries.insert(name.to_string(), Arc::clone(&snapshot));
         Ok(Some(snapshot))
     }
 
-    /// [`Catalog::install`] for the slots that cannot lose a race.
+    /// [`Catalog::install`] of a freshly built snapshot, for the slots
+    /// that cannot lose a race.
     fn install_now(
         &self,
         name: &str,
@@ -200,8 +202,9 @@ impl Catalog {
         db: Database,
         stats: DatabaseStats,
     ) -> Result<Arc<DatabaseSnapshot>, EngineError> {
-        let installed = self.install(name, slot, db, stats)?;
-        // cqd2-lint: allow(panic-in-hot-path, reason = "only Slot::ReplaceIf yields Ok(None), and apply_delta, its one user, calls install directly")
+        let build = |epoch| Arc::new(DatabaseSnapshot::with_stats(name, epoch, db, stats));
+        let installed = self.install(name, slot, build)?;
+        // cqd2-lint: allow(panic-in-hot-path, reason = "only Slot::ReplaceIf yields Ok(None), and commit, its one user, calls install directly")
         Ok(installed.expect("Slot::New / Slot::Replace cannot lose a race"))
     }
 
@@ -256,7 +259,12 @@ impl Catalog {
     }
 
     /// Apply a delta batch to the database published under `name` and
-    /// publish the result at the next epoch — the **incremental** swap.
+    /// publish the result at the next epoch — the **incremental** swap:
+    /// [`Catalog::stage_delta`], then [`Catalog::commit`], redone
+    /// against the newer snapshot whenever another publish wins the
+    /// commit. Callers with work to finish *before* the new epoch
+    /// becomes visible (the server migrates its prepared handles) run
+    /// that loop themselves, with their work between the two steps.
     ///
     /// Unlike [`Catalog::swap`], neither the data nor the statistics
     /// are rebuilt from scratch:
@@ -271,32 +279,63 @@ impl Catalog {
     /// The whole batch validates before anything publishes — a typed
     /// [`EngineError::Delta`] (unknown relation, arity mismatch) leaves
     /// the current epoch serving, untouched. Merge and statistics run
-    /// outside the write lock; if another publish lands in between, the
-    /// merge retries against the newer snapshot, so concurrent deltas
-    /// serialize cleanly without holding the lock across `O(‖Δ‖)` work.
+    /// outside the write lock, so concurrent deltas serialize cleanly
+    /// without holding the lock across `O(‖Δ‖)` work.
     pub fn apply_delta(
         &self,
         name: &str,
         delta: &cqd2_cq::DatabaseDelta,
     ) -> Result<crate::delta::DeltaOutcome, EngineError> {
         loop {
-            let current = self.snapshot(name)?;
-            let applied = current.db().apply_delta(delta)?;
-            let stats = current.stats().updated_for(&applied.db, &applied.touched);
-            let Some(snapshot) =
-                self.install(name, Slot::ReplaceIf(&current), applied.db, stats)?
-            else {
-                // A concurrent publish won; redo the merge on top of it.
-                continue;
-            };
-            return Ok(crate::delta::DeltaOutcome {
-                snapshot,
-                previous: current,
-                touched: applied.touched,
-                inserted: applied.inserted,
-                deleted: applied.deleted,
-            });
+            let staged = self.stage_delta(name, delta)?;
+            if self.commit(&staged)?.is_some() {
+                return Ok(staged);
+            }
+            // A concurrent publish won; redo the merge on top of it.
         }
+    }
+
+    /// Merge `delta` into the snapshot published under `name` **without
+    /// publishing it**: the returned outcome's `snapshot` carries epoch
+    /// `previous.epoch() + 1` and is visible to no reader until
+    /// [`Catalog::commit`] installs it. No lock is held on return, and
+    /// dropping the outcome instead of committing it publishes nothing.
+    pub fn stage_delta(
+        &self,
+        name: &str,
+        delta: &cqd2_cq::DatabaseDelta,
+    ) -> Result<crate::delta::DeltaOutcome, EngineError> {
+        let previous = self.snapshot(name)?;
+        let applied = previous.db().apply_delta(delta)?;
+        let stats = previous.stats().updated_for(&applied.db, &applied.touched);
+        let snapshot = DatabaseSnapshot::with_stats(name, previous.epoch + 1, applied.db, stats);
+        Ok(crate::delta::DeltaOutcome {
+            snapshot: Arc::new(snapshot),
+            previous,
+            touched: applied.touched,
+            inserted: applied.inserted,
+            deleted: applied.deleted,
+        })
+    }
+
+    /// Publish a [`Catalog::stage_delta`] outcome, compare-and-swap: only
+    /// while `staged.previous` is still the published snapshot, so the
+    /// staged epoch is exactly the next one. Returns the published
+    /// snapshot, or `None` — nothing published — when another publish
+    /// (a delta or a reload) won; stage again on top of the winner.
+    /// An outcome whose `snapshot` is not `previous`'s name at the next
+    /// epoch is never published either.
+    pub fn commit(
+        &self,
+        staged: &crate::delta::DeltaOutcome,
+    ) -> Result<Option<Arc<DatabaseSnapshot>>, EngineError> {
+        let (next, previous) = (&staged.snapshot, &staged.previous);
+        if next.name() != previous.name() || next.epoch() != previous.epoch() + 1 {
+            return Ok(None);
+        }
+        // The swap succeeds only on `previous`, whose next epoch `next`
+        // already carries.
+        self.install(next.name(), Slot::ReplaceIf(previous), |_| Arc::clone(next))
     }
 
     /// [`Catalog::publish`] from a facts-only database text

@@ -16,7 +16,10 @@
 //!   only the touched relations and reuses the rest of the snapshot's
 //!   per-relation statistics.
 //! - **Epochs**: [`crate::Catalog::apply_delta`] publishes the merged
-//!   database at the next epoch under the normal swap discipline —
+//!   database at the next epoch under the normal swap discipline, in
+//!   two steps a caller can also take itself, with work between them:
+//!   [`crate::Catalog::stage_delta`] (merge, unpublished) and
+//!   [`crate::Catalog::commit`] (compare-and-swap) —
 //!   pinned readers are undisturbed, the write lock is held only for
 //!   the pointer swap, and a rejected delta provably leaves the
 //!   serving epoch unmoved (the whole batch validates before any merge).
@@ -25,8 +28,10 @@
 //!   nodes whose source relations the delta touched
 //!   ([`cqd2_cq::MaterializedBags::refresh`]); clean bags — and their
 //!   filled probe-table caches — are shared with the old tree by `Arc`.
-//!   Every handle has a bag tree (a naive-join plan's is the trivial
-//!   GHD's one bag), so every handle migrates this way. Responses from
+//!   The rebase also re-runs the passes the handle had served, so its
+//!   next reads are memo lookups. Every handle has a bag tree (a
+//!   naive-join plan's is the trivial GHD's one bag), so every handle
+//!   migrates this way. Responses from
 //!   a maintained handle carry [`MaintenanceClass::WarmOverlay`] in
 //!   their provenance.
 //!
@@ -88,11 +93,13 @@ impl MaintenanceClass {
     }
 }
 
-/// What [`Catalog::apply_delta`] published: the new snapshot, the
-/// snapshot it replaced, and the merge's account of what changed.
+/// A merged delta: the new snapshot, the snapshot it replaces, and the
+/// merge's account of what changed. [`Catalog::stage_delta`] returns it
+/// unpublished; [`Catalog::commit`] publishes it ([`Catalog::apply_delta`]
+/// does both).
 #[derive(Debug, Clone)]
 pub struct DeltaOutcome {
-    /// The snapshot published at the next epoch.
+    /// The snapshot at the next epoch (published once committed).
     pub snapshot: Arc<DatabaseSnapshot>,
     /// The snapshot the delta was merged against (one epoch older;
     /// pinned readers may still be answering from it).
@@ -178,6 +185,36 @@ mod tests {
         );
         let s = outcome.snapshot.stats().relation("S").unwrap();
         assert_eq!(s.cardinality, 2);
+    }
+
+    #[test]
+    fn a_staged_delta_is_invisible_until_its_commit_wins() {
+        let catalog = catalog_with_main();
+        let mut delta = DatabaseDelta::new();
+        delta.insert("S", vec![2, 4]);
+        let staged = catalog.stage_delta("main", &delta).unwrap();
+        let twin = catalog.stage_delta("main", &delta).unwrap();
+        assert_eq!(staged.snapshot.epoch(), 1);
+        assert_eq!(
+            catalog.snapshot("main").unwrap().epoch(),
+            0,
+            "staging publishes nothing"
+        );
+        // An outcome that is not its previous snapshot's next epoch is
+        // refused.
+        let forged = DeltaOutcome {
+            snapshot: Arc::clone(&staged.previous),
+            ..staged.clone()
+        };
+        assert!(catalog.commit(&forged).unwrap().is_none());
+        let published = catalog.commit(&staged).unwrap().expect("first commit wins");
+        assert!(Arc::ptr_eq(&published, &staged.snapshot));
+        // The twin was staged on the epoch the first commit replaced.
+        assert!(catalog.commit(&twin).unwrap().is_none());
+        assert!(Arc::ptr_eq(
+            &catalog.snapshot("main").unwrap(),
+            &staged.snapshot
+        ));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use cqd2_cq::stats::DatabaseStats;
 use cqd2_cq::{ConjunctiveQuery, Database, PassStats};
 
 use crate::cache::{CacheStats, PlanCache};
@@ -302,15 +303,18 @@ impl Engine {
 
     /// Plan `q` against a concrete database: the cached structural
     /// plan, with a [`DataEstimate`] from the database's statistics
-    /// attached (`explain()` prints it as its `stats:` line). The
-    /// estimate informs; it does not change the strategy, which is the
-    /// structure's. This is the explain path and the only place an
-    /// estimate is computed: serving ([`Engine::serve`], prepared
-    /// handles) runs the structural plan and never scans statistics.
+    /// `stats` attached (`explain()` prints it as its `stats:` line).
+    /// The caller collects `stats` once (`Database::stats`, or a pinned
+    /// [`crate::Session::stats`]) and passes it to every query it
+    /// explains. The estimate informs; it does not change the strategy,
+    /// which is the structure's. This is the explain path and the only
+    /// place an estimate is computed: serving ([`Engine::serve`],
+    /// prepared handles) runs the structural plan and never scans
+    /// statistics.
     pub fn plan_with_db(
         &self,
         q: &ConjunctiveQuery,
-        db: &Database,
+        stats: &DatabaseStats,
         workload: Workload,
     ) -> (PlannedQuery, bool, Duration) {
         let start = Instant::now();
@@ -319,11 +323,7 @@ impl Engine {
             Workload::Boolean | Workload::Enumerate { .. } => structure.bool_plan(),
             Workload::Count => structure.count_plan(),
         };
-        planned.cost.data = Some(DataEstimate::compute(
-            q,
-            structure.ghd.as_ref(),
-            &db.stats(),
-        ));
+        planned.cost.data = Some(DataEstimate::compute(q, structure.ghd.as_ref(), stats));
         (planned, cache_hit, start.elapsed())
     }
 

@@ -217,8 +217,10 @@ impl Planner {
         }
 
         // 1. Exact decomposition when it fits the planning budget.
+        // Every stored GHD is normalized: a bag contained in a
+        // neighbour would only add a projection and a tree node.
         let exact = if h.num_vertices() <= self.config.exact_vertex_cap {
-            ghw_decomposition(h)
+            ghw_decomposition(h).map(Ghd::drop_contained_bags)
         } else {
             None
         };
@@ -228,7 +230,7 @@ impl Planner {
                 (Some(g), true)
             }
             None if self.config.use_heuristic_ghd => {
-                let g = self.heuristic_ghd(h);
+                let g = self.heuristic_ghd(h).drop_contained_bags();
                 notes.push(format!(
                     "exact ghw over budget ({} vertices > cap {}); heuristic ghd width {}",
                     h.num_vertices(),

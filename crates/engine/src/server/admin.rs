@@ -6,8 +6,11 @@
 
 use cqd2_cq::sync::lock_or_poison;
 
+use crate::error::EngineError;
+
 use super::conn::{shape, Reply};
 use super::frame::{Frame, FrameType};
+use super::prepared::apply_delta_warm;
 use super::stats::ServedDb;
 use super::wire::{
     ErrorCode, WireCatalog, WireCatalogDb, WireDeltaApplied, WireReloaded, WireStats,
@@ -88,26 +91,26 @@ pub(super) fn handle_reload(reply: Reply<'_>, f: &Frame) {
 
 /// Answer a `Delta` admin frame: [`admin_target`] (deltas ride the
 /// same `--allow-reload` gate; first payload line = database name, rest
-/// = an `@insert` / `@delete` delta script), merge incrementally via
-/// [`crate::Catalog::apply_delta`] — untouched relations are
-/// `Arc`-shared into the new epoch — then migrate the name's warm
-/// prepared handles across the epoch instead of purging them
-/// ([`super::prepared::PreparedCache::refresh_after_delta`]), and answer
-/// `DeltaApplied`. Every rejection (unknown name, parse failure, delta
-/// kernel refusal) leaves the previously published epoch serving
+/// = an `@insert` / `@delete` delta script), then merge incrementally —
+/// untouched relations are `Arc`-shared into the new epoch — and
+/// migrate the name's warm prepared handles onto it *before* it is
+/// published, outside the lock readers take
+/// ([`super::prepared::apply_delta_warm`]); answer `DeltaApplied` once
+/// the epoch is public. Every rejection (unknown name, parse failure,
+/// delta kernel refusal) leaves the previously published epoch serving
 /// unmoved: the whole batch validates before any merge.
 pub(super) fn handle_delta(reply: Reply<'_>, f: &Frame) {
     let Some((reply, db, script)) = admin_target(reply, f, "deltas") else {
         return;
     };
     let ctx = reply.ctx;
-    let outcome = match crate::delta::apply_delta_text(ctx.catalog, &db.name, script) {
-        Ok(o) => o,
+    let applied = crate::textio::parse_delta(script)
+        .map_err(EngineError::from)
+        .and_then(|delta| apply_delta_warm(ctx.catalog, &db.prepared, &db.name, &delta, || {}));
+    let (outcome, refresh) = match applied {
+        Ok(applied) => applied,
         Err(e) => return reply.reject_engine(&e),
     };
-    // Migrate the warm handles instead of purging them: only bags whose
-    // relations the delta touched are re-materialized.
-    let refresh = lock_or_poison(&db.prepared).refresh_after_delta(&outcome);
     db.metrics.delta_batches.inc();
     db.metrics.facts_inserted.add(outcome.inserted as u64);
     db.metrics.facts_deleted.add(outcome.deleted as u64);

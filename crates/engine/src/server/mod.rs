@@ -561,6 +561,159 @@ mod tests {
         assert!(final_len <= capacity);
     }
 
+    /// A `main` catalog of `R(1, 2)`, `S(2, 3)` and a cache holding the
+    /// join's handle at epoch 0 after one count read.
+    fn warm_join_cache() -> (Engine, Catalog, Mutex<PreparedCache>, ConjunctiveQuery) {
+        let engine = Engine::default();
+        let catalog = Catalog::new();
+        catalog.publish_str("main", "R(1, 2)\nS(2, 3)\n").unwrap();
+        let q = ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])]);
+        let handle = catalog_session(&catalog, &engine, "main")
+            .prepare(&q)
+            .unwrap();
+        assert_eq!(handle.run(Workload::Count).answer.as_count(), Some(1));
+        let cache = Mutex::new(PreparedCache::new(8));
+        cache.lock().unwrap().insert(q.display(), Arc::new(handle));
+        (engine, catalog, cache, q)
+    }
+
+    fn delta(script: &str) -> cqd2_cq::DatabaseDelta {
+        crate::textio::parse_delta(script).unwrap()
+    }
+
+    #[test]
+    fn a_delta_commit_installs_warm_handles_and_keeps_one_epoch_of_grace() {
+        let (engine, catalog, cache, q) = warm_join_cache();
+        let key = q.display();
+        let (outcome, refresh) = prepared::apply_delta_warm(
+            &catalog,
+            &cache,
+            "main",
+            &delta("@insert\nS(2, 4)\n"),
+            || {},
+        )
+        .unwrap();
+        assert_eq!((outcome.snapshot.epoch(), refresh.warm), (1, 1));
+        assert!(refresh.bags_remat >= 1);
+        let mut locked = cache.lock().unwrap();
+        let current = locked.get(&key, 1).expect("migrated before publish");
+        assert_eq!(
+            current.maintenance(),
+            Some(crate::MaintenanceClass::WarmOverlay)
+        );
+        assert_eq!(current.run(Workload::Count).answer.as_count(), Some(2));
+        // A batch pinned to epoch 0 still hits, on the grace slot.
+        let grace = locked.get(&key, 0).expect("grace slot");
+        assert_eq!(grace.run(Workload::Count).answer.as_count(), Some(1));
+        drop(locked);
+
+        // The next delta migrates the epoch-1 handle; epoch 0 ages out,
+        // and its lookups miss without evicting the entry.
+        prepared::apply_delta_warm(
+            &catalog,
+            &cache,
+            "main",
+            &delta("@insert\nR(5, 2)\n"),
+            || {},
+        )
+        .unwrap();
+        let mut locked = cache.lock().unwrap();
+        assert!(locked.get(&key, 0).is_none());
+        assert_eq!(locked.get(&key, 1).unwrap().epoch(), 1);
+        let fresh = catalog_session(&catalog, &engine, "main")
+            .prepare(&q)
+            .unwrap();
+        let migrated = locked.get(&key, 2).unwrap();
+        assert_eq!(
+            migrated.run(Workload::Count).answer.as_count(),
+            fresh.run(Workload::Count).answer.as_count()
+        );
+        // A reload purges both slots.
+        catalog.swap_str("main", "R(7, 7)\n").unwrap();
+        assert_eq!(locked.purge_stale(3), 1);
+        assert!(locked.map.is_empty() && locked.order.is_empty());
+    }
+
+    #[test]
+    fn a_lost_commit_publishes_nothing_and_the_retry_migrates_from_the_winner() {
+        // The winner is a concurrent delta, run where the loser's
+        // migration ends and before it commits.
+        let (engine, catalog, cache, q) = warm_join_cache();
+        let key = q.display();
+        let mut attempts = 0;
+        let (outcome, refresh) = prepared::apply_delta_warm(
+            &catalog,
+            &cache,
+            "main",
+            &delta("@insert\nR(5, 2)\n"),
+            || {
+                attempts += 1;
+                if attempts == 1 {
+                    let (won, refresh) = prepared::apply_delta_warm(
+                        &catalog,
+                        &cache,
+                        "main",
+                        &delta("@insert\nS(2, 4)\n"),
+                        || {},
+                    )
+                    .unwrap();
+                    assert_eq!((won.snapshot.epoch(), refresh.warm), (1, 1));
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(attempts, 2, "one lost commit, one retry");
+        // Nothing of the lost attempt was published: epoch 2 is the
+        // retry, merged on top of the winner's epoch 1.
+        assert_eq!(outcome.previous.epoch(), 1);
+        assert_eq!(outcome.snapshot.epoch(), 2);
+        assert!(Arc::ptr_eq(
+            &catalog.snapshot("main").unwrap(),
+            &outcome.snapshot
+        ));
+        assert_eq!(outcome.snapshot.db().size(), 4, "both deltas, once each");
+        // The retry migrated the winner's handle, not the epoch-0 one.
+        assert_eq!(refresh.warm, 1);
+        let mut locked = cache.lock().unwrap();
+        let grace = locked.get(&key, 1).expect("the winner's handle");
+        let current = locked.get(&key, 2).expect("migrated from the winner");
+        assert!(locked.get(&key, 0).is_none());
+        let fresh = catalog_session(&catalog, &engine, "main")
+            .prepare(&q)
+            .unwrap();
+        assert_eq!(current.run(Workload::Count).answer.as_count(), Some(4));
+        assert_eq!(fresh.run(Workload::Count).answer.as_count(), Some(4));
+        assert_eq!(grace.run(Workload::Count).answer.as_count(), Some(2));
+
+        // The winner is a reload: it publishes epoch 1 and purges the
+        // cache, so the retry finds nothing to migrate at its epoch.
+        let (_, catalog, cache, q) = warm_join_cache();
+        let mut attempts = 0;
+        let (outcome, refresh) = prepared::apply_delta_warm(
+            &catalog,
+            &cache,
+            "main",
+            &delta("@insert\nR(5, 2)\n"),
+            || {
+                attempts += 1;
+                if attempts == 1 {
+                    let reloaded = catalog.swap_str("main", "R(1, 2)\nS(2, 9)\n").unwrap();
+                    cache.lock().unwrap().purge_stale(reloaded.epoch());
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!((attempts, outcome.previous.epoch()), (2, 1));
+        assert_eq!(
+            outcome.snapshot.db().size(),
+            3,
+            "the reload's facts plus R(5, 2)"
+        );
+        assert_eq!(refresh.warm, 0);
+        let mut locked = cache.lock().unwrap();
+        assert!(locked.get(&q.display(), 2).is_none() && locked.map.is_empty());
+    }
+
     #[test]
     fn server_error_display_and_sources() {
         let e = ServerError::from(FrameError::Version(3));

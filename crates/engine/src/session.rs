@@ -41,6 +41,7 @@
 //! database: build the prepared state, run it once.
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -219,8 +220,31 @@ pub(crate) struct PreparedCore {
     /// How the core crossed the most recent delta epoch (`None` =
     /// freshly prepared); surfaced in every response's provenance.
     maintenance: Option<crate::delta::MaintenanceClass>,
+    /// The workload kinds this core has answered: the passes a rebase
+    /// re-runs on the refreshed tree.
+    served: Served,
     planning: Duration,
     preprocessing: Duration,
+}
+
+/// Which passes a core's readers have asked for, one flag per workload
+/// kind. Relaxed: a flag only decides what a later rebase warms, and a
+/// read the rebase misses just pays its pass itself.
+#[derive(Default)]
+struct Served {
+    boolean: AtomicBool,
+    count: AtomicBool,
+    enumerate: AtomicBool,
+}
+
+impl Served {
+    /// Raise `flag`, writing only the first time so warm reads on
+    /// several threads keep sharing its cache line.
+    fn mark(flag: &AtomicBool) {
+        if !flag.load(Ordering::Relaxed) {
+            flag.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 impl PreparedCore {
@@ -268,6 +292,7 @@ impl PreparedCore {
             bags,
             cache_hit,
             maintenance: None,
+            served: Served::default(),
             planning,
             preprocessing: preprocess_start.elapsed(),
         })
@@ -292,12 +317,29 @@ impl PreparedCore {
     /// Warm-maintain this core across a delta: refresh the bag tree
     /// against the post-delta `db`, re-materializing only the bags that
     /// read a relation in `touched` and sharing everything else (bag
-    /// relations *and* filled probe-table caches) with `self` by `Arc`.
-    /// No pass runs here; unless the delta missed every bag, the first
-    /// read of the refreshed core re-reduces its tree.
+    /// relations *and* filled probe-table caches) with `self` by `Arc`,
+    /// then re-run on the refreshed tree each pass this core has served,
+    /// so the caller pays the re-reduction instead of the next reader. A
+    /// refresh that dirtied no bag shares this core's memo and runs no
+    /// pass. The new core starts with no kind served: a handle nobody
+    /// reads is warmed once and stays lazy across later deltas.
     fn rebase_warm(&self, db: &Database, touched: &[String]) -> (PreparedCore, PassStats) {
         let refresh_start = Instant::now();
         let (bags, pass) = self.bags.refresh(&self.query, db, touched);
+        if pass.rewritten > 0 {
+            let served = |flag: &AtomicBool| flag.load(Ordering::Relaxed);
+            // Either pass before the Boolean also decides it, so the
+            // Boolean's own pass runs only when neither was served.
+            if served(&self.served.enumerate) {
+                bags.enumerator();
+            }
+            if served(&self.served.count) {
+                bags.count();
+            }
+            if served(&self.served.boolean) {
+                bags.bcq();
+            }
+        }
         let core = PreparedCore {
             query: self.query.clone(),
             bool_plan: Arc::clone(&self.bool_plan),
@@ -305,6 +347,7 @@ impl PreparedCore {
             bags,
             cache_hit: self.cache_hit,
             maintenance: Some(crate::delta::MaintenanceClass::WarmOverlay),
+            served: Served::default(),
             planning: Duration::ZERO,
             preprocessing: refresh_start.elapsed(),
         };
@@ -339,10 +382,12 @@ impl PreparedCore {
         let mut drained = 0;
         let (answer, pass) = match workload {
             Workload::Boolean => {
+                Served::mark(&self.served.boolean);
                 let (b, s) = self.bags.bcq_with_stats();
                 (Answer::Bool(b), s)
             }
             Workload::Count => {
+                Served::mark(&self.served.count);
                 let (c, s) = self.bags.count_with_stats();
                 (Answer::Count(c), s)
             }
@@ -384,6 +429,7 @@ impl PreparedCore {
             };
             (None, untouched)
         } else {
+            Served::mark(&self.served.enumerate);
             let (e, s) = self.bags.enumerator_with_stats();
             (Some(e), s)
         };
@@ -540,13 +586,21 @@ impl PreparedQuery {
     /// **Warm migration across a delta epoch**: produce a handle pinned
     /// to the post-delta `snapshot` by refreshing this handle's bag
     /// tree in place — only the bags reading a relation in `touched`
-    /// (the names [`crate::Catalog::apply_delta`] reports) are
+    /// (the names [`crate::Catalog::stage_delta`] reports) are
     /// re-materialized; clean bags and their filled probe-table caches
     /// are shared with this handle by `Arc`. Plans are carried over
-    /// unchanged (the structure did not move; only the data did). The
-    /// migrated handle's first read re-reduces its tree (with the
-    /// carried tables) unless the delta missed every bag, in which case
-    /// it shares this handle's memoized answers too.
+    /// unchanged (the structure did not move; only the data did).
+    ///
+    /// The rebase also re-reduces the refreshed tree (with the carried
+    /// tables) for every workload kind this handle has answered — a
+    /// Boolean, a count, an enumeration — so the migrated handle's first
+    /// read of those kinds is a memo lookup and the caller, not a
+    /// reader, pays the pass (a count or an enumeration decides the
+    /// Boolean too, so a handle that served both pays one). Kinds never
+    /// asked for stay lazy, and the migrated handle starts with none
+    /// answered: a handle nobody reads is warmed once, then not again. A delta that missed every bag
+    /// runs no pass: the migrated handle shares this handle's memoized
+    /// answers.
     ///
     /// Returns the migrated handle — every subsequent response's
     /// provenance records [`crate::MaintenanceClass::WarmOverlay`] —
@@ -735,9 +789,9 @@ mod tests {
         assert_eq!(resp.answer.as_tuples().map(<[_]>::len), Some(0));
         let bags = &fresh.core.bags;
         assert_eq!(resp.provenance.bags.total, bags.num_bags());
-        assert!(!bags.enumeration_ready(), "limit 0 reduced the tree");
+        assert!(!bags.memoized().enumeration, "limit 0 reduced the tree");
         assert_eq!(fresh.cursor(Some(1)).count(), 1);
-        assert!(bags.enumeration_ready());
+        assert!(bags.memoized().enumeration);
     }
 
     #[test]
@@ -787,6 +841,154 @@ mod tests {
             streamed
         });
         assert_eq!(handle.join().unwrap(), expected);
+    }
+
+    /// Which passes `p`'s tree has memoized: Boolean, count, enumeration.
+    fn memo(p: &PreparedQuery) -> (bool, bool, bool) {
+        let m = p.core.bags.memoized();
+        (m.boolean, m.count, m.enumeration)
+    }
+
+    /// Every workload's answer, tuples sorted.
+    fn answers(p: &PreparedQuery) -> (Option<bool>, Option<u128>, Vec<Vec<u64>>) {
+        let mut tuples: Vec<_> = p.cursor(None).collect();
+        tuples.sort_unstable();
+        (
+            p.run(Workload::Boolean).answer.as_bool(),
+            p.run(Workload::Count).answer.as_count(),
+            tuples,
+        )
+    }
+
+    #[test]
+    fn rebase_rewarms_exactly_the_kinds_its_parent_served() {
+        // A three-bag chain plus `T`, which no bag reads. Deltas cycle
+        // through R, S and U, every sixth empties S's bag and every
+        // fourth touches only T; the parent serves each subset of the
+        // three kinds in turn.
+        let engine = Engine::default();
+        let q = ConjunctiveQuery::parse(&[
+            ("R", &["?x", "?y"]),
+            ("S", &["?y", "?z"]),
+            ("U", &["?z", "?w"]),
+        ]);
+        let mut db = planted_database(&q, 8, 30, 11);
+        db.insert_all("T", &[vec![0]]);
+        let catalog = Catalog::new();
+        catalog.publish("main", db).unwrap();
+        let mut handle = engine
+            .session_in(&catalog, "main")
+            .unwrap()
+            .prepare(&q)
+            .unwrap();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut clean, mut emptied) = (0, 0);
+        for step in 0..30u64 {
+            let kinds = step % 8;
+            let (boolean, count, enumerate) = (kinds & 1 != 0, kinds & 2 != 0, kinds & 4 != 0);
+            if boolean {
+                handle.run(Workload::Boolean);
+            }
+            if count {
+                handle.run(Workload::Count);
+            }
+            if enumerate {
+                handle.run(Workload::Enumerate { limit: Some(1) });
+            }
+            let parent_memo = memo(&handle);
+            let current = catalog.snapshot("main").unwrap();
+            let mut delta = cqd2_cq::DatabaseDelta::new();
+            if step % 6 == 5 {
+                let s = &current.db().relation("S").unwrap().tuples;
+                for i in 0..s.len() {
+                    delta.delete("S", s.row(i).to_vec());
+                }
+            } else if step % 4 == 3 {
+                delta.insert("T", vec![below(50)]);
+            } else {
+                let relation = ["R", "S", "U"][(step % 3) as usize];
+                for _ in 0..3 {
+                    delta.insert(relation, vec![below(8), below(8)]);
+                }
+                delta.delete(relation, vec![below(8), below(8)]);
+            }
+            let staged = catalog.stage_delta("main", &delta).unwrap();
+            let s = &staged.snapshot.db().relation("S").unwrap().tuples;
+            if s.is_empty() {
+                emptied += 1;
+            }
+            let (migrated, pass) = handle.rebase(&staged.snapshot, &staged.touched);
+            if pass.rewritten == 0 {
+                clean += 1;
+                assert_eq!(memo(&migrated), parent_memo, "step {step}: memo shared");
+            } else {
+                // The count and the enumeration's reduction each decide
+                // the Boolean too.
+                let expected = (boolean || count || enumerate, count, enumerate);
+                assert_eq!(memo(&migrated), expected, "step {step}: kinds {kinds:03b}");
+            }
+            assert!(catalog.commit(&staged).unwrap().is_some());
+            // Compare on a second rebase, so `migrated` is read only by
+            // the next step's chosen kinds.
+            let fresh = engine
+                .session_in(&catalog, "main")
+                .unwrap()
+                .prepare(&q)
+                .unwrap();
+            let (probe, _) = handle.rebase(&staged.snapshot, &staged.touched);
+            if boolean {
+                let warm = memo(&probe);
+                probe.run(Workload::Boolean);
+                assert_eq!(memo(&probe), warm, "step {step}: the Boolean ran a pass");
+            }
+            assert_eq!(answers(&probe), answers(&fresh), "step {step}");
+            handle = migrated;
+        }
+        assert!(
+            clean >= 5 && emptied >= 1,
+            "clean {clean}, emptied {emptied}"
+        );
+    }
+
+    #[test]
+    fn an_unread_handle_is_warmed_once_then_stays_lazy() {
+        let engine = Engine::default();
+        let catalog = Catalog::new();
+        catalog
+            .publish_str("main", "R(1, 2)\nS(2, 3)\nS(2, 4)\n")
+            .unwrap();
+        let q = ConjunctiveQuery::parse(&[("R", &["?x", "?y"]), ("S", &["?y", "?z"])]);
+        let handle = engine
+            .session_in(&catalog, "main")
+            .unwrap()
+            .prepare(&q)
+            .unwrap();
+        assert_eq!(handle.run(Workload::Count).answer.as_count(), Some(2));
+        let first = crate::delta::apply_delta_text(&catalog, "main", "@insert\nS(2, 5)\n").unwrap();
+        let (once, pass) = handle.rebase(&first.snapshot, &first.touched);
+        assert!(pass.rewritten > 0);
+        assert_eq!(
+            memo(&once),
+            (true, true, false),
+            "the served count is warm, and decides the Boolean"
+        );
+        // Nobody reads `once`; the next delta refreshes it and runs no pass.
+        let second =
+            crate::delta::apply_delta_text(&catalog, "main", "@insert\nS(2, 6)\n").unwrap();
+        let (twice, pass) = once.rebase(&second.snapshot, &second.touched);
+        assert!(pass.rewritten > 0);
+        assert_eq!(
+            memo(&twice),
+            (false, false, false),
+            "an unread handle stays lazy"
+        );
+        assert_eq!(twice.run(Workload::Count).answer.as_count(), Some(4));
     }
 
     #[test]

@@ -303,7 +303,7 @@ fn stats_estimate_is_recorded_and_small_data_keeps_the_ghd() {
     // below the GHD route, the plan is still the structure's: the
     // estimate is recorded for `--explain`, not acted on.
     let small_db = random_database(&q, 3, 2, 5);
-    let (planned, _, _) = engine.plan_with_db(&q, &small_db, Workload::Boolean);
+    let (planned, _, _) = engine.plan_with_db(&q, &small_db.stats(), Workload::Boolean);
     assert_eq!(planned.plan, structural.plan, "{planned:?}");
     let est = planned.cost.data.expect("estimate recorded in provenance");
     assert!(est.naive_cost <= est.ghd_cost.unwrap(), "{est:?}");
@@ -313,7 +313,7 @@ fn stats_estimate_is_recorded_and_small_data_keeps_the_ghd() {
         "--explain must surface the estimate:\n{}",
         planned.explain()
     );
-    let (counted, _, _) = engine.plan_with_db(&q, &small_db, Workload::Count);
+    let (counted, _, _) = engine.plan_with_db(&q, &small_db.stats(), Workload::Count);
     assert!(
         matches!(counted.plan, QueryPlan::CountingDp { .. }),
         "{counted:?}"
@@ -347,7 +347,7 @@ fn plans_roundtrip_through_json() {
         assert_eq!(back, planned, "plan JSON roundtrip for {}", q.display());
         // Stats-refined plans carry a DataEstimate; it must roundtrip too.
         let db = random_database(&q, 6, 10, 3);
-        let (planned, _, _) = engine.plan_with_db(&q, &db, Workload::Boolean);
+        let (planned, _, _) = engine.plan_with_db(&q, &db.stats(), Workload::Boolean);
         assert!(planned.cost.data.is_some());
         let json = serde::json::to_string_pretty(&planned);
         let back: cqd2::engine::PlannedQuery = serde::json::from_str(&json).unwrap();
@@ -528,5 +528,40 @@ fn one_bag_plans_match_naive() {
         migrated.sort_unstable();
         prepared_fresh.sort_unstable();
         assert_eq!(migrated, prepared_fresh, "{case}");
+    }
+}
+
+#[test]
+fn chain_plans_carry_one_bag_per_atom() {
+    // An elimination order decomposes chain(k) into its k edges plus a
+    // leaf `{v_k}` inside the last one; the planner drops that leaf.
+    // Answers are checked with strict verification on and off.
+    for strict_verify in [false, true] {
+        let engine = Engine::new(EngineConfig {
+            strict_verify,
+            ..EngineConfig::default()
+        });
+        // chain(1) plans a naive join: one atom is no wider than a GHD.
+        for k in 2..=8 {
+            let q = canonical_query(&hyperchain(k, 2));
+            let (planned, _, _) = engine.plan(&q, Workload::Count);
+            let ghd = planned.plan.ghd().expect("chains have a GHD plan");
+            assert_eq!(ghd.td.bags.len(), k, "chain({k}): {ghd:?}");
+            assert_eq!(ghd.width(), 1);
+            cqd2::decomp::verify::verify_ghd(&q.hypergraph(), ghd).unwrap();
+            let db = planted_database(&q, 6, 12, k as u64);
+            let prepared = engine.session(&db).prepare(&q).unwrap();
+            assert_eq!(
+                prepared.run(Workload::Boolean).answer.as_bool(),
+                Some(bcq_naive(&q, &db))
+            );
+            assert_eq!(
+                prepared.run(Workload::Count).answer.as_count(),
+                Some(count_naive(&q, &db))
+            );
+            let mut tuples: Vec<_> = prepared.cursor(None).collect();
+            tuples.sort_unstable();
+            assert_eq!(tuples, enumerate_naive(&q, &db), "chain({k})");
+        }
     }
 }

@@ -882,6 +882,123 @@ fn delta_migrates_ghd_prepared_handles_warm_over_the_wire() {
 }
 
 #[test]
+fn a_batch_pinned_before_a_delta_hits_after_the_commit_and_misses_stay_per_text() {
+    // `R` holds 50 000 facts, so every `@enumerate` of `R(?x, ?y)` is a
+    // Result frame of ~0.7 MB; `S` joins 10 of them.
+    let mut db = cqd2::cq::Database::new();
+    db.insert_all(
+        "R",
+        &(0..50_000u64).map(|i| vec![i, i + 1]).collect::<Vec<_>>(),
+    );
+    db.insert_all("S", &(0..10u64).map(|i| vec![i + 1, 7]).collect::<Vec<_>>());
+    let catalog = Catalog::new();
+    catalog.publish("main", db).expect("publish");
+    let config = ServerConfig {
+        workers: 1,
+        allow_reload: true,
+        ..test_config()
+    };
+    let (scan, join) = ("R(?x, ?y)", "R(?x, ?y), S(?y, ?z)");
+    let copies = 60;
+    let ((), stats) = with_server(config, &catalog, |addr, _| {
+        let mut client = Client::connect(addr).expect("connect");
+        client.bind_db("main").expect("bind");
+        // The only two prepares of the test: one per text, at epoch 0.
+        let all = Workload::Enumerate { limit: None };
+        assert_eq!(
+            client
+                .query(scan, all)
+                .expect("scan")
+                .answer
+                .as_tuples()
+                .map(<[_]>::len),
+            Some(50_000)
+        );
+        assert_eq!(
+            client
+                .query(join, Workload::Count)
+                .expect("join")
+                .answer
+                .as_count(),
+            Some(10)
+        );
+
+        // A batch on a fresh connection pins epoch 0 when it is accepted;
+        // its first Result frame proves that. Its other results (≈ 40
+        // MB) are meant to outgrow the loopback socket buffers, so the
+        // one worker stalls mid-batch until this test reads again —
+        // after the delta below has committed. The hit counter checks
+        // that stall rather than assuming it.
+        let mut pinned = Client::connect(addr).expect("connect pinned");
+        pinned.bind_db("main").expect("bind pinned");
+        let mut batch = format!("@enumerate\nQ: {scan}\n").repeat(copies);
+        batch.push_str(&format!("@count\nQ: {join}\n"));
+        pinned
+            .send(FrameType::Query, batch.as_bytes())
+            .expect("send batch");
+        let first = pinned.read().expect("first result");
+        assert_eq!(first.frame_type, FrameType::Result);
+
+        let mut admin = Client::connect(addr).expect("admin connect");
+        let applied = admin
+            .delta("main", "@insert\nR(1000000, 1000001)\nS(2, 8)\n")
+            .expect("delta");
+        assert_eq!(
+            (applied.epoch, applied.prepared_warm),
+            (1, 2),
+            "{applied:?}"
+        );
+        // A worker counts each lookup right after making it, so fewer
+        // hits than the batch has queries means some of its lookups
+        // come after the commit.
+        let report = admin.stats().expect("stats");
+        let main = report.databases.iter().find(|d| d.name == "main").unwrap();
+        let hits = main.prepared_hits;
+        assert!(
+            hits < copies as u64 + 1,
+            "all {hits} lookups ran before the delta: the socket buffers hold the whole batch"
+        );
+
+        // Those later lookups are at epoch 0 after the commit: prepared
+        // hits on the grace slot, answering from epoch 0.
+        let mut results = 0;
+        for frame in std::iter::once(first).chain(std::iter::from_fn(|| {
+            let frame = pinned.read().expect("frame");
+            (frame.frame_type != FrameType::Done).then_some(frame)
+        })) {
+            assert_eq!(frame.frame_type, FrameType::Result);
+            let r: cqd2::engine::server::wire::WireResult =
+                serde::json::from_str(frame.text().expect("utf8")).expect("json");
+            assert!(r.prepared_hit, "result {} missed", r.index);
+            match r.answer {
+                Answer::Tuples(t) => assert_eq!(t.len(), 50_000),
+                other => assert_eq!(other.as_count(), Some(10)),
+            }
+            results += 1;
+        }
+        assert_eq!(results, copies + 1);
+
+        // Deltas interleaved with reads: every read hits a handle the
+        // delta migrated before publishing.
+        for round in 0..5u64 {
+            let script = format!("@insert\nS({}, 9)\n", 100 + round);
+            let applied = admin.delta("main", &script).expect("delta");
+            assert_eq!((applied.epoch, applied.prepared_warm), (round + 2, 2));
+            let count = client.query(join, Workload::Count).expect("join");
+            assert!(count.prepared_hit, "round {round}: {count:?}");
+            assert_eq!(count.answer.as_count(), Some(12 + u128::from(round)));
+            let limited = Workload::Enumerate { limit: Some(3) };
+            assert!(client.query(scan, limited).expect("scan").prepared_hit);
+        }
+        let report = admin.stats().expect("stats");
+        let main = report.databases.iter().find(|d| d.name == "main").unwrap();
+        assert_eq!(main.prepared_misses, 2, "one prepare per distinct text");
+    });
+    assert_eq!(stats.prepared_misses, 2);
+    assert_eq!(stats.delta_batches, 6);
+}
+
+#[test]
 fn reload_under_load_pins_inflight_batches_to_their_epoch() {
     // The acceptance scenario end-to-end: a multi-query enumeration
     // batch is accepted (pinning the epoch-0 snapshot), a concurrent
